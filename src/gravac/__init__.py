@@ -9,7 +9,7 @@ from .costmodel import (CostModelParams, LatencyCoeffs, allreduce_time,
                         dense_message_words, iteration_time, sparse_message_words)
 from .feedback import ResidualStore, apply_feedback, clear_residual, update_residual
 from .gradcore import (EwmaTracker, GradientVector, SeededRng, ewma_lambda_from_workers,
-                       ewma_update, squared_l2_norm)
+                       squared_l2_norm)
 from .harness import (ConfigError, RunConfig, compare_runs, parse_config,
                       run_experiment, serialize_config)
 from .kdestats import cf_histogram, cf_usage_samples, default_grid, gaussian_kde

@@ -13,9 +13,8 @@ import json
 import os
 import sys
 
-from .harness import (KDE_BANDWIDTH, SEED_ENV_VAR, ConfigError, compare_runs,
+from .harness import (KDE_BANDWIDTH, SEED_ENV_VAR, ConfigError, compare_runs, kde_csv,
                       parse_config, run_experiment, serialize_config)
-from .kdestats import cf_usage_samples, default_grid, gaussian_kde
 from .simworkers import DivergenceError, RunTrace
 
 EXIT_OK = 0
@@ -65,18 +64,12 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_kde(args) -> int:
-    trace = RunTrace.from_jsonl(args.trace)
-    samples = cf_usage_samples(trace)
-    grid = default_grid(samples, args.bandwidth, num=512, low=0.0)
-    density = gaussian_kde(samples, args.bandwidth, grid)
-    out = open(args.out, "w", encoding="utf-8", newline="\n") if args.out else sys.stdout
-    try:
-        out.write("log10_cf,density\n")
-        for x, f in zip(grid, density):
-            out.write(f"{float(x)!r},{float(f)!r}\n")
-    finally:
-        if args.out:
-            out.close()
+    text = kde_csv(RunTrace.from_jsonl(args.trace), args.bandwidth)
+    if args.out:
+        with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
     return EXIT_OK
 
 

@@ -7,6 +7,9 @@ gradient as a last resort -- is actually communicated. At every window
 boundary the step factor advances along a scaling policy, the minimum CF
 escalates when both gains agree within tolerance, and the search freezes on
 an ideal CF once the top two compression throughputs saturate.
+
+``send`` -- error feedback, volume and modeled-time accounting, throughput
+update -- ends every training step, adaptive, static-CF and dense alike.
 """
 
 from __future__ import annotations
@@ -173,7 +176,7 @@ def check_gravac(state: ControllerState, iteration: int,
 
 @dataclass
 class IterationResult:
-    """Everything one controller step produced, ready for aggregation and tracing."""
+    """Everything one training step produced, ready for aggregation and tracing."""
 
     sent: Sequence[SparseGradient] | Sequence[GradientVector]
     decision: CfDecision
@@ -183,10 +186,37 @@ class IterationResult:
     t_iter: float
     floats_sent: int
     words_sent: int
-    gain_min_raw: float
-    gain_c_raw: float
     candidate_cf: float
     theta_min: float
+
+
+def send(decision: CfDecision, gradients, parts, stores, t_compress: float,
+         table: ThroughputTable, cost: CostModelParams, batch_size: int,
+         theta_min: float, candidate_cf: float) -> IterationResult:
+    """Communicate one view of the per-worker gradients and account for it.
+
+    ``parts`` are the compressed views sent instead of ``gradients``, or
+    None for a dense send of ``gradients`` themselves. A compressed send
+    leaves its dropped mass in the residual stores; a dense send clears
+    them. Charges modeled sync and iteration time and records the
+    throughput of ``decision.cf``. Volume counters are per worker.
+    """
+    if parts is None:
+        for store in stores:
+            clear_residual(store)
+        sent, floats = gradients, gradients[0].length
+        words = dense_message_words(floats)
+        t_compress = 0.0
+    else:
+        for g_ef, part, store in zip(gradients, parts, stores):
+            update_residual(g_ef, part, store)
+        sent, floats = parts, parts[0].kept
+        words = sparse_message_words(parts[0])
+    t_sync = allreduce_time(words, cost)
+    t_iter = iteration_time(decision, cost.t_compute, t_compress, t_sync)
+    update_step(table, decision.cf, decision.gain, t_iter, cost.workers, batch_size)
+    return IterationResult(sent, decision, cost.t_compute, t_compress, t_sync, t_iter,
+                           floats, words, candidate_cf, theta_min)
 
 
 def run_iteration(state: ControllerState, gradients, residuals,
@@ -208,77 +238,42 @@ def run_iteration(state: ControllerState, gradients, residuals,
     i = state.iteration
     theta_min = state.theta_min
     candidate_cf = state.candidate_cf
-    t_compute = cost.t_compute
-    length = grads[0].length
 
     g_efs = [apply_feedback(g, r) for g, r in zip(grads, stores)]
     ef_norms = [squared_l2_norm(g) for g in g_efs]
 
     if all(n == 0.0 for n in ef_norms):
         # vanished gradient: dense no-op, no compression work or gain update
-        for store in stores:
-            clear_residual(store)
-        t_sync = allreduce_time(dense_message_words(length), cost)
-        decision = CfDecision(DENSE, 1.0, 1.0, 1.0, 1.0)
-        t_iter = iteration_time(decision, t_compute, 0.0, t_sync)
-        update_step(state.table, 1.0, 1.0, t_iter, cost.workers, batch_size)
-        d_min = state.gains.value(theta_min) if state.gains.has(theta_min) else None
-        d_c = state.gains.value(candidate_cf) if state.gains.has(candidate_cf) else None
-        check_gravac(state, i, d_min, d_c)
-        return IterationResult(g_efs, decision, t_compute, 0.0, t_sync, t_iter,
-                               length, dense_message_words(length), 1.0, 1.0,
-                               candidate_cf, theta_min)
-
-    g_mins = []
-    t_min = 0.0
-    for w, g_ef in enumerate(g_efs):
-        part, secs = compress(cfg.compressor, g_ef, theta_min,
-                              rng.split(i, w, _STAGE_MIN), cost.compression_latency)
-        g_mins.append(part)
-        t_min = secs  # identical modeled cost per worker; they run in parallel
-
-    raw_min = _mean_raw_gain(g_mins, ef_norms)
-    delta_min = state.gains.observe(theta_min, raw_min)
-
-    g_cs = []
-    t_step = 0.0
-    for w, part in enumerate(g_mins):
-        stepped, secs = compress_further(cfg.compressor, part, state.theta_s,
-                                         rng.split(i, w, _STAGE_STEP),
-                                         cost.compression_latency)
-        g_cs.append(stepped)
-        t_step = secs
-
-    raw_c = _mean_raw_gain(g_cs, ef_norms)
-    delta_c = state.gains.observe(candidate_cf, raw_c)
-    t_compress = t_min + t_step
-
-    decision = select_cf(delta_c, delta_min, cfg.epsilon,
-                         candidate_cf=candidate_cf, minimum_cf=theta_min)
-
-    if decision.choice == DENSE:
-        for store in stores:
-            clear_residual(store)
-        sent = g_efs
-        floats = length
-        words = dense_message_words(length)
+        gains = state.gains
+        delta_min = gains.value(theta_min) if gains.has(theta_min) else None
+        delta_c = gains.value(candidate_cf) if gains.has(candidate_cf) else None
+        decision, parts, t_compress = CfDecision(DENSE, 1.0, 1.0, 1.0, 1.0), None, 0.0
     else:
-        parts = g_cs if decision.choice == CANDIDATE else g_mins
-        for g_ef, part, store in zip(g_efs, parts, stores):
-            update_residual(g_ef, part, store)
-        sent = parts
-        floats = parts[0].kept
-        words = sparse_message_words(parts[0])
+        # every worker pays the same modeled compression time, in parallel
+        g_mins = []
+        for w, g_ef in enumerate(g_efs):
+            part, t_min = compress(cfg.compressor, g_ef, theta_min,
+                                   rng.split(i, w, _STAGE_MIN), cost.compression_latency)
+            g_mins.append(part)
+        delta_min = state.gains.observe(theta_min, _mean_raw_gain(g_mins, ef_norms))
 
-    t_sync = allreduce_time(words, cost)
-    t_iter = iteration_time(decision, t_compute, t_compress, t_sync)
-    update_step(state.table, decision.cf, decision.gain, t_iter, cost.workers, batch_size)
+        g_cs = []
+        for w, part in enumerate(g_mins):
+            stepped, t_step = compress_further(cfg.compressor, part, state.theta_s,
+                                               rng.split(i, w, _STAGE_STEP),
+                                               cost.compression_latency)
+            g_cs.append(stepped)
+        delta_c = state.gains.observe(candidate_cf, _mean_raw_gain(g_cs, ef_norms))
+        t_compress = t_min + t_step
+
+        decision = select_cf(delta_c, delta_min, cfg.epsilon,
+                             candidate_cf=candidate_cf, minimum_cf=theta_min)
+        parts = {CANDIDATE: g_cs, MINIMUM: g_mins}.get(decision.choice)
+
+    result = send(decision, g_efs, parts, stores, t_compress, state.table, cost,
+                  batch_size, theta_min, candidate_cf)
     check_gravac(state, i, delta_min, delta_c)
-
-    return IterationResult(sent, decision, t_compute,
-                           0.0 if decision.choice == DENSE else t_compress,
-                           t_sync, t_iter, floats, words, raw_min, raw_c,
-                           candidate_cf, theta_min)
+    return result
 
 
 def _mean_raw_gain(parts: list[SparseGradient], ef_norms: list[float]) -> float:

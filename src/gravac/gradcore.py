@@ -106,12 +106,6 @@ class EwmaTracker:
         return self._value
 
 
-def ewma_update(tracker: EwmaTracker, x: float) -> EwmaTracker:
-    """Feed one observation into the tracker and return it."""
-    tracker.update(x)
-    return tracker
-
-
 def ewma_lambda_from_workers(n_workers: int) -> float:
     """Smoothing factor N/100, clamped to [0.01, 1.0] so the rule is total."""
     if n_workers < 1:

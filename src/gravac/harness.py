@@ -9,22 +9,22 @@ wall-clock never enters them.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import math
 import os
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .compressors import KIND_NAMES, CompressorKind
 from .controller import POLICIES, ControllerConfig
-from .costmodel import TOPOLOGIES, CostModelParams, LatencyCoeffs
+from .costmodel import DEFAULT_LATENCY_COEFFS, TOPOLOGIES, CostModelParams, LatencyCoeffs
 from .kdestats import cf_histogram, cf_usage_samples, default_grid, gaussian_kde
 from .simworkers import (MODES, STATIC, GRAVAC, OptimizerState, RunTrace,
                          run_training)
-from .tasks import QUADRATIC, SYNTHETIC_MLP, TASK_KINDS, build_task
+from .tasks import (QUADRATIC, SYNTHETIC_MLP, TASK_KINDS, QuadraticBowl, SyntheticMlp,
+                    build_task)
 
 KDE_BANDWIDTH = 0.1
 SEED_ENV_VAR = "GRAVAC_SEED"
@@ -36,6 +36,10 @@ class ConfigError(Exception):
 
 @dataclass
 class RunConfig:
+    """Flat run settings. A default that a domain class also has is read from
+    that class; the few literals below either have no domain default or
+    deliberately differ from it, as their comments say."""
+
     mode: str = GRAVAC
     static_cf: float = 10.0
     iters: int = 1000
@@ -44,38 +48,38 @@ class RunConfig:
     eval_samples: int = 2048
     baseline: str = ""
     task_kind: str = SYNTHETIC_MLP
-    task_size: int = 512
-    task_batch_size: int = 32
-    task_noise_std: float = 0.0
-    task_init_offset: float = 1.0
-    task_widths: tuple[int, ...] = (32, 64, 32, 2)
-    task_blob_distance: float = 3.0
-    task_blob_spread: float = 1.0
-    task_feature_decades: float = 0.0
-    task_data_seed: int = 0
-    opt_lr: float = 0.05
-    opt_momentum: float = 0.9
-    opt_weight_decay: float = 0.0
-    opt_lr_decay_iters: tuple[int, ...] = ()
-    opt_lr_decay_factor: float = 10.0
-    controller_theta_min: float = 10.0
-    controller_theta_max: float = 1000.0
-    controller_epsilon: float = 0.7
-    controller_omega: float = 0.01
-    controller_window: int = 500
-    controller_policy: str = "exponential"
-    compressor_kind: str = "topk"
-    compressor_dgc_sample_fraction: float = 0.01
-    compressor_redsync_max_rounds: int = 20
-    cost_alpha: float = 10e-6
-    cost_beta: float = 32.0 / 10e9
-    cost_workers: int = 4
-    cost_topology: str = "ring"
-    cost_t_compute: float = 1e-3
-    cost_latency_topk: tuple[float, ...] = (5e-6, 2.0e-9, 2.0e-9)
-    cost_latency_dgc: tuple[float, ...] = (5e-6, 1.0e-9, 1.0e-9)
-    cost_latency_redsync: tuple[float, ...] = (5e-6, 1.5e-9, 0.0)
-    cost_latency_randomk: tuple[float, ...] = (2e-6, 1.0e-10, 5.0e-10)
+    task_size: int = QuadraticBowl.size
+    task_batch_size: int = SyntheticMlp.batch_size
+    task_noise_std: float = QuadraticBowl.noise_std
+    task_init_offset: float = QuadraticBowl.init_offset
+    task_widths: tuple[int, ...] = SyntheticMlp.widths
+    task_blob_distance: float = SyntheticMlp.blob_distance
+    task_blob_spread: float = SyntheticMlp.blob_spread
+    task_feature_decades: float = SyntheticMlp.feature_decades
+    task_data_seed: int = SyntheticMlp.data_seed
+    opt_lr: float = 0.05  # OptimizerState has no default learning rate
+    opt_momentum: float = 0.9  # runs train with momentum; OptimizerState defaults to plain SGD
+    opt_weight_decay: float = OptimizerState.weight_decay
+    opt_lr_decay_iters: tuple[int, ...] = OptimizerState.lr_decay_iters
+    opt_lr_decay_factor: float = OptimizerState.lr_decay_factor
+    controller_theta_min: float = ControllerConfig.theta_min
+    controller_theta_max: float = ControllerConfig.theta_max
+    controller_epsilon: float = ControllerConfig.epsilon
+    controller_omega: float = ControllerConfig.omega
+    controller_window: int = ControllerConfig.window
+    controller_policy: str = ControllerConfig.policy
+    compressor_kind: str = ControllerConfig.compressor.name
+    compressor_dgc_sample_fraction: float = CompressorKind.dgc_sample_fraction
+    compressor_redsync_max_rounds: int = CompressorKind.redsync_max_rounds
+    cost_alpha: float = CostModelParams.alpha
+    cost_beta: float = CostModelParams.beta
+    cost_workers: int = 4  # a run simulates a cluster; CostModelParams defaults to one worker
+    cost_topology: str = CostModelParams.topology
+    cost_t_compute: float = CostModelParams.t_compute
+    cost_latency_topk: tuple[float, ...] = astuple(DEFAULT_LATENCY_COEFFS["topk"])
+    cost_latency_dgc: tuple[float, ...] = astuple(DEFAULT_LATENCY_COEFFS["dgc"])
+    cost_latency_redsync: tuple[float, ...] = astuple(DEFAULT_LATENCY_COEFFS["redsync"])
+    cost_latency_randomk: tuple[float, ...] = astuple(DEFAULT_LATENCY_COEFFS["randomk"])
 
     # ---- typed builders -------------------------------------------------
 
@@ -155,7 +159,7 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     text = text.strip()
     if not text:
         return ()
-    return tuple(float(p.strip()) for p in text.split(","))
+    return tuple(_parse_float(p.strip()) for p in text.split(","))
 
 
 def _fmt_seq(value) -> str:
@@ -294,8 +298,6 @@ def validate_config(cfg: RunConfig) -> None:
         problem = entry.check(getattr(cfg, entry.attr))
         if problem:
             raise ConfigError(f"{entry.key}: {problem}")
-    if cfg.mode == STATIC and cfg.static_cf < 1.0:
-        raise ConfigError("static_cf: must be >= 1 in static-cf mode")
     if cfg.controller_theta_max < cfg.controller_theta_min:
         raise ConfigError("controller.theta_max: must be >= controller.theta_min")
     # exercise the domain constructors so deep invariants surface as config errors
@@ -315,10 +317,6 @@ def serialize_config(cfg: RunConfig) -> str:
     return "\n".join(lines) + "\n"
 
 
-def config_as_dict(cfg: RunConfig) -> dict:
-    return {entry.key: getattr(cfg, entry.attr) for entry in _SCHEMA}
-
-
 # ---- orchestration ------------------------------------------------------
 
 def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> dict:
@@ -330,6 +328,7 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> dict:
     out = out_dir or cfg.out
     if not out:
         raise ConfigError("out: output directory required (flag --out or key out)")
+    baseline = _load_baseline(cfg.baseline) if cfg.baseline else None
     task = cfg.build_task()
     result = run_training(
         task=task,
@@ -350,14 +349,9 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> dict:
     with open(trace_path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(trace.to_jsonl())
 
-    samples = cf_usage_samples(trace)
     high = math.log10(cfg.controller_theta_max) if cfg.mode == GRAVAC else None
-    grid = default_grid(samples, KDE_BANDWIDTH, num=512, low=0.0, high=high)
-    density = gaussian_kde(samples, KDE_BANDWIDTH, grid)
     with open(os.path.join(out, "kde.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("log10_cf,density\n")
-        for x, f in zip(grid, density):
-            fh.write(f"{float(x)!r},{float(f)!r}\n")
+        fh.write(kde_csv(trace, KDE_BANDWIDTH, high))
 
     histogram = cf_histogram(trace)
     with open(os.path.join(out, "cf_histogram.csv"), "w", encoding="utf-8", newline="\n") as fh:
@@ -378,28 +372,48 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> dict:
         "sim_time_total": float(trace.total("t_iter")),
         "cf_histogram": {repr(cf): count for cf, count in histogram.items()},
     }
-    if cfg.baseline:
-        summary.update(_baseline_ratios(cfg.baseline, summary))
+    if baseline is not None:
+        summary.update({ratio: baseline[key] / summary[key]
+                        for key, ratio in _BASELINE_RATIOS.items() if summary[key] > 0})
     with open(os.path.join(out, "summary.json"), "w", encoding="utf-8", newline="\n") as fh:
         json.dump(summary, fh, indent=2, sort_keys=True)
         fh.write("\n")
     return summary
 
 
-def _baseline_ratios(baseline_path: str, summary: dict) -> dict:
+def kde_csv(trace: RunTrace, bandwidth: float, high: float | None = None) -> str:
+    """CF-usage density on the log10 axis as ``log10_cf,density`` CSV text."""
+    samples = cf_usage_samples(trace)
+    grid = default_grid(samples, bandwidth, num=512, low=0.0, high=high)
+    density = gaussian_kde(samples, bandwidth, grid)
+    rows = "".join(f"{float(x)!r},{float(f)!r}\n" for x, f in zip(grid, density))
+    return "log10_cf,density\n" + rows
+
+
+# baseline summary total -> the ratio of it over this run's total
+_BASELINE_RATIOS = {
+    "sim_time_total": "speedup_vs_baseline",
+    "floats_sent_total": "comm_reduction_floats",
+    "words_sent_total": "comm_reduction_words",
+}
+
+
+def _load_baseline(path: str) -> dict:
+    """The totals of a baseline summary.json, checked before a run starts."""
     try:
-        with open(baseline_path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8") as fh:
             base = json.load(fh)
     except OSError as exc:
-        raise ConfigError(f"baseline: cannot read {baseline_path}: {exc}") from exc
-    ratios = {}
-    if summary["sim_time_total"] > 0:
-        ratios["speedup_vs_baseline"] = base["sim_time_total"] / summary["sim_time_total"]
-    if summary["floats_sent_total"] > 0:
-        ratios["comm_reduction_floats"] = base["floats_sent_total"] / summary["floats_sent_total"]
-    if summary["words_sent_total"] > 0:
-        ratios["comm_reduction_words"] = base["words_sent_total"] / summary["words_sent_total"]
-    return ratios
+        raise ConfigError(f"baseline: cannot read {path}: {exc}") from exc
+    except ValueError as exc:
+        raise ConfigError(f"baseline: {path} is not JSON: {exc}") from exc
+    if not isinstance(base, dict):
+        raise ConfigError(f"baseline: {path} is not a summary object")
+    bad = [key for key in _BASELINE_RATIOS
+           if type(base.get(key)) not in (int, float) or not math.isfinite(base[key])]
+    if bad:
+        raise ConfigError(f"baseline: {path} lacks finite numbers for {', '.join(bad)}")
+    return base
 
 
 def _load_trace(trace) -> RunTrace:
@@ -438,8 +452,3 @@ def compare_runs(trace_a, trace_b, target: float | None = None) -> dict:
     report["words_ratio"] = a.total("words_sent") / b.total("words_sent")
     report["final_metric_delta"] = report["final_loss_a"] - report["final_loss_b"]
     return report
-
-
-def dataclass_replace(cfg: RunConfig, **changes) -> RunConfig:
-    """Copy helper for programmatic sweeps."""
-    return dataclasses.replace(cfg, **changes)

@@ -10,23 +10,24 @@ per worker per iteration.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from typing import Iterator
 
 import numpy as np
 
 from .compressors import CompressorKind, aggregate, aggregate_dense, compress
-from .controller import ControllerConfig, ControllerState, run_iteration
-from .costmodel import (CostModelParams, allreduce_time, dense_message_words,
-                        sparse_message_words)
-from .feedback import ResidualStore, apply_feedback, update_residual
+from .controller import (DENSE, CfDecision, ControllerConfig, ControllerState,
+                         run_iteration, send)
+from .costmodel import CostModelParams
+from .feedback import ResidualStore, apply_feedback
 from .gradcore import GradientVector, SeededRng, ewma_lambda_from_workers, squared_l2_norm
-from .metrics import GainTracker, ThroughputTable, compression_gain_raw, update_step
+from .metrics import GainTracker, ThroughputTable, compression_gain_raw
 
 GRAVAC = "gravac"
 STATIC = "static-cf"
 DENSE_MODE = "dense"
 MODES = (GRAVAC, STATIC, DENSE_MODE)
+STATIC_CHOICE = "static"  # the trace's choice for a static-cf send
 
 DIVERGENCE_FACTOR = 1e6
 
@@ -109,9 +110,7 @@ class IterationRecord:
         return asdict(self)
 
 
-REQUIRED_TRACE_FIELDS = ("iter", "cf", "gain_min", "gain_c", "t_o", "t_compress",
-                         "t_s", "t_iter", "tsys", "tcomp", "loss",
-                         "floats_sent", "words_sent")
+_TRACE_FIELDS = frozenset(f.name for f in fields(IterationRecord))
 
 
 @dataclass
@@ -148,9 +147,13 @@ class RunTrace:
                 if not line:
                     continue
                 row = json.loads(line)
-                missing = [f for f in REQUIRED_TRACE_FIELDS if f not in row]
-                if missing:
-                    raise ValueError(f"trace record missing fields {missing}")
+                if not isinstance(row, dict):
+                    raise ValueError(f"{path}: trace record is not a JSON object")
+                missing = sorted(_TRACE_FIELDS - row.keys())
+                unknown = sorted(row.keys() - _TRACE_FIELDS)
+                if missing or unknown:
+                    raise ValueError(f"{path}: trace record has missing fields {missing}, "
+                                     f"unknown fields {unknown}")
                 records.append(IterationRecord(**row))
         return cls(records)
 
@@ -163,12 +166,6 @@ class TrainingResult:
     final_loss: float
     metric_name: str
     metric_value: float
-
-
-def local_gradient(task, weights: np.ndarray, worker: int, iteration: int,
-                   rng: SeededRng) -> tuple[GradientVector, float]:
-    """Mean mini-batch gradient and loss on the worker's shard."""
-    return task.gradient(weights, worker, iteration, rng)
 
 
 def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
@@ -204,15 +201,38 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
     opt.weights = np.asarray(task.initial_weights(root.split(_RNG_INIT)), dtype=np.float64)
     opt.buffer = np.zeros_like(opt.weights)
 
-    stores = [ResidualStore(length) for _ in range(n_workers)]
-    state = None
-    gains = None
-    table = ThroughputTable()
+    # each mode is one step policy: per-worker gradients in, IterationResult out
+    stores = [ResidualStore(length) for _ in range(n_workers)] if mode != DENSE_MODE else []
     if mode == GRAVAC:
         state = ControllerState.fresh(controller_config, n_workers)
         table = state.table
+
+        def step(grads, i):
+            return run_iteration(state, grads, stores, cost, control_rng, batch_size)
     elif mode == STATIC:
+        table = ThroughputTable()
         gains = GainTracker(ewma_lambda_from_workers(n_workers))
+        cf = float(static_cf)
+
+        def step(grads, i):
+            g_efs = [apply_feedback(g, r) for g, r in zip(grads, stores)]
+            parts = []
+            for w, g_ef in enumerate(g_efs):
+                part, t_compress = compress(compressor, g_ef, static_cf,
+                                            control_rng.split(i, w), cost.compression_latency)
+                parts.append(part)
+            ef_norms = [squared_l2_norm(g) for g in g_efs]
+            raws = [min(1.0, compression_gain_raw(p, None, n))
+                    for p, n in zip(parts, ef_norms) if n > 0]
+            delta = gains.observe(cf, float(np.mean(raws))) if raws else 1.0
+            return send(CfDecision(STATIC_CHOICE, cf, delta, delta, delta), g_efs, parts,
+                        stores, t_compress, table, cost, batch_size, cf, cf)
+    else:
+        table = ThroughputTable()
+
+        def step(grads, i):
+            return send(CfDecision(DENSE, 1.0, 1.0, 1.0, 1.0), grads, None, stores, 0.0,
+                        table, cost, batch_size, 1.0, 1.0)
 
     trace = RunTrace()
     initial_loss = None
@@ -222,10 +242,11 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
         if i in decay_points:
             opt.lr = opt.lr / opt.lr_decay_factor
 
+        # fresh lists, so the previous gradients can be freed before new ones are drawn
         grads = []
         losses = []
         for w in range(n_workers):
-            g, loss = local_gradient(task, opt.weights, w, i, data_rng)
+            g, loss = task.gradient(opt.weights, w, i, data_rng)
             grads.append(g)
             losses.append(loss)
         loss = float(np.mean(losses))
@@ -236,64 +257,16 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
                 f"iteration {i}: loss {loss:.6g} exceeded {DIVERGENCE_FACTOR:.0e} x "
                 f"initial loss {initial_loss:.6g}")
 
-        if mode == GRAVAC:
-            result = run_iteration(state, grads, stores, cost, control_rng, batch_size)
-            decision = result.decision
-            if decision.choice == "dense":
-                agg = aggregate_dense(result.sent)
-            else:
-                agg = aggregate(result.sent)
-            record = IterationRecord(
-                iter=i, cf=float(decision.cf), gain_min=decision.delta_min,
-                gain_c=decision.delta_c, t_o=result.t_compute,
-                t_compress=result.t_compress, t_s=result.t_sync,
-                t_iter=result.t_iter, tsys=table.t_sys[decision.cf],
-                tcomp=table.t_compress[decision.cf], loss=loss,
-                floats_sent=result.floats_sent, words_sent=result.words_sent,
-                choice=decision.choice, theta_min=result.theta_min)
-        elif mode == STATIC:
-            g_efs = [apply_feedback(g, r) for g, r in zip(grads, stores)]
-            parts = []
-            t_compress = 0.0
-            for w, g_ef in enumerate(g_efs):
-                part, secs = compress(compressor, g_ef, static_cf,
-                                      control_rng.split(i, w), cost.compression_latency)
-                parts.append(part)
-                t_compress = secs
-            raws = []
-            for g_ef, part, store in zip(g_efs, parts, stores):
-                ef_norm = squared_l2_norm(g_ef)
-                if ef_norm > 0:
-                    raws.append(min(1.0, compression_gain_raw(part, None, ef_norm)))
-                update_residual(g_ef, part, store)
-            delta = gains.observe(static_cf, float(np.mean(raws))) if raws else 1.0
-            agg = aggregate(parts)
-            words = sparse_message_words(parts[0])
-            t_s = allreduce_time(words, cost)
-            t_iter = cost.t_compute + t_compress + t_s
-            cf = float(static_cf)
-            update_step(table, cf, delta, t_iter, n_workers, batch_size)
-            record = IterationRecord(
-                iter=i, cf=cf, gain_min=delta, gain_c=delta, t_o=cost.t_compute,
-                t_compress=t_compress, t_s=t_s, t_iter=t_iter,
-                tsys=table.t_sys[cf], tcomp=table.t_compress[cf], loss=loss,
-                floats_sent=parts[0].kept, words_sent=words,
-                choice="static", theta_min=cf)
-        else:
-            agg = aggregate_dense(grads)
-            words = dense_message_words(length)
-            t_s = allreduce_time(words, cost)
-            t_iter = cost.t_compute + t_s
-            update_step(table, 1.0, 1.0, t_iter, n_workers, batch_size)
-            record = IterationRecord(
-                iter=i, cf=1.0, gain_min=1.0, gain_c=1.0, t_o=cost.t_compute,
-                t_compress=0.0, t_s=t_s, t_iter=t_iter,
-                tsys=table.t_sys[1.0], tcomp=table.t_compress[1.0], loss=loss,
-                floats_sent=length, words_sent=words,
-                choice="dense", theta_min=1.0)
-
-        sgd_update(opt, agg)
-        trace.append(record)
+        result = step(grads, i)
+        d = result.decision
+        sgd_update(opt, aggregate_dense(result.sent) if d.choice == DENSE
+                   else aggregate(result.sent))
+        trace.append(IterationRecord(
+            iter=i, cf=float(d.cf), gain_min=d.delta_min, gain_c=d.delta_c,
+            t_o=result.t_compute, t_compress=result.t_compress, t_s=result.t_sync,
+            t_iter=result.t_iter, tsys=table.t_sys[d.cf], tcomp=table.t_compress[d.cf],
+            loss=loss, floats_sent=result.floats_sent, words_sent=result.words_sent,
+            choice=d.choice, theta_min=result.theta_min))
 
     metrics = task.evaluate(opt.weights, root.split(_RNG_EVAL), eval_samples)
     metric_name = task.metric_name

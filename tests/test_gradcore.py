@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gravac.gradcore import (EwmaTracker, GradientVector, SeededRng,
-                             ewma_lambda_from_workers, ewma_update, squared_l2_norm)
+                             ewma_lambda_from_workers, squared_l2_norm)
 
 
 class TestGradientVector:
@@ -78,7 +78,7 @@ class TestEwma:
             s = lam * x + (1 - lam) * s
         t = EwmaTracker(lam)
         for x in xs:
-            ewma_update(t, x)
+            t.update(x)
         np.testing.assert_allclose(t.value, s, rtol=1e-15)
 
     def test_read_before_observation_errors(self):

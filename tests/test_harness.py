@@ -254,6 +254,62 @@ class TestCli:
         x, f = lines[1].split(",")
         assert math.isfinite(float(x)) and float(f) >= 0.0
 
+    def rewritten_trace(self, tmp_path, capsys, edit):
+        """A dense run's trace with ``edit`` applied to every row."""
+        assert main(self.run_args(tmp_path, "src", "--mode", "dense")) == 0
+        capsys.readouterr()
+        good = tmp_path / "src" / "trace.jsonl"
+        rows = [json.loads(line) for line in good.read_text().splitlines()]
+        bad = tmp_path / "bad.jsonl"
+        bad.write_text("".join(json.dumps(edit(row)) + "\n" for row in rows))
+        return str(good), str(bad)
+
+    def test_compare_trace_missing_field_exits_two(self, tmp_path, capsys):
+        good, bad = self.rewritten_trace(
+            tmp_path, capsys, lambda row: {k: v for k, v in row.items() if k != "choice"})
+        assert main(["compare", bad, good]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "missing fields ['choice']" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    def test_kde_trace_unknown_field_exits_two(self, tmp_path, capsys):
+        _, bad = self.rewritten_trace(tmp_path, capsys, lambda row: dict(row, extra=1))
+        out_csv = tmp_path / "kde.csv"
+        assert main(["kde", "--trace", bad, "--out", str(out_csv)]) == 2
+        err = capsys.readouterr().err
+        assert "unknown fields ['extra']" in err
+        assert len(err.splitlines()) == 1
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("dropped", ["sim_time_total", "floats_sent_total",
+                                         "words_sent_total"])
+    def test_baseline_without_totals_exits_two_before_running(self, tmp_path, capsys,
+                                                               dropped):
+        assert main(self.run_args(tmp_path, "dense", "--mode", "dense")) == 0
+        capsys.readouterr()
+        summary = json.loads((tmp_path / "dense" / "summary.json").read_text())
+        del summary[dropped]
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps(summary))
+        code = main(self.run_args(tmp_path, "run", "--mode", "dense",
+                                  "--set", f"baseline={baseline}"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: baseline:") and dropped in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "run").exists()
+
+    def test_non_finite_latency_coefficient_exits_two(self, tmp_path, capsys):
+        with pytest.raises(ConfigError, match="cost.latency.topk"):
+            parse_config(overrides={"cost.latency.topk": "nan,0,0"})
+        code = main(self.run_args(tmp_path, "nan", "--mode", "dense",
+                                  "--set", "cost.latency.topk=nan,0,0"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "cost.latency.topk" in err and len(err.splitlines()) == 1
+        assert not (tmp_path / "nan").exists()
+
     def test_flags_override_config_file(self, tmp_path, capsys):
         path = tmp_path / "base.cfg"
         path.write_text("task.kind = quadratic\ntask.size = 64\nmode = dense\n"
