@@ -8,6 +8,7 @@ from gravac.cli import main
 from gravac.harness import (ConfigError, compare_runs, parse_config,
                             run_experiment, serialize_config)
 from gravac.simworkers import RunTrace
+from gravac.tasks import TASK_KINDS
 
 QUAD_BASE = {
     "task.kind": "quadratic",
@@ -85,6 +86,33 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="theta_max"):
             parse_config(overrides={"controller.theta_min": "100",
                                     "controller.theta_max": "10"})
+
+
+# one out-of-range value for every range-checked key
+OUT_OF_RANGE = {
+    "mode": "bogus", "static_cf": "0.5", "iters": "0", "eval_samples": "0",
+    "task.kind": "transformer", "task.size": "0", "task.batch_size": "0",
+    "task.noise_std": "-0.1", "task.blob_distance": "-1", "task.blob_spread": "-1",
+    "task.feature_decades": "-1", "opt.weight_decay": "-0.1",
+    "controller.theta_min": "0.5", "controller.theta_max": "0.5",
+    "controller.epsilon": "1.5", "controller.omega": "0", "controller.window": "0",
+    "controller.policy": "linear", "compressor.kind": "signsgd",
+    "compressor.dgc_sample_fraction": "1.0", "compressor.redsync_max_rounds": "0",
+    "cost.alpha": "-1", "cost.beta": "-1", "cost.workers": "0",
+    "cost.topology": "mesh", "cost.t_compute": "-1",
+    **{f"cost.latency.{kind}": "1,2" for kind in ("topk", "dgc", "redsync", "randomk")},
+}
+
+
+# a task key is rejected whichever task kind the run uses
+@pytest.mark.parametrize("key,value,kind", [
+    (key, value, kind) for key, value in OUT_OF_RANGE.items()
+    for kind in (TASK_KINDS if key.startswith("task.") and key != "task.kind"
+                 else TASK_KINDS[-1:])])
+def test_out_of_range_value_rejected_naming_its_section(key, value, kind):
+    with pytest.raises(ConfigError) as info:
+        parse_config(overrides={"task.kind": kind, key: value})
+    assert str(info.value).startswith(key.split(".")[0])
 
 
 class TestRunExperiment:
