@@ -39,8 +39,8 @@ class CompressorKind:
     def __post_init__(self):
         if self.name not in KIND_NAMES:
             raise ValueError(f"unknown compressor {self.name!r}, expected one of {KIND_NAMES}")
-        if not (0.0 < self.dgc_sample_fraction <= 1.0):
-            raise ValueError(f"dgc_sample_fraction must be in (0, 1], got {self.dgc_sample_fraction}")
+        if not (0.0 < self.dgc_sample_fraction < 1.0):
+            raise ValueError(f"dgc_sample_fraction must be in (0, 1), got {self.dgc_sample_fraction}")
         if self.redsync_max_rounds < 1:
             raise ValueError(f"redsync_max_rounds must be >= 1, got {self.redsync_max_rounds}")
 

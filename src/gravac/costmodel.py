@@ -40,7 +40,7 @@ class LatencyCoeffs:
     per_selected_log: float
 
     def __post_init__(self):
-        if self.base < 0 or self.per_input < 0 or self.per_selected_log < 0:
+        if not (self.base >= 0 and self.per_input >= 0 and self.per_selected_log >= 0):
             raise ValueError("latency coefficients must be >= 0")
 
     def seconds(self, n_input: int, kept: int) -> float:
@@ -75,7 +75,7 @@ class CostModelParams:
         default_factory=lambda: dict(DEFAULT_LATENCY_COEFFS))
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0 or self.t_compute < 0:
+        if not (self.alpha >= 0 and self.beta >= 0 and self.t_compute >= 0):
             raise ValueError("alpha, beta and t_compute must be >= 0")
         if self.workers < 1:
             raise ValueError(f"worker count must be >= 1, got {self.workers}")

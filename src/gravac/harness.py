@@ -12,19 +12,18 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import astuple, dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Callable, Mapping
 
 import numpy as np
 
 from .compressors import KIND_NAMES, CompressorKind
-from .controller import POLICIES, ControllerConfig
-from .costmodel import DEFAULT_LATENCY_COEFFS, TOPOLOGIES, CostModelParams, LatencyCoeffs
+from .controller import ControllerConfig
+from .costmodel import DEFAULT_LATENCY_COEFFS, CostModelParams, LatencyCoeffs
 from .kdestats import cf_histogram, cf_usage_samples, default_grid, gaussian_kde
 from .simworkers import (MODES, STATIC, GRAVAC, OptimizerState, RunTrace,
                          run_training)
-from .tasks import (QUADRATIC, SYNTHETIC_MLP, TASK_KINDS, QuadraticBowl, SyntheticMlp,
-                    build_task)
+from .tasks import SYNTHETIC_MLP, TASK_CLASSES, TASK_KINDS, QuadraticBowl, SyntheticMlp
 
 KDE_BANDWIDTH = 0.1
 SEED_ENV_VAR = "GRAVAC_SEED"
@@ -36,9 +35,15 @@ class ConfigError(Exception):
 
 @dataclass
 class RunConfig:
-    """Flat run settings. A default that a domain class also has is read from
-    that class; the few literals below either have no domain default or
-    deliberately differ from it, as their comments say."""
+    """Flat run settings, one field per config key.
+
+    A field's key is its name with the section prefix dotted
+    (``controller_theta_min`` is ``controller.theta_min``, ``cost_latency_dgc``
+    is ``cost.latency.dgc``), and its annotation picks the parser. A default
+    that a domain class also has is read from that class; the few literals
+    below either have no domain default or deliberately differ from it, as
+    their comments say. The domain classes check the values they use.
+    """
 
     mode: str = GRAVAC
     static_cf: float = 10.0
@@ -81,60 +86,44 @@ class RunConfig:
     cost_latency_redsync: tuple[float, ...] = astuple(DEFAULT_LATENCY_COEFFS["redsync"])
     cost_latency_randomk: tuple[float, ...] = astuple(DEFAULT_LATENCY_COEFFS["randomk"])
 
-    # ---- typed builders -------------------------------------------------
+    # ---- typed builders: each passes the fields of its section --------
+
+    def _section(self, prefix: str, cls) -> dict:
+        """The fields of ``cls`` that this config sets as ``<prefix><name>``."""
+        return {f.name: getattr(self, prefix + f.name) for f in fields(cls)
+                if hasattr(self, prefix + f.name)}
 
     def build_task(self):
-        if self.task_kind == QUADRATIC:
-            return build_task(QUADRATIC, size=self.task_size,
-                              noise_std=self.task_noise_std,
-                              batch_size=self.task_batch_size,
-                              init_offset=self.task_init_offset)
-        return build_task(SYNTHETIC_MLP, widths=self.task_widths,
-                          batch_size=self.task_batch_size,
-                          blob_distance=self.task_blob_distance,
-                          blob_spread=self.task_blob_spread,
-                          feature_decades=self.task_feature_decades,
-                          data_seed=self.task_data_seed)
+        cls = TASK_CLASSES[self.task_kind]
+        return cls(**self._section("task_", cls))
 
     def build_compressor(self) -> CompressorKind:
-        return CompressorKind(self.compressor_kind,
-                              dgc_sample_fraction=self.compressor_dgc_sample_fraction,
-                              redsync_max_rounds=self.compressor_redsync_max_rounds)
+        return CompressorKind(self.compressor_kind, **self._section("compressor_", CompressorKind))
 
     def build_controller(self) -> ControllerConfig:
-        return ControllerConfig(theta_min=self.controller_theta_min,
-                                theta_max=self.controller_theta_max,
-                                epsilon=self.controller_epsilon,
-                                omega=self.controller_omega,
-                                window=self.controller_window,
-                                policy=self.controller_policy,
-                                compressor=self.build_compressor())
+        return ControllerConfig(compressor=self.build_compressor(),
+                                **self._section("controller_", ControllerConfig))
 
     def build_cost(self) -> CostModelParams:
-        coeffs = {
-            "topk": LatencyCoeffs(*self.cost_latency_topk),
-            "dgc": LatencyCoeffs(*self.cost_latency_dgc),
-            "redsync": LatencyCoeffs(*self.cost_latency_redsync),
-            "randomk": LatencyCoeffs(*self.cost_latency_randomk),
-        }
-        return CostModelParams(alpha=self.cost_alpha, beta=self.cost_beta,
-                               workers=self.cost_workers,
-                               topology=self.cost_topology,
-                               t_compute=self.cost_t_compute,
-                               latency_coeffs=coeffs)
+        coeffs = {kind: LatencyCoeffs(*getattr(self, f"cost_latency_{kind}"))
+                  for kind in KIND_NAMES}
+        return CostModelParams(latency_coeffs=coeffs,
+                               **self._section("cost_", CostModelParams))
 
     def build_optimizer(self, task) -> OptimizerState:
         return OptimizerState(weights=np.zeros(task.parameter_count),
-                              lr=self.opt_lr, momentum=self.opt_momentum,
-                              weight_decay=self.opt_weight_decay,
-                              lr_decay_iters=self.opt_lr_decay_iters,
-                              lr_decay_factor=self.opt_lr_decay_factor)
+                              **self._section("opt_", OptimizerState))
 
 
-# ---- flat key schema ----------------------------------------------------
+# ---- flat keys, derived from the RunConfig fields ------------------------
 
-def _parse_int(text: str) -> int:
-    return int(text)
+_SECTION_PREFIXES = ("task_", "opt_", "controller_", "compressor_", "cost_latency_", "cost_")
+
+
+def _key(name: str) -> str:
+    """The dotted config key of the RunConfig field ``name``; the first matching prefix wins."""
+    prefix = next((p for p in _SECTION_PREFIXES if name.startswith(p)), "")
+    return prefix.replace("_", ".") + name[len(prefix):]
 
 
 def _parse_float(text: str) -> float:
@@ -144,125 +133,36 @@ def _parse_float(text: str) -> float:
     return value
 
 
-def _parse_str(text: str) -> str:
-    return text
+def _parse_tuple(item: Callable[[str], object]) -> Callable[[str], tuple]:
+    def parse(text: str) -> tuple:
+        text = text.strip()
+        return tuple(item(p.strip()) for p in text.split(",")) if text else ()
+    return parse
 
 
-def _parse_ints(text: str) -> tuple[int, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(int(p.strip()) for p in text.split(","))
+# a RunConfig field's annotation -> the parser of its value text
+_PARSERS = {"int": int, "float": _parse_float, "str": str,
+            "tuple[int, ...]": _parse_tuple(int),
+            "tuple[float, ...]": _parse_tuple(_parse_float)}
+
+_FIELDS = {_key(f.name): f for f in fields(RunConfig)}
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    text = text.strip()
-    if not text:
-        return ()
-    return tuple(_parse_float(p.strip()) for p in text.split(","))
-
-
-def _fmt_seq(value) -> str:
-    return ",".join(repr(v) if isinstance(v, float) else str(v) for v in value)
-
-
-def _fmt_scalar(value) -> str:
+def _format(value) -> str:
+    if isinstance(value, tuple):
+        return ",".join(_format(v) for v in value)
     return repr(value) if isinstance(value, float) else str(value)
 
 
-def _one_of(options):
-    def check(value):
-        return None if value in options else f"must be one of {', '.join(options)}"
-    return check
-
-
-def _in_open_unit(name):
-    def check(value):
-        return None if 0.0 < value < 1.0 else f"{name} out of (0,1)"
-    return check
-
-
-def _at_least(bound):
-    def check(value):
-        return None if value >= bound else f"must be >= {bound}"
-    return check
-
-
-def _triple(value):
-    return None if len(value) == 3 else "expected 3 comma-separated coefficients"
-
-
-@dataclass(frozen=True)
-class _Field:
-    key: str
-    attr: str
-    parse: Callable[[str], object]
-    fmt: Callable[[object], str] = _fmt_scalar
-    check: Callable[[object], str | None] = lambda value: None
-
-
-_SCHEMA: tuple[_Field, ...] = (
-    _Field("mode", "mode", _parse_str, check=_one_of(MODES)),
-    _Field("static_cf", "static_cf", _parse_float, check=_at_least(1.0)),
-    _Field("iters", "iters", _parse_int, check=_at_least(1)),
-    _Field("seed", "seed", _parse_int),
-    _Field("out", "out", _parse_str),
-    _Field("eval_samples", "eval_samples", _parse_int, check=_at_least(1)),
-    _Field("baseline", "baseline", _parse_str),
-    _Field("task.kind", "task_kind", _parse_str, check=_one_of(TASK_KINDS)),
-    _Field("task.size", "task_size", _parse_int, check=_at_least(1)),
-    _Field("task.batch_size", "task_batch_size", _parse_int, check=_at_least(1)),
-    _Field("task.noise_std", "task_noise_std", _parse_float, check=_at_least(0.0)),
-    _Field("task.init_offset", "task_init_offset", _parse_float),
-    _Field("task.widths", "task_widths", _parse_ints, _fmt_seq),
-    _Field("task.blob_distance", "task_blob_distance", _parse_float, check=_at_least(0.0)),
-    _Field("task.blob_spread", "task_blob_spread", _parse_float, check=_at_least(0.0)),
-    _Field("task.feature_decades", "task_feature_decades", _parse_float, check=_at_least(0.0)),
-    _Field("task.data_seed", "task_data_seed", _parse_int),
-    _Field("opt.lr", "opt_lr", _parse_float),
-    _Field("opt.momentum", "opt_momentum", _parse_float),
-    _Field("opt.weight_decay", "opt_weight_decay", _parse_float, check=_at_least(0.0)),
-    _Field("opt.lr_decay_iters", "opt_lr_decay_iters", _parse_ints, _fmt_seq),
-    _Field("opt.lr_decay_factor", "opt_lr_decay_factor", _parse_float),
-    _Field("controller.theta_min", "controller_theta_min", _parse_float, check=_at_least(1.0)),
-    _Field("controller.theta_max", "controller_theta_max", _parse_float, check=_at_least(1.0)),
-    _Field("controller.epsilon", "controller_epsilon", _parse_float,
-           check=_in_open_unit("epsilon")),
-    _Field("controller.omega", "controller_omega", _parse_float,
-           check=_in_open_unit("omega")),
-    _Field("controller.window", "controller_window", _parse_int, check=_at_least(1)),
-    _Field("controller.policy", "controller_policy", _parse_str, check=_one_of(POLICIES)),
-    _Field("compressor.kind", "compressor_kind", _parse_str, check=_one_of(KIND_NAMES)),
-    _Field("compressor.dgc_sample_fraction", "compressor_dgc_sample_fraction",
-           _parse_float, check=_in_open_unit("sample fraction")),
-    _Field("compressor.redsync_max_rounds", "compressor_redsync_max_rounds",
-           _parse_int, check=_at_least(1)),
-    _Field("cost.alpha", "cost_alpha", _parse_float, check=_at_least(0.0)),
-    _Field("cost.beta", "cost_beta", _parse_float, check=_at_least(0.0)),
-    _Field("cost.workers", "cost_workers", _parse_int, check=_at_least(1)),
-    _Field("cost.topology", "cost_topology", _parse_str, check=_one_of(TOPOLOGIES)),
-    _Field("cost.t_compute", "cost_t_compute", _parse_float, check=_at_least(0.0)),
-    _Field("cost.latency.topk", "cost_latency_topk", _parse_floats, _fmt_seq, _triple),
-    _Field("cost.latency.dgc", "cost_latency_dgc", _parse_floats, _fmt_seq, _triple),
-    _Field("cost.latency.redsync", "cost_latency_redsync", _parse_floats, _fmt_seq, _triple),
-    _Field("cost.latency.randomk", "cost_latency_randomk", _parse_floats, _fmt_seq, _triple),
-)
-
-_BY_KEY = {f.key: f for f in _SCHEMA}
-
-
 def _assign(cfg: RunConfig, key: str, text: str) -> None:
-    entry = _BY_KEY.get(key)
-    if entry is None:
+    field = _FIELDS.get(key)
+    if field is None:
         raise ConfigError(f"unknown config key: {key}")
     try:
-        value = entry.parse(text)
+        value = _PARSERS[field.type](text)
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"{key}: cannot parse {text!r} ({exc})") from exc
-    problem = entry.check(value)
-    if problem:
-        raise ConfigError(f"{key}: {problem}")
-    setattr(cfg, entry.attr, value)
+    setattr(cfg, field.name, value)
 
 
 def parse_config(path: str | None = None,
@@ -294,26 +194,37 @@ def parse_config(path: str | None = None,
 
 
 def validate_config(cfg: RunConfig) -> None:
-    for entry in _SCHEMA:
-        problem = entry.check(getattr(cfg, entry.attr))
-        if problem:
-            raise ConfigError(f"{entry.key}: {problem}")
-    if cfg.controller_theta_max < cfg.controller_theta_min:
-        raise ConfigError("controller.theta_max: must be >= controller.theta_min")
-    # exercise the domain constructors so deep invariants surface as config errors
+    """Range-check the keys that no domain class sees, then build every
+    domain object, both task kinds included, so each checks its section."""
+    for key, value, options in (("mode", cfg.mode, MODES),
+                                ("task.kind", cfg.task_kind, TASK_KINDS)):
+        if value not in options:
+            raise ConfigError(f"{key}: must be one of {', '.join(options)}")
+    for key in ("static_cf", "iters", "eval_samples"):
+        if not getattr(cfg, key) >= 1:
+            raise ConfigError(f"{key}: must be >= 1")
+    for kind in KIND_NAMES:
+        if len(getattr(cfg, f"cost_latency_{kind}")) != 3:
+            raise ConfigError(f"cost.latency.{kind}: expected 3 comma-separated coefficients")
+    tasks = {kind: _checked("task", cls, **cfg._section("task_", cls))
+             for kind, cls in TASK_CLASSES.items()}
+    _checked("opt", cfg.build_optimizer, tasks[cfg.task_kind])
+    _checked("compressor", cfg.build_compressor)
+    _checked("controller", cfg.build_controller)
+    _checked("cost", cfg.build_cost)
+
+
+def _checked(section: str, build, *args, **kwargs):
+    """``build(*args, **kwargs)``, its ValueError raised as a ConfigError naming ``section``."""
     try:
-        task = cfg.build_task()
-        cfg.build_cost()
-        cfg.build_compressor()
-        cfg.build_controller()
-        cfg.build_optimizer(task)
+        return build(*args, **kwargs)
     except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+        raise ConfigError(f"{section}: {exc}") from exc
 
 
 def serialize_config(cfg: RunConfig) -> str:
     """Flat key=value rendering; parse_config(serialize_config(c)) == c."""
-    lines = [f"{entry.key} = {entry.fmt(getattr(cfg, entry.attr))}" for entry in _SCHEMA]
+    lines = [f"{key} = {_format(getattr(cfg, f.name))}" for key, f in _FIELDS.items()]
     return "\n".join(lines) + "\n"
 
 

@@ -12,6 +12,11 @@ import math
 import numpy as np
 
 
+def _check_bandwidth(bandwidth: float) -> None:
+    if not (math.isfinite(bandwidth) and bandwidth > 0):
+        raise ValueError(f"bandwidth must be finite and positive, got {bandwidth}")
+
+
 def gaussian_kde(samples, bandwidth: float, grid) -> np.ndarray:
     """Fixed-bandwidth Gaussian KDE evaluated on ``grid``.
 
@@ -20,8 +25,7 @@ def gaussian_kde(samples, bandwidth: float, grid) -> np.ndarray:
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
         raise ValueError("KDE needs at least one sample")
-    if bandwidth <= 0:
-        raise ValueError(f"bandwidth must be positive, got {bandwidth}")
+    _check_bandwidth(bandwidth)
     grid = np.asarray(grid, dtype=np.float64)
     z = (grid[:, None] - samples[None, :]) / bandwidth
     kernel = np.exp(-0.5 * z * z)
@@ -34,6 +38,7 @@ def default_grid(samples, bandwidth: float, num: int = 512,
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
         raise ValueError("grid needs at least one sample")
+    _check_bandwidth(bandwidth)
     pad = 5.0 * bandwidth
     lo = (samples.min() if low is None else min(low, samples.min())) - pad
     hi = (samples.max() if high is None else max(high, samples.max())) + pad

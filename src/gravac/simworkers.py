@@ -59,12 +59,14 @@ class OptimizerState:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        if self.lr <= 0:
+        if not self.lr > 0:
             raise ValueError(f"learning rate must be positive, got {self.lr}")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
+        if not self.weight_decay >= 0:
             raise ValueError(f"weight decay must be >= 0, got {self.weight_decay}")
+        if not self.lr_decay_factor > 0:
+            raise ValueError(f"lr_decay_factor must be > 0, got {self.lr_decay_factor}")
         if self.buffer is None:
             self.buffer = np.zeros_like(self.weights)
         elif self.buffer.shape != self.weights.shape:
@@ -110,7 +112,9 @@ class IterationRecord:
         return asdict(self)
 
 
-_TRACE_FIELDS = frozenset(f.name for f in fields(IterationRecord))
+# trace field -> the JSON value types it accepts (bool is not a number here)
+_TRACE_TYPES = {f.name: {"int": (int,), "float": (int, float), "str": (str,)}[f.type]
+                for f in fields(IterationRecord)}
 
 
 @dataclass
@@ -149,11 +153,14 @@ class RunTrace:
                 row = json.loads(line)
                 if not isinstance(row, dict):
                     raise ValueError(f"{path}: trace record is not a JSON object")
-                missing = sorted(_TRACE_FIELDS - row.keys())
-                unknown = sorted(row.keys() - _TRACE_FIELDS)
+                missing = sorted(_TRACE_TYPES.keys() - row.keys())
+                unknown = sorted(row.keys() - _TRACE_TYPES.keys())
                 if missing or unknown:
                     raise ValueError(f"{path}: trace record has missing fields {missing}, "
                                      f"unknown fields {unknown}")
+                mistyped = sorted(k for k, v in row.items() if type(v) not in _TRACE_TYPES[k])
+                if mistyped:
+                    raise ValueError(f"{path}: trace record has mistyped fields {mistyped}")
                 records.append(IterationRecord(**row))
         return cls(records)
 

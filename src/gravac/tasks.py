@@ -46,11 +46,13 @@ class QuadraticBowl:
             raise ValueError(f"task size must be >= 1, got {self.size}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
+        if not self.noise_std >= 0:
+            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
         if self.curvature is None:
             self.curvature = np.ones(self.size, dtype=np.float64)
         else:
             self.curvature = np.asarray(self.curvature, dtype=np.float64)
-            if self.curvature.shape != (self.size,) or np.any(self.curvature <= 0):
+            if self.curvature.shape != (self.size,) or not np.all(self.curvature > 0):
                 raise ValueError("curvature must be positive and match task size")
         if self.w_star is None:
             self.w_star = np.zeros(self.size, dtype=np.float64)
@@ -122,7 +124,11 @@ class SyntheticMlp:
             raise ValueError("output width must be 2 (binary logits)")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.feature_decades < 0:
+        if not self.blob_distance >= 0:
+            raise ValueError(f"blob_distance must be >= 0, got {self.blob_distance}")
+        if not self.blob_spread > 0:
+            raise ValueError(f"blob_spread must be > 0, got {self.blob_spread}")
+        if not self.feature_decades >= 0:
             raise ValueError(f"feature_decades must be >= 0, got {self.feature_decades}")
         self.widths = widths
         self._shapes = []
@@ -257,10 +263,11 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
     return float(-np.mean(shifted[np.arange(len(labels)), labels] - log_norm))
 
 
+TASK_CLASSES = {QUADRATIC: QuadraticBowl, SYNTHETIC_MLP: SyntheticMlp}
+
+
 def build_task(kind: str, **kwargs):
-    """Task factory used by the run harness."""
-    if kind == QUADRATIC:
-        return QuadraticBowl(**kwargs)
-    if kind == SYNTHETIC_MLP:
-        return SyntheticMlp(**kwargs)
-    raise ValueError(f"unknown task kind {kind!r}, expected one of {TASK_KINDS}")
+    """The task of ``kind`` built from its fields."""
+    if kind not in TASK_CLASSES:
+        raise ValueError(f"unknown task kind {kind!r}, expected one of {TASK_KINDS}")
+    return TASK_CLASSES[kind](**kwargs)

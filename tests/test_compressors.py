@@ -95,6 +95,11 @@ class TestDgc:
         overlap = len(set(s.indices.tolist()) & oracle) / 100
         assert overlap >= 0.95
 
+    @pytest.mark.parametrize("fraction", [0.0, 1.0, float("nan")])
+    def test_sample_fraction_outside_open_unit_interval_rejected(self, fraction):
+        with pytest.raises(ValueError, match="dgc_sample_fraction"):
+            CompressorKind("dgc", dgc_sample_fraction=fraction)
+
     def test_small_vector_degenerates_to_exact(self):
         # below the 256-entry sampling floor the full vector is the sample
         g = random_vector(np.random.default_rng(3), 64)

@@ -285,6 +285,11 @@ class TestConfigValidation:
         with pytest.raises(ValueError):
             ControllerConfig(theta_min=100.0, theta_max=10.0)
 
+    @pytest.mark.parametrize("name", ["theta_min", "theta_max"])
+    def test_nan_theta_rejected(self, name):
+        with pytest.raises(ValueError, match=name):
+            ControllerConfig(**{name: float("nan")})
+
     def test_unknown_policy(self):
         with pytest.raises(ValueError):
             ControllerConfig(policy="linear")

@@ -140,11 +140,21 @@ class TestCompressionLatency:
         with pytest.raises(ValueError):
             LatencyCoeffs(-1e-6, 0, 0)
 
+    @pytest.mark.parametrize("coeffs", [(math.nan, 0, 0), (0, math.nan, 0), (0, 0, math.nan)])
+    def test_nan_coefficients_rejected(self, coeffs):
+        with pytest.raises(ValueError):
+            LatencyCoeffs(*coeffs)
+
 
 class TestParamsValidation:
     def test_bad_topology(self):
         with pytest.raises(ValueError):
             CostModelParams(topology="mesh")
+
+    @pytest.mark.parametrize("name", ["alpha", "beta", "t_compute"])
+    def test_nan_time_parameter_rejected(self, name):
+        with pytest.raises(ValueError):
+            CostModelParams(**{name: math.nan})
 
     def test_bad_worker_count(self):
         with pytest.raises(ValueError):

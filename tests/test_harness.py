@@ -8,7 +8,7 @@ from gravac.cli import main
 from gravac.harness import (ConfigError, compare_runs, parse_config,
                             run_experiment, serialize_config)
 from gravac.simworkers import RunTrace
-from gravac.tasks import TASK_KINDS
+from gravac.tasks import TASK_CLASSES, TASK_KINDS
 
 QUAD_BASE = {
     "task.kind": "quadratic",
@@ -86,6 +86,36 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="theta_max"):
             parse_config(overrides={"controller.theta_min": "100",
                                     "controller.theta_max": "10"})
+
+    @pytest.mark.parametrize("key,value,message", [
+        ("opt.lr", "0", "opt: learning rate"),
+        ("opt.momentum", "1", "opt: momentum"),
+        ("controller.epsilon", "1.5", "controller: epsilon out of (0,1): 1.5"),
+        ("compressor.dgc_sample_fraction", "0", "compressor: dgc_sample_fraction"),
+        ("cost.latency.dgc", "-1,0,0", "cost: latency coefficients")])
+    def test_domain_error_names_its_section(self, key, value, message):
+        with pytest.raises(ConfigError) as info:
+            parse_config(overrides={key: value})
+        assert str(info.value).startswith(message)
+
+    def test_parse_builds_each_task_class_once(self, monkeypatch):
+        built = []
+        for kind, cls in TASK_CLASSES.items():
+            def post_init(self, cls=cls):
+                built.append(cls.__name__)
+                cls.__post_init__(self)
+            monkeypatch.setitem(TASK_CLASSES, kind,
+                                type(cls.__name__, (cls,), {"__post_init__": post_init}))
+        parse_config(overrides={"task.kind": "quadratic", "task.size": "8"})
+        assert sorted(built) == ["QuadraticBowl", "SyntheticMlp"]
+
+    def test_ranges_are_checked_on_the_effective_config(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_text("iters = 0\ncontroller.epsilon = 1.5\n")
+        with pytest.raises(ConfigError, match="iters"):
+            parse_config(str(path))
+        cfg = parse_config(str(path), {"iters": "5", "controller.epsilon": "0.5"})
+        assert (cfg.iters, cfg.controller_epsilon) == (5, 0.5)
 
 
 # one out-of-range value for every range-checked key
@@ -337,6 +367,45 @@ class TestCli:
         err = capsys.readouterr().err
         assert "cost.latency.topk" in err and len(err.splitlines()) == 1
         assert not (tmp_path / "nan").exists()
+
+    # the default run is a quadratic one, so the task.blob_spread and
+    # task.widths cases are keys of the inactive task kind
+    @pytest.mark.parametrize("overrides,section", [
+        (("opt.lr_decay_iters=3", "opt.lr_decay_factor=0"), "opt"),
+        (("opt.lr_decay_iters=3", "opt.lr_decay_factor=-1"), "opt"),
+        (("task.blob_spread=0",), "task"),
+        (("task.widths=4,2,3",), "task")])
+    def test_value_that_breaks_a_run_exits_two(self, tmp_path, capsys, overrides, section):
+        args = self.run_args(tmp_path, "run", "--mode", "dense")
+        for pair in overrides:
+            args += ["--set", pair]
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {section}: ")
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("bandwidth", ["nan", "inf", "0", "-1"])
+    def test_kde_bad_bandwidth_exits_two(self, tmp_path, capsys, bandwidth):
+        assert main(self.run_args(tmp_path, "k", "--mode", "dense")) == 0
+        capsys.readouterr()
+        out_csv = tmp_path / "kde.csv"
+        assert main(["kde", "--trace", str(tmp_path / "k" / "trace.jsonl"),
+                     f"--bandwidth={bandwidth}", "--out", str(out_csv)]) == 2
+        err = capsys.readouterr().err
+        assert "bandwidth must be finite and positive" in err
+        assert len(err.splitlines()) == 1
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("command", ["kde", "compare"])
+    def test_trace_with_mistyped_value_exits_two(self, tmp_path, capsys, command):
+        good, bad = self.rewritten_trace(tmp_path, capsys, lambda row: dict(row, cf="x"))
+        args = ["kde", "--trace", bad] if command == "kde" else ["compare", good, bad]
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "mistyped fields ['cf']" in captured.err
+        assert len(captured.err.splitlines()) == 1
 
     def test_flags_override_config_file(self, tmp_path, capsys):
         path = tmp_path / "base.cfg"

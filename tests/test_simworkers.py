@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 
@@ -50,6 +52,18 @@ class TestSgdUpdate:
             OptimizerState(weights=np.zeros(2), lr=0.0)
         with pytest.raises(ValueError):
             OptimizerState(weights=np.zeros(2), lr=0.1, momentum=1.0)
+
+    def test_nan_hyperparameters_rejected(self):
+        with pytest.raises(ValueError):
+            OptimizerState(weights=np.zeros(2), lr=np.nan)
+        with pytest.raises(ValueError):
+            OptimizerState(weights=np.zeros(2), lr=0.1, weight_decay=np.nan)
+
+    # 0 divided the learning rate by zero at the decay step; -1 flipped its sign
+    @pytest.mark.parametrize("factor", [0.0, -1.0, np.nan])
+    def test_non_positive_lr_decay_factor_rejected(self, factor):
+        with pytest.raises(ValueError, match="lr_decay_factor"):
+            OptimizerState(weights=np.zeros(2), lr=0.1, lr_decay_factor=factor)
 
 
 class TestDenseTraining:
@@ -187,6 +201,17 @@ class TestRunTraceIo:
         path = tmp_path / "bad.jsonl"
         path.write_text('{"iter": 1, "cf": 1.0}\n')
         with pytest.raises(ValueError, match="missing fields"):
+            RunTrace.from_jsonl(path)
+
+    @pytest.mark.parametrize("name,value", [
+        ("cf", "x"), ("loss", None), ("t_iter", [1.0]), ("iter", True),
+        ("floats_sent", 4.5), ("choice", 1)])
+    def test_mistyped_value_rejected(self, tmp_path, name, value):
+        task, opt, cost = quadratic_setup(size=16)
+        row = run_training(task, opt, cost, "dense", 1, seed=0).trace.records[0].to_dict()
+        path = tmp_path / "bad.jsonl"
+        path.write_text(json.dumps(dict(row, **{name: value})) + "\n")
+        with pytest.raises(ValueError, match=rf"mistyped fields \['{name}'\]"):
             RunTrace.from_jsonl(path)
 
     def test_column_and_total(self):

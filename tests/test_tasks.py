@@ -52,6 +52,15 @@ class TestQuadraticBowl:
         with pytest.raises(ValueError):
             QuadraticBowl(size=4, curvature=np.array([1.0, -1.0, 2.0, 3.0]))
 
+    def test_rejects_nan_curvature(self):
+        with pytest.raises(ValueError):
+            QuadraticBowl(size=2, curvature=np.array([1.0, np.nan]))
+
+    @pytest.mark.parametrize("noise_std", [-0.1, np.nan])
+    def test_rejects_negative_or_nan_noise(self, noise_std):
+        with pytest.raises(ValueError, match="noise_std"):
+            QuadraticBowl(size=4, noise_std=noise_std)
+
 
 class TestSyntheticMlp:
     def test_default_shape(self):
@@ -108,6 +117,14 @@ class TestSyntheticMlp:
     def test_rejects_non_binary_output(self):
         with pytest.raises(ValueError):
             SyntheticMlp(widths=(8, 4, 3))
+
+    # a zero spread would put NaN in the blob means and abort the first step
+    @pytest.mark.parametrize("name,value", [
+        ("blob_spread", 0.0), ("blob_spread", -1.0), ("blob_spread", np.nan),
+        ("blob_distance", -1.0), ("blob_distance", np.nan), ("feature_decades", np.nan)])
+    def test_rejects_out_of_range_blob_geometry(self, name, value):
+        with pytest.raises(ValueError, match=name):
+            SyntheticMlp(**{name: value})
 
 
 class TestBuildTask:
