@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from gravac.compressors import (CompressorKind, SparseGradient, aggregate,
-                                aggregate_dense, compress, compress_further,
+from gravac.compressors import (CompressorKind, SparseGradient, _exact_topk, _select,
+                                aggregate, aggregate_dense, compress, compress_further,
                                 decompress, keep_count)
 from gravac.gradcore import GradientVector, SeededRng, squared_l2_norm
 
@@ -291,3 +293,84 @@ class TestLayerwiseMode:
         _, secs = compress(TOPK, g, 5, latency=fake_latency)
         assert secs == 0.25
         assert calls == [("topk", 10, 2)]
+
+
+# ---- reference oracles: the Redsync pick and the two-pass exact top-k as
+# they were before Redsync's selection became a single exact top-k --------
+
+def oracle_exact_topk(mag, k):
+    n = mag.size
+    if k >= n:
+        return np.arange(n)
+    kth = np.partition(mag, n - k)[n - k]
+    above = np.flatnonzero(mag > kth)
+    need = k - above.size
+    ties = np.flatnonzero(mag == kth)[:need]
+    return np.concatenate([above, ties])
+
+
+def oracle_global_topup(mag, chosen, short):
+    mask = np.ones(mag.size, dtype=bool)
+    mask[chosen] = False
+    rest = np.flatnonzero(mask)
+    return rest[oracle_exact_topk(mag[rest], short)]
+
+
+def oracle_redsync_pick(mag, k, max_rounds=20):
+    """Bisection threshold in [mean, max], cut to exactly k entries."""
+    with np.errstate(over="ignore"):  # a float32 mean of huge magnitudes overflows to inf
+        lo = float(mag.mean())
+    hi = float(mag.max())
+    threshold = lo
+    if hi > lo and int((mag >= lo).sum()) > k:
+        left, right = lo, hi
+        for _ in range(max_rounds):
+            mid = 0.5 * (left + right)
+            count = int((mag >= mid).sum())
+            if count >= k:
+                left = mid
+                if count == k:
+                    break
+            else:
+                right = mid
+        threshold = left
+    chosen = np.flatnonzero(mag >= threshold)
+    if chosen.size >= k:
+        return chosen[oracle_exact_topk(mag[chosen], k)]
+    return np.concatenate([chosen, oracle_global_topup(mag, chosen, k - chosen.size)])
+
+
+_SPECIAL = st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5, np.inf, -np.inf, np.nan])
+_FLOAT32 = st.floats(width=32) | _SPECIAL
+_VECTORS = st.one_of(
+    st.lists(_SPECIAL, min_size=2, max_size=48),  # many ties
+    st.lists(_FLOAT32, min_size=2, max_size=48),
+    st.builds(lambda v, n: [v] * n, _FLOAT32, st.integers(2, 48)),  # constant
+)
+
+
+class TestRedsyncPickOracles:
+    @settings(max_examples=300, deadline=None)
+    @given(_VECTORS)
+    def test_pick_is_set_equal_to_both_oracles(self, values):
+        values = np.asarray(values, dtype=np.float32)
+        mag = np.abs(values)
+        for k in range(1, values.size):
+            picked = set(_exact_topk(mag, k).tolist())
+            assert picked == set(oracle_exact_topk(mag, k).tolist()), k
+            assert picked == set(oracle_redsync_pick(mag, k).tolist()), k
+            if not np.isnan(values).any():  # a NaN at the boundary leaves fewer than k
+                with np.errstate(invalid="ignore"):  # substituted values may be 0 * inf
+                    positions, _ = _select(REDSYNC, values, k, None)
+                assert set(positions.tolist()) == picked, k
+
+    def test_bisection_and_topup_paths_agree(self):
+        rng = np.random.default_rng(21)
+        for n in (50, 257, 1000):
+            values = rng.standard_normal(n).astype(np.float32)
+            values[::7] = values[0]  # boundary ties
+            mag = np.abs(values)
+            for k in (1, 2, n // 10, n // 3, n // 2, n - 1):
+                expected = set(oracle_redsync_pick(mag, k).tolist())
+                positions, _ = _select(REDSYNC, values, k, None)
+                assert set(positions.tolist()) == expected, (n, k)

@@ -44,6 +44,13 @@ CASES = {
     "mlp-n4-gravac-topk": MLP,
     "quad-n4-gravac-vanished": dict(QUAD, mode="gravac", **{
         "task.init_offset": "0", "task.noise_std": "0", "cost.workers": "4"}),
+    # a vector large enough that Redsync's bisection runs many rounds
+    **{f"quad-m20k-b{batch}-{mode}-{kind}": dict(QUAD, mode=mode, **{
+        "compressor.kind": kind, "cost.workers": "4", "task.size": "20000",
+        "task.batch_size": str(batch), "task.noise_std": "0.1", "iters": "10"})
+       for mode, kind in (("gravac", "redsync"), ("gravac", "topk"), ("gravac", "dgc"),
+                          ("static-cf", "redsync"))
+       for batch in (1, 3)},
 }
 
 GOLDEN = {
@@ -66,6 +73,14 @@ GOLDEN = {
     "quad-n8-static-cf-randomk": "c529d3fc3548ba0a387bc9ee67e118f0181d56799b0af231fb8ed3709efee3ef",
     "mlp-n4-gravac-topk": "ad7197d7e5e467f9dc77c86b8765fab0d8d8f44a739a7035fc8af411a7d01945",
     "quad-n4-gravac-vanished": "ae1f9f56d44a7efd4db5edf0e8125d25edf109df3a25f2629f34be20a37b56cd",
+    "quad-m20k-b1-gravac-dgc": "f9e8e3cc0b1db313b12091802aad35d215b45cb63162c6b5eb23be1cfc67b259",
+    "quad-m20k-b1-gravac-redsync": "da74e1e350d2f1fad7a362be6bcf74b904708443849be34bdcd14a1deb41beac",
+    "quad-m20k-b1-gravac-topk": "628427f8b17168299141848c0b720fde012ad5fed0d0bd020871eed46d44d3d5",
+    "quad-m20k-b1-static-cf-redsync": "283de5372a761a9f0c36c961b0349b196d6eca08f6c13aa26aa7cf893c98d045",
+    "quad-m20k-b3-gravac-dgc": "951efebc7301add7917b2016700eda30dd306f58961c7b92e222dc692eb34bc3",
+    "quad-m20k-b3-gravac-redsync": "c292f5c3ed3d6340969d3c685926aa5bdcd959501c3cad39a429509754e588b5",
+    "quad-m20k-b3-gravac-topk": "260827786e342aee07a2f36dbb12fa501af70293ac6b2fdef99a2ba6f0feda54",
+    "quad-m20k-b3-static-cf-redsync": "dc8ad05a6e2620951090ea79beabc4edc979e4b11d8a63e5d9c914dd591c3dda",
 }
 
 DEFAULT_CONFIG_SHA256 = "7907515cd050e4d67eb7ffd0b4a6df44d111c0d260bf6db95cccfc9d033dc22c"
