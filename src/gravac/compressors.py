@@ -1,8 +1,10 @@
 """Sparsifying gradient compressors behind one (indices, values) format.
 
 Four selection rules share the interface: top-k by magnitude, random-k,
-sample-estimated threshold (DGC-style) and bisection threshold with
-mean-magnitude value substitution (Redsync-style). All of them keep exactly
+sample-estimated threshold (DGC-style) and Redsync-style top-k with
+mean-magnitude value substitution. Redsync's bisection threshold always ends
+cut or topped up to the exact top-k, so it selects the exact top-k directly
+and then sends sign * mean |selected| for every entry. All of them keep exactly
 ``max(1, floor(n / cf))`` entries so downstream volume accounting is exact,
 and all support a second-level pass that compresses an already-compressed
 tensor without touching the original dense vector.
@@ -34,15 +36,12 @@ class CompressorKind:
 
     name: str
     dgc_sample_fraction: float = 0.01
-    redsync_max_rounds: int = 20
 
     def __post_init__(self):
         if self.name not in KIND_NAMES:
             raise ValueError(f"unknown compressor {self.name!r}, expected one of {KIND_NAMES}")
         if not (0.0 < self.dgc_sample_fraction < 1.0):
             raise ValueError(f"dgc_sample_fraction must be in (0, 1), got {self.dgc_sample_fraction}")
-        if self.redsync_max_rounds < 1:
-            raise ValueError(f"redsync_max_rounds must be >= 1, got {self.redsync_max_rounds}")
 
 
 @dataclass(eq=False)
@@ -86,17 +85,20 @@ def keep_count(length: int, cf: float) -> int:
 def _exact_topk(mag: np.ndarray, k: int) -> np.ndarray:
     """Positions of the k largest magnitudes; ties go to the lower index.
 
-    Returned positions are unsorted. O(n) via partition plus tie repair on
-    the boundary magnitude.
+    Returned positions are ascending. O(n): one partition and one pass
+    over ``mag``; ties on the boundary magnitude are repaired only when that
+    pass keeps more than k entries.
     """
     n = mag.size
     if k >= n:
         return np.arange(n)
     kth = np.partition(mag, n - k)[n - k]
-    above = np.flatnonzero(mag > kth)
-    need = k - above.size
-    ties = np.flatnonzero(mag == kth)[:need]
-    return np.concatenate([above, ties])
+    picked = np.flatnonzero(mag >= kth)
+    if picked.size > k:
+        # drop the highest-index ties
+        ties = np.flatnonzero(mag[picked] == kth)
+        picked = np.delete(picked, ties[k - picked.size:])
+    return picked
 
 
 def _global_topup(mag: np.ndarray, chosen: np.ndarray, short: int) -> np.ndarray:
@@ -137,30 +139,6 @@ def _dgc_pick(mag: np.ndarray, k: int, kind: CompressorKind, rng: SeededRng | No
     return chosen
 
 
-def _redsync_pick(mag: np.ndarray, k: int, kind: CompressorKind) -> np.ndarray:
-    lo = float(mag.mean())
-    hi = float(mag.max())
-    threshold = lo
-    if hi > lo and int((mag >= lo).sum()) > k:
-        # bisect in [mean, max] until the retained count brackets k
-        left, right = lo, hi
-        for _ in range(kind.redsync_max_rounds):
-            mid = 0.5 * (left + right)
-            count = int((mag >= mid).sum())
-            if count >= k:
-                left = mid
-                if count == k:
-                    break
-            else:
-                right = mid
-        threshold = left
-    chosen = np.flatnonzero(mag >= threshold)
-    if chosen.size >= k:
-        return chosen[_exact_topk(mag[chosen], k)]
-    # k exceeds the [mean, max] bracket; top up by magnitude below the mean
-    return np.concatenate([chosen, _global_topup(mag, chosen, k - chosen.size)])
-
-
 def _select(kind: CompressorKind, values: np.ndarray, k: int,
             rng: SeededRng | None) -> tuple[np.ndarray, np.ndarray]:
     """Pick k of n entries per the compressor rule.
@@ -172,16 +150,14 @@ def _select(kind: CompressorKind, values: np.ndarray, k: int,
     if k >= n:
         return np.arange(n, dtype=np.uint32), values.astype(np.float32, copy=True)
     mag = np.abs(values)
-    if kind.name == TOPK:
+    if kind.name in (TOPK, REDSYNC):
         picked = _exact_topk(mag, k)
     elif kind.name == RANDOMK:
         if rng is None:
             raise ValueError("randomk compression requires an rng")
         picked = rng.generator.choice(n, size=k, replace=False)
-    elif kind.name == DGC:
-        picked = _dgc_pick(mag, k, kind, rng)
     else:
-        picked = _redsync_pick(mag, k, kind)
+        picked = _dgc_pick(mag, k, kind, rng)
     picked = np.sort(picked.astype(np.int64))
     vals = values[picked].astype(np.float32, copy=True)
     if kind.name == REDSYNC:
@@ -280,6 +256,6 @@ def aggregate_dense(parts: Sequence[GradientVector]) -> GradientVector:
     for p in parts:
         if p.length != m:
             raise ValueError(f"length mismatch in aggregate: {p.length} != {m}")
-        acc += p.values.astype(np.float64)
+        acc += p.values
     acc /= len(parts)
     return GradientVector(acc.astype(np.float32), parts[0].layer_offsets)

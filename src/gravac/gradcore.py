@@ -14,6 +14,9 @@ from typing import Sequence
 import numpy as np
 
 _MASK64 = (1 << 64) - 1
+# seeds lie in [0, SEED_LIMIT): numpy reads a Philox key [seed, stream] whose
+# stream is >= 2**63 as float64, so a larger seed would be rounded there
+SEED_LIMIT = 1 << 53
 
 
 class GradientVector:
@@ -125,13 +128,17 @@ class SeededRng:
 
     Equal (seed, stream) pairs produce identical draw sequences on every
     platform. ``split`` derives independent substreams from integer path
-    components, e.g. ``rng.split(worker_id, iteration)``.
+    components, e.g. ``rng.split(worker_id, iteration)``. The seed must lie
+    in [0, 2**53), where distinct seeds give distinct streams.
     """
 
     __slots__ = ("seed", "stream", "_generator")
 
     def __init__(self, seed: int, stream: int = 0):
-        self.seed = int(seed) & _MASK64
+        seed = int(seed)
+        if not 0 <= seed < SEED_LIMIT:
+            raise ValueError(f"seed must be in [0, 2**53), got {seed}")
+        self.seed = seed
         self.stream = int(stream) & _MASK64
         self._generator = None
 

@@ -20,6 +20,7 @@ import numpy as np
 from .compressors import KIND_NAMES, CompressorKind
 from .controller import ControllerConfig
 from .costmodel import DEFAULT_LATENCY_COEFFS, CostModelParams, LatencyCoeffs
+from .gradcore import SeededRng
 from .kdestats import cf_histogram, cf_usage_samples, default_grid, gaussian_kde
 from .simworkers import (MODES, STATIC, GRAVAC, OptimizerState, RunTrace,
                          run_training)
@@ -75,7 +76,6 @@ class RunConfig:
     controller_policy: str = ControllerConfig.policy
     compressor_kind: str = ControllerConfig.compressor.name
     compressor_dgc_sample_fraction: float = CompressorKind.dgc_sample_fraction
-    compressor_redsync_max_rounds: int = CompressorKind.redsync_max_rounds
     cost_alpha: float = CostModelParams.alpha
     cost_beta: float = CostModelParams.beta
     cost_workers: int = 4  # a run simulates a cluster; CostModelParams defaults to one worker
@@ -206,6 +206,7 @@ def validate_config(cfg: RunConfig) -> None:
     for kind in KIND_NAMES:
         if len(getattr(cfg, f"cost_latency_{kind}")) != 3:
             raise ConfigError(f"cost.latency.{kind}: expected 3 comma-separated coefficients")
+    _checked("seed", SeededRng, cfg.seed)
     tasks = {kind: _checked("task", cls, **cfg._section("task_", cls))
              for kind, cls in TASK_CLASSES.items()}
     _checked("opt", cfg.build_optimizer, tasks[cfg.task_kind])

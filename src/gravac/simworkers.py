@@ -47,6 +47,7 @@ class OptimizerState:
     """Momentum SGD with coupled weight decay.
 
     buffer <- momentum*buffer + (grad + weight_decay*w); w <- w - lr*buffer.
+    Both arrays are updated in place, so the state keeps copies of its own.
     """
 
     weights: np.ndarray
@@ -58,7 +59,7 @@ class OptimizerState:
     lr_decay_factor: float = 10.0
 
     def __post_init__(self):
-        self.weights = np.asarray(self.weights, dtype=np.float64)
+        self.weights = np.array(self.weights, dtype=np.float64)
         if not self.lr > 0:
             raise ValueError(f"learning rate must be positive, got {self.lr}")
         if not (0.0 <= self.momentum < 1.0):
@@ -67,9 +68,9 @@ class OptimizerState:
             raise ValueError(f"weight decay must be >= 0, got {self.weight_decay}")
         if not self.lr_decay_factor > 0:
             raise ValueError(f"lr_decay_factor must be > 0, got {self.lr_decay_factor}")
-        if self.buffer is None:
-            self.buffer = np.zeros_like(self.weights)
-        elif self.buffer.shape != self.weights.shape:
+        self.buffer = (np.zeros_like(self.weights) if self.buffer is None
+                       else np.array(self.buffer, dtype=np.float64))
+        if self.buffer.shape != self.weights.shape:
             raise ValueError("momentum buffer must match weight shape")
 
 
@@ -79,12 +80,13 @@ def sgd_update(opt: OptimizerState, grad: GradientVector) -> OptimizerState:
         raise ValueError(f"gradient length {grad.length} != weights {opt.weights.size}")
     g = grad.values.astype(np.float64)
     if opt.weight_decay:
-        g = g + opt.weight_decay * opt.weights
+        g += opt.weight_decay * opt.weights
     if opt.momentum:
-        opt.buffer = opt.momentum * opt.buffer + g
+        opt.buffer *= opt.momentum
+        opt.buffer += g
     else:
         opt.buffer = g
-    opt.weights = opt.weights - opt.lr * opt.buffer
+    opt.weights -= opt.lr * opt.buffer
     return opt
 
 
@@ -205,7 +207,7 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
     batch_size = task.batch_size
 
     opt = optimizer
-    opt.weights = np.asarray(task.initial_weights(root.split(_RNG_INIT)), dtype=np.float64)
+    opt.weights = np.array(task.initial_weights(root.split(_RNG_INIT)), dtype=np.float64)
     opt.buffer = np.zeros_like(opt.weights)
 
     # each mode is one step policy: per-worker gradients in, IterationResult out
@@ -249,13 +251,8 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
         if i in decay_points:
             opt.lr = opt.lr / opt.lr_decay_factor
 
-        # fresh lists, so the previous gradients can be freed before new ones are drawn
-        grads = []
-        losses = []
-        for w in range(n_workers):
-            g, loss = task.gradient(opt.weights, w, i, data_rng)
-            grads.append(g)
-            losses.append(loss)
+        grads = result = None  # free the previous gradients before new ones are drawn
+        grads, losses = task.gradients(opt.weights, n_workers, i, data_rng)
         loss = float(np.mean(losses))
         if initial_loss is None:
             initial_loss = loss

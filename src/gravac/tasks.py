@@ -3,7 +3,8 @@
 Two tasks stand in for full DL workloads: a noisy diagonal quadratic with a
 known optimum, and a small tanh MLP classifying two Gaussian blobs. Both
 produce analytic gradients (no autodiff) and are fully deterministic given
-the rng streams they are handed.
+the rng streams they are handed. ``gradients`` returns every worker's
+gradient and loss for one iteration; ``gradient`` draws one worker's.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gradcore import GradientVector, SeededRng
+from .gradcore import SEED_LIMIT, GradientVector, SeededRng
 
 QUADRATIC = "quadratic"
 SYNTHETIC_MLP = "synthetic_mlp"
@@ -81,15 +82,35 @@ class QuadraticBowl:
         d = np.asarray(w, dtype=np.float64) - self.w_star
         return float(0.5 * np.dot(self.curvature * d, d))
 
-    def gradient(self, w: np.ndarray, worker: int, iteration: int,
-                 rng: SeededRng) -> tuple[GradientVector, float]:
-        d = np.asarray(w, dtype=np.float64) - self.w_star
-        grad = self.curvature * d
+    def _noiseless(self, w: np.ndarray) -> tuple[np.ndarray, float]:
+        return self.curvature * (np.asarray(w, dtype=np.float64) - self.w_star), self.loss(w)
+
+    def gradient(self, w: np.ndarray, worker: int, iteration: int, rng: SeededRng,
+                 noiseless: tuple[np.ndarray, float] | None = None
+                 ) -> tuple[GradientVector, float]:
+        """One worker's noisy gradient and the noiseless loss at ``w``.
+
+        ``noiseless`` is ``(curvature * (w - w_star), loss(w))`` when the
+        caller has computed it already; it is not modified.
+        """
+        grad, loss = self._noiseless(w) if noiseless is None else noiseless
         if self.noise_std > 0.0:
             gen = rng.split(_BATCH, worker, iteration).generator
             noise = gen.standard_normal((self.batch_size, self.size))
-            grad = grad + self.noise_std * noise.mean(axis=0)
-        return GradientVector(grad, self.layer_offsets), self.loss(w)
+            # a batch of one is its own mean, bit for bit
+            noisy = noise[0] if self.batch_size == 1 else noise.mean(axis=0)
+            noisy *= self.noise_std
+            noisy += grad
+            grad = noisy
+        return GradientVector(grad, self.layer_offsets), loss
+
+    def gradients(self, w: np.ndarray, workers: int, iteration: int,
+                  rng: SeededRng) -> tuple[list[GradientVector], list[float]]:
+        """Every worker's gradient and loss; the noiseless part is computed once."""
+        noiseless = self._noiseless(w)
+        grads = [self.gradient(w, worker, iteration, rng, noiseless)[0]
+                 for worker in range(workers)]
+        return grads, [noiseless[1]] * workers
 
     def evaluate(self, w: np.ndarray, rng: SeededRng, n_samples: int = 0) -> dict:
         del rng, n_samples
@@ -130,6 +151,8 @@ class SyntheticMlp:
             raise ValueError(f"blob_spread must be > 0, got {self.blob_spread}")
         if not self.feature_decades >= 0:
             raise ValueError(f"feature_decades must be >= 0, got {self.feature_decades}")
+        if not 0 <= self.data_seed < SEED_LIMIT:
+            raise ValueError(f"data_seed must be in [0, 2**53), got {self.data_seed}")
         self.widths = widths
         self._shapes = []
         offsets = []
@@ -151,7 +174,11 @@ class SyntheticMlp:
         # (scale-weighted), unit length after whitening so the Bayes optimum
         # is Phi(blob_distance / 2) for any spectrum
         direction = self._sigma * gen.standard_normal(d)
-        direction /= np.linalg.norm(direction)
+        norm = np.linalg.norm(direction)
+        if not (np.isfinite(norm) and norm > 0):
+            raise ValueError(f"blob_spread {self.blob_spread} gives a separation direction "
+                             f"of norm {norm}, not finite and positive")
+        direction /= norm
         half = 0.5 * self.blob_distance * self._sigma * direction
         self._means = np.stack([-half, half])
 
@@ -248,6 +275,16 @@ class SyntheticMlp:
         gen = rng.split(_BATCH, worker, iteration).generator
         x, labels = self.sample_batch(gen, self.batch_size)
         return self.gradient_on(w, x, labels)
+
+    def gradients(self, w: np.ndarray, workers: int, iteration: int,
+                  rng: SeededRng) -> tuple[list[GradientVector], list[float]]:
+        """Every worker's gradient and loss on its own batch."""
+        grads, losses = [], []
+        for worker in range(workers):
+            g, loss = self.gradient(w, worker, iteration, rng)
+            grads.append(g)
+            losses.append(loss)
+        return grads, losses
 
     def evaluate(self, w: np.ndarray, rng: SeededRng, n_samples: int = 2048) -> dict:
         gen = rng.split(_EVAL).generator

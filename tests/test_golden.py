@@ -83,7 +83,8 @@ GOLDEN = {
     "quad-m20k-b3-static-cf-redsync": "dc8ad05a6e2620951090ea79beabc4edc979e4b11d8a63e5d9c914dd591c3dda",
 }
 
-DEFAULT_CONFIG_SHA256 = "7907515cd050e4d67eb7ffd0b4a6df44d111c0d260bf6db95cccfc9d033dc22c"
+# changed once on purpose: the dead compressor.redsync_max_rounds key was removed
+DEFAULT_CONFIG_SHA256 = "dac0665ae9a93f189dc0e415f84ebadf8030f28c08c614f8600f683d90c0f438"
 
 
 def run_digest(overrides, out_dir, monkeypatch) -> str:

@@ -134,6 +134,20 @@ class TestSeededRng:
         b = SeededRng(2).generator.random(100)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("seed", [-1, 2**53, 2**63, 2**64])
+    def test_out_of_range_seed_rejected(self, seed):
+        with pytest.raises(ValueError, match="seed"):
+            SeededRng(seed)
+
+    def test_largest_seeds_keep_distinct_substreams(self):
+        # numpy reads the Philox key as float64 when the stream is >= 2**63;
+        # 2**53 and 2**53 + 1 collided there, the two largest valid seeds do not
+        a, b = SeededRng(2**53 - 1), SeededRng(2**53 - 2)
+        high = [p for p in range(32) if a.split(p).stream >= 2**63]
+        assert high
+        for p in high:
+            assert a.split(p).generator.random() != b.split(p).generator.random()
+
     def test_split_is_deterministic_and_disjoint(self):
         root = SeededRng(99)
         a1 = SeededRng(99).split(3, 4).generator.random(100)

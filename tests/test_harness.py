@@ -127,7 +127,7 @@ OUT_OF_RANGE = {
     "controller.theta_min": "0.5", "controller.theta_max": "0.5",
     "controller.epsilon": "1.5", "controller.omega": "0", "controller.window": "0",
     "controller.policy": "linear", "compressor.kind": "signsgd",
-    "compressor.dgc_sample_fraction": "1.0", "compressor.redsync_max_rounds": "0",
+    "compressor.dgc_sample_fraction": "1.0",
     "cost.alpha": "-1", "cost.beta": "-1", "cost.workers": "0",
     "cost.topology": "mesh", "cost.t_compute": "-1",
     **{f"cost.latency.{kind}": "1,2" for kind in ("topk", "dgc", "redsync", "randomk")},
@@ -374,6 +374,8 @@ class TestCli:
         (("opt.lr_decay_iters=3", "opt.lr_decay_factor=0"), "opt"),
         (("opt.lr_decay_iters=3", "opt.lr_decay_factor=-1"), "opt"),
         (("task.blob_spread=0",), "task"),
+        # the separation direction's norm underflowed to 0 and the loss was NaN
+        (("task.kind=synthetic_mlp", "task.widths=8,4,2", "task.blob_spread=1e-300"), "task"),
         (("task.widths=4,2,3",), "task")])
     def test_value_that_breaks_a_run_exits_two(self, tmp_path, capsys, overrides, section):
         args = self.run_args(tmp_path, "run", "--mode", "dense")
@@ -383,6 +385,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith(f"config error: {section}: ")
         assert len(err.splitlines()) == 1
+        assert not (tmp_path / "run").exists()
+
+    # each of these seeds used to be cast through float in the Philox key and
+    # collide with another; GRAVAC_SEED overrides the --seed flag
+    @pytest.mark.parametrize("seed", ["-1", str(2**53), str(2**63)])
+    @pytest.mark.parametrize("how,key", [("flag", "seed"), ("set", "seed"),
+                                         ("env", "seed"), ("set", "task.data_seed")])
+    def test_out_of_range_seed_exits_two(self, tmp_path, capsys, monkeypatch, seed, how, key):
+        extra = {"flag": ["--seed=" + seed], "set": ["--set", f"{key}={seed}"], "env": []}[how]
+        if how == "env":
+            monkeypatch.setenv("GRAVAC_SEED", seed)
+        assert main(self.run_args(tmp_path, "run", "--mode", "dense", *extra)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and key.split(".")[-1] in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "run").exists()
+
+    def test_removed_redsync_rounds_key_exits_two(self, tmp_path, capsys):
+        code = main(self.run_args(tmp_path, "run", "--mode", "dense",
+                                  "--set", "compressor.redsync_max_rounds=20"))
+        assert code == 2
+        assert "unknown config key: compressor.redsync_max_rounds" in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
     @pytest.mark.parametrize("bandwidth", ["nan", "inf", "0", "-1"])

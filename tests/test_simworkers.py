@@ -42,6 +42,13 @@ class TestSgdUpdate:
         sgd_update(opt, GradientVector([0.0, 0.0]))
         np.testing.assert_allclose(opt.weights, np.array([2.0, -4.0]) * (1 - 0.1 * 0.5))
 
+    def test_callers_arrays_are_not_updated(self):
+        weights, buffer = np.array([1.0, 2.0]), np.array([0.5, 0.5])
+        opt = OptimizerState(weights=weights, lr=0.1, momentum=0.9, buffer=buffer)
+        sgd_update(opt, GradientVector([1.0, 1.0]))
+        assert weights.tolist() == [1.0, 2.0] and buffer.tolist() == [0.5, 0.5]
+        np.testing.assert_allclose(opt.buffer, [1.45, 1.45])
+
     def test_length_mismatch_rejected(self):
         opt = OptimizerState(weights=np.zeros(3), lr=0.1)
         with pytest.raises(ValueError):

@@ -1,8 +1,19 @@
 import numpy as np
 import pytest
 
-from gravac.gradcore import SeededRng
+from gravac.gradcore import GradientVector, SeededRng
 from gravac.tasks import QuadraticBowl, SyntheticMlp, build_task
+
+
+def per_worker_quadratic_gradient(task, w, worker, iteration, rng):
+    """The quadratic's gradient as it was drawn before ``gradients`` existed."""
+    d = np.asarray(w, dtype=np.float64) - task.w_star
+    grad = task.curvature * d
+    if task.noise_std > 0.0:
+        gen = rng.split(0, worker, iteration).generator
+        noise = gen.standard_normal((task.batch_size, task.size))
+        grad = grad + task.noise_std * noise.mean(axis=0)
+    return GradientVector(grad, task.layer_offsets), task.loss(w)
 
 
 class TestQuadraticBowl:
@@ -47,6 +58,27 @@ class TestQuadraticBowl:
         c = task.gradient(w, 2, 7, SeededRng(3))[0].values
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    @pytest.mark.parametrize("noise_std", [0.0, 0.7])
+    def test_gradients_bitwise_equal_per_worker_formula(self, batch_size, noise_std):
+        size = 257
+        gen = np.random.default_rng(batch_size)
+        task = QuadraticBowl(size=size, noise_std=noise_std, batch_size=batch_size,
+                             curvature=gen.uniform(0.1, 3.0, size),
+                             w_star=gen.standard_normal(size))
+        w = gen.standard_normal(size)
+        w_before = w.copy()
+        grads, losses = task.gradients(w, 4, 9, SeededRng(6))
+        assert len(grads) == len(losses) == 4
+        for worker, (g, loss) in enumerate(zip(grads, losses)):
+            ref, ref_loss = per_worker_quadratic_gradient(task, w, worker, 9, SeededRng(6))
+            assert g.values.tobytes() == ref.values.tobytes()
+            assert g.layer_offsets == ref.layer_offsets
+            assert loss == ref_loss
+            single, single_loss = task.gradient(w, worker, 9, SeededRng(6))
+            assert single.values.tobytes() == ref.values.tobytes() and single_loss == ref_loss
+        assert np.array_equal(w, w_before)
 
     def test_rejects_bad_curvature(self):
         with pytest.raises(ValueError):
@@ -96,6 +128,14 @@ class TestSyntheticMlp:
         b = task.gradient(w, 0, 3, SeededRng(4))[0].values
         assert np.array_equal(a, b)
 
+    def test_gradients_are_the_per_worker_gradients(self):
+        task = SyntheticMlp(widths=(8, 6, 2), batch_size=5)
+        w = task.initial_weights(SeededRng(0))
+        grads, losses = task.gradients(w, 3, 4, SeededRng(8))
+        for worker, (g, loss) in enumerate(zip(grads, losses)):
+            ref, ref_loss = task.gradient(w, worker, 4, SeededRng(8))
+            assert g.values.tobytes() == ref.values.tobytes() and loss == ref_loss
+
     def test_feature_spectrum_spans_decades(self):
         task = SyntheticMlp(widths=(16, 8, 2), blob_spread=2.0, feature_decades=3.0)
         sigma = task._sigma
@@ -125,6 +165,17 @@ class TestSyntheticMlp:
     def test_rejects_out_of_range_blob_geometry(self, name, value):
         with pytest.raises(ValueError, match=name):
             SyntheticMlp(**{name: value})
+
+    # the separation direction's norm under- or overflows before it divides
+    @pytest.mark.parametrize("spread", [1e-300, np.inf])
+    def test_rejects_spread_without_a_separation_direction(self, spread):
+        with pytest.raises(ValueError, match="separation direction"):
+            SyntheticMlp(widths=(8, 4, 2), blob_spread=spread)
+
+    @pytest.mark.parametrize("seed", [-1, 2**53])
+    def test_rejects_out_of_range_data_seed(self, seed):
+        with pytest.raises(ValueError, match="data_seed"):
+            SyntheticMlp(data_seed=seed)
 
 
 class TestBuildTask:
