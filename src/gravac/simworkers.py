@@ -47,7 +47,7 @@ class OptimizerState:
     """Momentum SGD with coupled weight decay.
 
     buffer <- momentum*buffer + (grad + weight_decay*w); w <- w - lr*buffer.
-    Both arrays are updated in place, so the state keeps copies of its own.
+    ``sgd_update`` updates both arrays in place.
     """
 
     weights: np.ndarray
@@ -59,7 +59,7 @@ class OptimizerState:
     lr_decay_factor: float = 10.0
 
     def __post_init__(self):
-        self.weights = np.array(self.weights, dtype=np.float64)
+        self.weights = np.asarray(self.weights, dtype=np.float64)
         if not self.lr > 0:
             raise ValueError(f"learning rate must be positive, got {self.lr}")
         if not (0.0 <= self.momentum < 1.0):
@@ -68,9 +68,9 @@ class OptimizerState:
             raise ValueError(f"weight decay must be >= 0, got {self.weight_decay}")
         if not self.lr_decay_factor > 0:
             raise ValueError(f"lr_decay_factor must be > 0, got {self.lr_decay_factor}")
-        self.buffer = (np.zeros_like(self.weights) if self.buffer is None
-                       else np.array(self.buffer, dtype=np.float64))
-        if self.buffer.shape != self.weights.shape:
+        if self.buffer is None:
+            self.buffer = np.zeros_like(self.weights)
+        elif self.buffer.shape != self.weights.shape:
             raise ValueError("momentum buffer must match weight shape")
 
 
@@ -207,6 +207,7 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
     batch_size = task.batch_size
 
     opt = optimizer
+    # a copy: the loop updates the weights in place and the task may keep its array
     opt.weights = np.array(task.initial_weights(root.split(_RNG_INIT)), dtype=np.float64)
     opt.buffer = np.zeros_like(opt.weights)
 

@@ -42,13 +42,6 @@ class TestSgdUpdate:
         sgd_update(opt, GradientVector([0.0, 0.0]))
         np.testing.assert_allclose(opt.weights, np.array([2.0, -4.0]) * (1 - 0.1 * 0.5))
 
-    def test_callers_arrays_are_not_updated(self):
-        weights, buffer = np.array([1.0, 2.0]), np.array([0.5, 0.5])
-        opt = OptimizerState(weights=weights, lr=0.1, momentum=0.9, buffer=buffer)
-        sgd_update(opt, GradientVector([1.0, 1.0]))
-        assert weights.tolist() == [1.0, 2.0] and buffer.tolist() == [0.5, 0.5]
-        np.testing.assert_allclose(opt.buffer, [1.45, 1.45])
-
     def test_length_mismatch_rejected(self):
         opt = OptimizerState(weights=np.zeros(3), lr=0.1)
         with pytest.raises(ValueError):
@@ -96,6 +89,15 @@ class TestDenseTraining:
             task, opt, cost = quadratic_setup(size=16, workers=workers, lr=0.05)
             results.append(run_training(task, opt, cost, "dense", 25, seed=1))
         assert np.array_equal(results[0].weights, results[1].weights)
+
+    def test_task_initial_weights_are_not_updated(self):
+        # the loop updates its weights in place, so it must own them
+        task, opt, cost = quadratic_setup(size=8)
+        start = task.initial_weights(None)
+        task.initial_weights = lambda rng: start
+        result = run_training(task, opt, cost, "dense", 3, seed=0)
+        assert np.array_equal(start, task.w_star + task.init_offset)
+        assert not np.array_equal(result.weights, start)
 
     def test_divergence_guard_aborts(self):
         task, opt, cost = quadratic_setup(size=8, lr=5.0)  # lr*c = 5 >> 2
