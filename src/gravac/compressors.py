@@ -49,14 +49,12 @@ class SparseGradient:
     """(index, value) encoding of a compressed gradient.
 
     ``indices`` are strictly increasing positions into the original dense
-    vector of ``original_length`` entries; ``achieved_cf`` is
-    original_length / len(vals).
+    vector of ``original_length`` entries.
     """
 
     indices: np.ndarray
     vals: np.ndarray
     original_length: int
-    achieved_cf: float
 
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=np.uint32)
@@ -73,6 +71,10 @@ class SparseGradient:
     @property
     def kept(self) -> int:
         return self.vals.size
+
+    @property
+    def achieved_cf(self) -> float:
+        return self.original_length / self.kept
 
 
 def keep_count(length: int, cf: float) -> int:
@@ -167,36 +169,19 @@ def _select(kind: CompressorKind, values: np.ndarray, k: int,
 
 
 def compress(kind: CompressorKind, g: GradientVector, cf: float,
-             rng: SeededRng | None = None, latency: LatencyFn | None = None,
-             layerwise: bool = False) -> tuple[SparseGradient, float]:
+             rng: SeededRng | None = None,
+             latency: LatencyFn | None = None) -> tuple[SparseGradient, float]:
     """Compress a dense gradient to factor ``cf``.
 
-    Keeps exactly max(1, floor(M / cf)) entries (per layer segment when
-    ``layerwise``). The returned seconds come from the supplied modeled
-    latency hook, never from wall-clock measurement; 0.0 when absent.
+    Keeps exactly max(1, floor(M / cf)) entries. The returned seconds come
+    from the supplied modeled latency hook, never from wall-clock
+    measurement; 0.0 when absent.
     """
-    values = g.values
-    n = values.size
-    if layerwise and len(g.layer_offsets) > 1:
-        parts_idx = []
-        parts_val = []
-        for sl in g.layer_slices():
-            seg = values[sl]
-            if seg.size == 0:
-                continue
-            k_seg = keep_count(seg.size, cf)
-            idx, vals = _select(kind, seg, k_seg, rng)
-            parts_idx.append(idx.astype(np.int64) + sl.start)
-            parts_val.append(vals)
-        indices = np.concatenate(parts_idx)
-        vals = np.concatenate(parts_val)
-        kept = vals.size
-    else:
-        kept = keep_count(n, cf)
-        indices, vals = _select(kind, values, kept, rng)
+    n = g.length
+    kept = keep_count(n, cf)
+    indices, vals = _select(kind, g.values, kept, rng)
     seconds = latency(kind, n, kept) if latency is not None else 0.0
-    sparse = SparseGradient(indices, vals, n, n / kept)
-    return sparse, seconds
+    return SparseGradient(indices, vals, n), seconds
 
 
 def compress_further(kind: CompressorKind, s: SparseGradient, step: float,
@@ -213,20 +198,20 @@ def compress_further(kind: CompressorKind, s: SparseGradient, step: float,
     k1 = s.kept
     k2 = keep_count(k1, step)
     if k2 >= k1:
-        out = SparseGradient(s.indices.copy(), s.vals.copy(), s.original_length, s.achieved_cf)
+        out = SparseGradient(s.indices.copy(), s.vals.copy(), s.original_length)
     else:
         local, vals = _select(kind, s.vals, k2, rng)
         indices = s.indices[local.astype(np.int64)]
-        out = SparseGradient(indices, vals, s.original_length, s.original_length / k2)
+        out = SparseGradient(indices, vals, s.original_length)
     seconds = latency(kind, k1, k2) if latency is not None else 0.0
     return out, seconds
 
 
-def decompress(s: SparseGradient, layer_offsets: Sequence[int] | None = None) -> GradientVector:
+def decompress(s: SparseGradient) -> GradientVector:
     """Dense vector with the retained values in place and zeros elsewhere."""
     dense = np.zeros(s.original_length, dtype=np.float32)
     dense[s.indices.astype(np.int64)] = s.vals
-    return GradientVector(dense, layer_offsets)
+    return GradientVector(dense)
 
 
 def aggregate(parts: Sequence[SparseGradient]) -> GradientVector:
@@ -258,4 +243,4 @@ def aggregate_dense(parts: Sequence[GradientVector]) -> GradientVector:
             raise ValueError(f"length mismatch in aggregate: {p.length} != {m}")
         acc += p.values
     acc /= len(parts)
-    return GradientVector(acc.astype(np.float32), parts[0].layer_offsets)
+    return GradientVector(acc.astype(np.float32))

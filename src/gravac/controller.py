@@ -75,8 +75,7 @@ class CfDecision:
 
 
 def select_cf(delta_c: float, delta_min: float, epsilon: float,
-              candidate_cf: float | None = None,
-              minimum_cf: float | None = None) -> CfDecision:
+              candidate_cf: float, minimum_cf: float) -> CfDecision:
     """Gate the candidate CF, then the minimum CF, then fall back to dense."""
     if delta_c >= epsilon:
         return CfDecision(CANDIDATE, candidate_cf, delta_c, delta_min, delta_c)
@@ -85,10 +84,10 @@ def select_cf(delta_c: float, delta_min: float, epsilon: float,
     return CfDecision(DENSE, 1.0, 1.0, delta_min, delta_c)
 
 
-def scaling_policy(policy: str, step: int, theta_min_initial: float,
-                   theta_max: float, theta_min_current: float | None = None) -> float:
+def scaling_policy(policy: str, step: int, theta_min: float, theta_max: float) -> float:
     """Step factor for policy step ``step``, capped so the candidate CF
-    (factor times the current minimum) never exceeds theta_max.
+    (factor times the current minimum CF ``theta_min``) never exceeds
+    theta_max.
 
     Step 0 is 1.0: the minimum CF itself is evaluated first. Exponential
     scaling doubles the exponent each step (2^1, 2^2, 2^4, 2^8, ...);
@@ -98,8 +97,7 @@ def scaling_policy(policy: str, step: int, theta_min_initial: float,
         raise ValueError(f"policy step must be >= 0, got {step}")
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
-    current = theta_min_initial if theta_min_current is None else theta_min_current
-    cap = theta_max / current
+    cap = theta_max / theta_min
     if step == 0:
         return min(1.0, cap)
     exponent = 2 ** (step - 1) if policy == EXPONENTIAL else step
@@ -116,7 +114,6 @@ class ControllerState:
     gains: GainTracker
     table: ThroughputTable
     theta_min: float
-    theta_min_initial: float
     theta_s: float = 1.0
     step: int = 0
     iteration: int = 0
@@ -130,7 +127,7 @@ class ControllerState:
     def fresh(cls, config: ControllerConfig, workers: int) -> "ControllerState":
         lam = ewma_lambda_from_workers(workers)
         return cls(config=config, gains=GainTracker(lam), table=ThroughputTable(),
-                   theta_min=config.theta_min, theta_min_initial=config.theta_min)
+                   theta_min=config.theta_min)
 
     @property
     def candidate_cf(self) -> float:
@@ -159,8 +156,7 @@ def check_gravac(state: ControllerState, iteration: int,
             state.theta_min = min(cfg.theta_max, state.theta_s * state.theta_min)
 
     state.step += 1
-    state.theta_s = scaling_policy(cfg.policy, state.step, state.theta_min_initial,
-                                   cfg.theta_max, state.theta_min)
+    state.theta_s = scaling_policy(cfg.policy, state.step, state.theta_min, cfg.theta_max)
 
     top = state.table.top_two()
     if top is not None:

@@ -33,7 +33,7 @@ def apply_feedback(g_raw: GradientVector, store: ResidualStore) -> GradientVecto
     """Return g_raw + residual; the store is not modified."""
     if g_raw.length != store.length:
         raise ValueError(f"length mismatch: gradient {g_raw.length}, residual {store.length}")
-    return GradientVector(g_raw.values + store.residual, g_raw.layer_offsets)
+    return GradientVector(g_raw.values + store.residual)
 
 
 def update_residual(g_ef: GradientVector, sent: SparseGradient,

@@ -9,7 +9,6 @@ reproducible across platforms.
 from __future__ import annotations
 
 import math
-from typing import Sequence
 
 import numpy as np
 
@@ -20,45 +19,24 @@ SEED_LIMIT = 1 << 53
 
 
 class GradientVector:
-    """Flat dense gradient with layer boundaries.
+    """Flat dense gradient: a non-empty 1-D float32 vector."""
 
-    ``layer_offsets`` holds the start index of each layer segment; it must
-    begin at 0, be strictly increasing and stay within the vector length.
-    A single-segment gradient uses the default ``(0,)``.
-    """
+    __slots__ = ("values",)
 
-    __slots__ = ("values", "layer_offsets")
-
-    def __init__(self, values, layer_offsets: Sequence[int] | None = None):
+    def __init__(self, values):
         arr = np.asarray(values, dtype=np.float32)
         if arr.ndim != 1:
             raise ValueError(f"gradient must be 1-D, got shape {arr.shape}")
         if arr.size == 0:
             raise ValueError("gradient must be non-empty")
-        if layer_offsets is None:
-            offsets = (0,)
-        else:
-            offsets = tuple(int(o) for o in layer_offsets)
-            if not offsets or offsets[0] != 0:
-                raise ValueError("layer_offsets must start at 0")
-            if any(b <= a for a, b in zip(offsets, offsets[1:])):
-                raise ValueError("layer_offsets must be strictly increasing")
-            if offsets[-1] > arr.size:
-                raise ValueError("layer offset beyond gradient length")
         self.values = arr
-        self.layer_offsets = offsets
 
     @property
     def length(self) -> int:
         return self.values.size
 
-    def layer_slices(self) -> list[slice]:
-        """Slices partitioning the vector into its layer segments."""
-        bounds = list(self.layer_offsets) + [self.values.size]
-        return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
-
     def __repr__(self) -> str:
-        return f"GradientVector(length={self.length}, layers={len(self.layer_offsets)})"
+        return f"GradientVector(length={self.length})"
 
 
 def squared_l2_norm(g) -> float:

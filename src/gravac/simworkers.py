@@ -117,6 +117,14 @@ class IterationRecord:
 # trace field -> the JSON value types it accepts (bool is not a number here)
 _TRACE_TYPES = {f.name: {"int": (int,), "float": (int, float), "str": (str,)}[f.type]
                 for f in fields(IterationRecord)}
+# the least value of each bounded field (5e-324, the least positive float: t_iter > 0);
+# as a run writes them, numbers are finite and ints exact in float64
+_TRACE_LOW = {"iter": 1, "floats_sent": 1, "words_sent": 1, "cf": 1, "t_iter": 5e-324}
+
+
+def _in_range(name: str, value) -> bool:
+    high = 2 ** 53 if type(value) is int else float("inf")
+    return -high < value < high and value >= _TRACE_LOW.get(name, -high)  # NaN fails
 
 
 @dataclass
@@ -163,6 +171,9 @@ class RunTrace:
                 mistyped = sorted(k for k, v in row.items() if type(v) not in _TRACE_TYPES[k])
                 if mistyped:
                     raise ValueError(f"{path}: trace record has mistyped fields {mistyped}")
+                bad = sorted(k for k, v in row.items() if k != "choice" and not _in_range(k, v))
+                if bad:
+                    raise ValueError(f"{path}: trace record has out-of-range fields {bad}")
                 records.append(IterationRecord(**row))
         return cls(records)
 

@@ -67,10 +67,6 @@ class QuadraticBowl:
         return self.size
 
     @property
-    def layer_offsets(self) -> tuple[int, ...]:
-        return (0,)
-
-    @property
     def metric_name(self) -> str:
         return "loss"
 
@@ -102,7 +98,7 @@ class QuadraticBowl:
             noisy *= self.noise_std
             noisy += grad
             grad = noisy
-        return GradientVector(grad, self.layer_offsets), loss
+        return GradientVector(grad), loss
 
     def gradients(self, w: np.ndarray, workers: int, iteration: int,
                   rng: SeededRng) -> tuple[list[GradientVector], list[float]]:
@@ -155,15 +151,11 @@ class SyntheticMlp:
             raise ValueError(f"data_seed must be in [0, 2**53), got {self.data_seed}")
         self.widths = widths
         self._shapes = []
-        offsets = []
         total = 0
         for fan_in, fan_out in zip(widths, widths[1:]):
-            offsets.append(total)
             self._shapes.append((fan_in, fan_out))
             total += fan_in * fan_out
-            offsets.append(total)
             total += fan_out
-        self._offsets = tuple(offsets)
         self._total = total
 
         d = widths[0]
@@ -185,10 +177,6 @@ class SyntheticMlp:
     @property
     def parameter_count(self) -> int:
         return self._total
-
-    @property
-    def layer_offsets(self) -> tuple[int, ...]:
-        return self._offsets
 
     @property
     def metric_name(self) -> str:
@@ -268,7 +256,7 @@ class SyntheticMlp:
             pos += n_w
             flat[pos:pos + d_bias.size] = d_bias
             pos += d_bias.size
-        return GradientVector(flat, self._offsets), loss
+        return GradientVector(flat), loss
 
     def gradient(self, w: np.ndarray, worker: int, iteration: int,
                  rng: SeededRng) -> tuple[GradientVector, float]:

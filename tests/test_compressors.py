@@ -129,7 +129,7 @@ class TestRedsync:
 
 class TestDecompress:
     def test_small_example(self):
-        s = SparseGradient(np.array([0, 3]), np.array([3.0, 2.0]), 4, 2.0)
+        s = SparseGradient(np.array([0, 3]), np.array([3.0, 2.0]), 4)
         assert decompress(s).values.tolist() == [3.0, 0.0, 0.0, 2.0]
 
     def test_single_entry_roundtrip(self):
@@ -200,8 +200,8 @@ class TestAggregate:
         np.testing.assert_allclose(aggregate([s]).values, decompress(s).values)
 
     def test_disjoint_parts_mean(self):
-        a = SparseGradient(np.array([0]), np.array([3.0]), 2, 2.0)
-        b = SparseGradient(np.array([1]), np.array([5.0]), 2, 2.0)
+        a = SparseGradient(np.array([0]), np.array([3.0]), 2)
+        b = SparseGradient(np.array([1]), np.array([5.0]), 2)
         assert aggregate([a, b]).values.tolist() == [1.5, 2.5]
 
     def test_matches_dense_sum_oracle(self):
@@ -217,8 +217,8 @@ class TestAggregate:
                                    rtol=1e-6, atol=1e-7)
 
     def test_length_mismatch_rejected(self):
-        a = SparseGradient(np.array([0]), np.array([1.0]), 2, 2.0)
-        b = SparseGradient(np.array([0]), np.array([1.0]), 3, 3.0)
+        a = SparseGradient(np.array([0]), np.array([1.0]), 2)
+        b = SparseGradient(np.array([0]), np.array([1.0]), 3)
         with pytest.raises(ValueError):
             aggregate([a, b])
 
@@ -273,15 +273,7 @@ class TestSharedInvariants:
             compress(TOPK, g, 0.9)
 
 
-class TestLayerwiseMode:
-    def test_per_layer_keep_counts(self):
-        g = GradientVector(np.arange(1, 21, dtype=np.float32), layer_offsets=(0, 8))
-        s, _ = compress(TOPK, g, 4, layerwise=True)
-        # 8-entry layer keeps 2, 12-entry layer keeps 3
-        assert s.kept == 5
-        first_layer = [i for i in s.indices.tolist() if i < 8]
-        assert len(first_layer) == 2
-
+class TestLatencyHook:
     def test_latency_hook_used(self):
         calls = []
 

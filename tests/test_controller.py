@@ -64,7 +64,7 @@ class TestScalingPolicy:
             assert scaling_policy("geometric", k + 8, 10.0, 2000.0) == 200.0
 
     def test_cap_uses_current_minimum(self):
-        assert scaling_policy("geometric", 3, 10.0, 1000.0, theta_min_current=500.0) == 2.0
+        assert scaling_policy("geometric", 3, 500.0, 1000.0) == 2.0
 
     def test_negative_step_rejected(self):
         with pytest.raises(ValueError):

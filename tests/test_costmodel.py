@@ -70,7 +70,7 @@ class TestAllreduceTime:
 
 class TestMessageWords:
     def test_sparse_counts_index_and_value(self):
-        s = SparseGradient(np.arange(100), np.ones(100, dtype=np.float32), 1000, 10.0)
+        s = SparseGradient(np.arange(100), np.ones(100, dtype=np.float32), 1000)
         assert sparse_message_words(s) == 200
 
     def test_dense_counts_every_entry(self):
@@ -80,7 +80,7 @@ class TestMessageWords:
         # cf=10 on a million entries: 200k words on the wire, 5x by the word
         # counter and 10x by the value-float counter
         s = SparseGradient(np.arange(100_000), np.ones(100_000, dtype=np.float32),
-                           10**6, 10.0)
+                           10**6)
         words = sparse_message_words(s)
         assert words == 200_000
         assert dense_message_words(10**6) / words == 5.0

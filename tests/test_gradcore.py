@@ -11,25 +11,13 @@ from gravac.gradcore import (EwmaTracker, GradientVector, SeededRng,
 
 class TestGradientVector:
     def test_basic_construction(self):
-        g = GradientVector([1.0, 2.0, 3.0], layer_offsets=(0, 2))
+        g = GradientVector([1.0, 2.0, 3.0])
         assert g.length == 3
         assert g.values.dtype == np.float32
-        assert g.layer_slices() == [slice(0, 2), slice(2, 3)]
-
-    def test_default_single_layer(self):
-        assert GradientVector([1.0]).layer_offsets == (0,)
 
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             GradientVector([])
-
-    def test_rejects_bad_offsets(self):
-        with pytest.raises(ValueError):
-            GradientVector([1, 2, 3], layer_offsets=(1, 2))
-        with pytest.raises(ValueError):
-            GradientVector([1, 2, 3], layer_offsets=(0, 2, 2))
-        with pytest.raises(ValueError):
-            GradientVector([1, 2, 3], layer_offsets=(0, 5))
 
 
 class TestSquaredL2Norm:

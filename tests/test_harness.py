@@ -1,13 +1,20 @@
+import io
 import json
 import math
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from dataclasses import fields
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, example, given, settings
+from hypothesis import strategies as st
 
 from gravac.cli import main
 from gravac.harness import (ConfigError, compare_runs, parse_config,
                             run_experiment, serialize_config)
-from gravac.simworkers import RunTrace
+from gravac.simworkers import IterationRecord, RunTrace
 from gravac.tasks import TASK_CLASSES, TASK_KINDS
 
 QUAD_BASE = {
@@ -430,6 +437,32 @@ class TestCli:
         assert "mistyped fields ['cf']" in captured.err
         assert len(captured.err.splitlines()) == 1
 
+    def test_compare_trace_with_zero_volume_and_time_exits_two(self, tmp_path, capsys):
+        # the time and volume ratios divided by zero
+        good, bad = self.rewritten_trace(
+            tmp_path, capsys, lambda row: dict(row, floats_sent=0, words_sent=0, t_iter=0.0))
+        assert main(["compare", good, bad]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "out-of-range fields ['floats_sent', 't_iter', 'words_sent']" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
+    # the densities were NaN: log10 of a CF below 1 or not finite
+    @pytest.mark.parametrize("cf", ["0", "-5", "1e309", "NaN", "Infinity"])
+    def test_kde_trace_with_cf_out_of_range_exits_two(self, tmp_path, capsys, cf):
+        # json.dumps cannot write 1e309, so each value is put into the text
+        _, bad = self.rewritten_trace(tmp_path, capsys, lambda row: dict(row, cf=12345.5))
+        with open(bad, encoding="utf-8") as fh:
+            text = fh.read().replace("12345.5", cf)
+        with open(bad, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        out_csv = tmp_path / "kde.csv"
+        assert main(["kde", "--trace", bad, "--out", str(out_csv)]) == 2
+        err = capsys.readouterr().err
+        assert "out-of-range fields ['cf']" in err
+        assert len(err.splitlines()) == 1
+        assert not out_csv.exists()
+
     def test_flags_override_config_file(self, tmp_path, capsys):
         path = tmp_path / "base.cfg"
         path.write_text("task.kind = quadratic\ntask.size = 64\nmode = dense\n"
@@ -438,3 +471,56 @@ class TestCli:
                      "--out", str(tmp_path / "o")]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["iterations"] == 4
+
+
+# JSON values a trace field may be set to: numbers at and past every edge,
+# and every other JSON type
+_JSON_SCALARS = (st.sampled_from([0, -1, 2**53, 2**63, 2**64, 10**400, 0.0, -0.0, -5.0,
+                                  1e308, math.nan, math.inf, -math.inf])
+                 | st.integers() | st.floats()
+                 | st.none() | st.booleans() | st.text(max_size=4))
+_JSON_VALUES = st.recursive(
+    _JSON_SCALARS,
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner,
+                                                                max_size=3),
+    max_leaves=4)
+_TRACE_FIELDS = [f.name for f in fields(IterationRecord)]
+
+
+@pytest.fixture(scope="module")
+def three_row_trace(tmp_path_factory):
+    out = tmp_path_factory.mktemp("fuzz") / "run"
+    run_experiment(quad_config(mode="static-cf", iters=3), str(out))
+    return [json.loads(line) for line in (out / "trace.jsonl").read_text().splitlines()]
+
+
+class TestTraceMutationFuzz:
+    """One mutated row of a real trace: compare and kde exit 0 or 2, never raise."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    # a CF below 1 gives NaN densities; an int beyond int64 makes its column
+    # a numpy object array whose total has no .item()
+    @example(row_index=1, mutation=("set", "cf", 0))
+    @example(row_index=1, mutation=("set", "floats_sent", 10**400))
+    @given(row_index=st.integers(0, 2),
+           mutation=st.one_of(
+               st.tuples(st.just("set"), st.sampled_from(_TRACE_FIELDS), _JSON_VALUES),
+               st.tuples(st.just("delete"), st.sampled_from(_TRACE_FIELDS), st.none()),
+               st.tuples(st.just("add"), st.text(max_size=6), _JSON_VALUES)))
+    def test_compare_and_kde_exit_zero_or_two(self, three_row_trace, row_index, mutation):
+        action, key, value = mutation
+        rows = [dict(row) for row in three_row_trace]
+        if action == "delete":
+            del rows[row_index][key]
+        else:
+            rows[row_index][key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            good, bad = os.path.join(tmp, "good.jsonl"), os.path.join(tmp, "bad.jsonl")
+            for path, lines in ((good, three_row_trace), (bad, rows)):
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write("".join(json.dumps(row) + "\n" for row in lines))
+            for args in (["compare", good, bad], ["compare", bad, good],
+                         ["kde", "--trace", bad, "--out", os.path.join(tmp, "kde.csv")]):
+                with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
+                    assert main(args) in (0, 2), args

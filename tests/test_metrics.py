@@ -18,7 +18,7 @@ class TestCompressionGain:
 
     def test_small_example(self):
         g = GradientVector([3.0, 4.0])
-        s = SparseGradient(np.array([1]), np.array([4.0]), 2, 2.0)
+        s = SparseGradient(np.array([1]), np.array([4.0]), 2)
         assert compression_gain(s, g) == pytest.approx(16.0 / 25.0)
 
     def test_topk_beats_randomk_at_same_cf(self):
@@ -36,7 +36,7 @@ class TestCompressionGain:
 
     def test_zero_norm_reference_errors(self):
         g = GradientVector(np.zeros(4, dtype=np.float32))
-        s = SparseGradient(np.array([0]), np.array([0.0]), 4, 4.0)
+        s = SparseGradient(np.array([0]), np.array([0.0]), 4)
         with pytest.raises(ValueError):
             compression_gain(s, g)
 
@@ -55,7 +55,7 @@ class TestCompressionGain:
 
     def test_raw_ratio_unclamped(self):
         g = GradientVector([1.0, 1.0])
-        s = SparseGradient(np.array([0, 1]), np.array([2.0, 2.0]), 2, 1.0)
+        s = SparseGradient(np.array([0, 1]), np.array([2.0, 2.0]), 2)
         assert compression_gain_raw(s, g) == pytest.approx(4.0)
         assert compression_gain(s, g) == 1.0
 

@@ -13,7 +13,7 @@ def per_worker_quadratic_gradient(task, w, worker, iteration, rng):
         gen = rng.split(0, worker, iteration).generator
         noise = gen.standard_normal((task.batch_size, task.size))
         grad = grad + task.noise_std * noise.mean(axis=0)
-    return GradientVector(grad, task.layer_offsets), task.loss(w)
+    return GradientVector(grad), task.loss(w)
 
 
 class TestQuadraticBowl:
@@ -74,7 +74,6 @@ class TestQuadraticBowl:
         for worker, (g, loss) in enumerate(zip(grads, losses)):
             ref, ref_loss = per_worker_quadratic_gradient(task, w, worker, 9, SeededRng(6))
             assert g.values.tobytes() == ref.values.tobytes()
-            assert g.layer_offsets == ref.layer_offsets
             assert loss == ref_loss
             single, single_loss = task.gradient(w, worker, 9, SeededRng(6))
             assert single.values.tobytes() == ref.values.tobytes() and single_loss == ref_loss
@@ -100,8 +99,6 @@ class TestSyntheticMlp:
         assert task.widths == (32, 64, 32, 2)
         # 32*64+64 + 64*32+32 + 32*2+2
         assert task.parameter_count == 4258
-        assert len(task.layer_offsets) == 6
-        assert task.layer_offsets[0] == 0
 
     def test_gradient_matches_finite_differences(self):
         task = SyntheticMlp(widths=(8, 12, 6, 2), batch_size=16)
