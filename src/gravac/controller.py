@@ -20,10 +20,10 @@ from typing import Sequence
 from .compressors import CompressorKind, SparseGradient, compress, compress_further
 from .costmodel import (CostModelParams, allreduce_time, dense_message_words,
                         iteration_time, sparse_message_words)
-from .feedback import ResidualStore, apply_feedback, clear_residual, update_residual
+from .feedback import apply_feedback, clear_residual, update_residual
 from .gradcore import (GradientVector, SeededRng, ewma_lambda_from_workers,
                        squared_l2_norm)
-from .metrics import GainTracker, ThroughputTable, compression_gain_raw, update_step
+from .metrics import GainTracker, ThroughputTable, compression_gain, update_step
 
 EXPONENTIAL = "exponential"
 GEOMETRIC = "geometric"
@@ -46,7 +46,6 @@ class ControllerConfig:
     omega: float = 0.01
     window: int = 500
     policy: str = EXPONENTIAL
-    compressor: CompressorKind = CompressorKind("topk")
 
     def __post_init__(self):
         if not self.theta_min >= 1.0:
@@ -186,57 +185,56 @@ class IterationResult:
     theta_min: float
 
 
-def send(decision: CfDecision, gradients, parts, stores, t_compress: float,
+def send(decision: CfDecision, gradients, parts, residuals, t_compress: float,
          table: ThroughputTable, cost: CostModelParams, batch_size: int,
          theta_min: float, candidate_cf: float) -> IterationResult:
     """Communicate one view of the per-worker gradients and account for it.
 
     ``parts`` are the compressed views sent instead of ``gradients``, or
     None for a dense send of ``gradients`` themselves. A compressed send
-    leaves its dropped mass in the residual stores; a dense send clears
-    them. Charges modeled sync and iteration time and records the
-    throughput of ``decision.cf``. Volume counters are per worker.
+    leaves its dropped mass in the residuals; a dense send clears them.
+    Charges modeled sync and iteration time and records the throughput of
+    ``decision.cf``. Volume counters are per worker.
     """
     if parts is None:
-        for store in stores:
-            clear_residual(store)
+        for residual in residuals:
+            clear_residual(residual)
         sent, floats = gradients, gradients[0].length
         words = dense_message_words(floats)
         t_compress = 0.0
     else:
-        for g_ef, part, store in zip(gradients, parts, stores):
-            update_residual(g_ef, part, store)
+        for g_ef, part, residual in zip(gradients, parts, residuals):
+            update_residual(g_ef, part, residual)
         sent, floats = parts, parts[0].kept
         words = sparse_message_words(parts[0])
     t_sync = allreduce_time(words, cost)
-    t_iter = iteration_time(decision, cost.t_compute, t_compress, t_sync)
+    t_iter = iteration_time(decision.choice, cost.t_compute, t_compress, t_sync)
     update_step(table, decision.cf, decision.gain, t_iter, cost.workers, batch_size)
     return IterationResult(sent, decision, cost.t_compute, t_compress, t_sync, t_iter,
                            floats, words, candidate_cf, theta_min)
 
 
-def run_iteration(state: ControllerState, gradients, residuals,
+def run_iteration(state: ControllerState, compressor: CompressorKind,
+                  gradients: list[GradientVector], residuals: list[GradientVector],
                   cost: CostModelParams, rng: SeededRng,
                   batch_size: int = 1) -> IterationResult:
     """One full adaptive step over per-worker gradients.
 
-    ``gradients`` and ``residuals`` may be single objects (one worker) or
-    equal-length worker-ascending sequences. Mutates the controller state
-    and the residual stores in place. Volume counters are per worker.
+    ``gradients`` and ``residuals`` are equal-length worker-ascending lists.
+    Mutates the controller state and the residuals in place. Volume
+    counters are per worker.
     """
     cfg = state.config
-    grads = [gradients] if isinstance(gradients, GradientVector) else list(gradients)
-    stores = [residuals] if isinstance(residuals, ResidualStore) else list(residuals)
-    if len(grads) != len(stores):
-        raise ValueError(f"{len(grads)} gradients for {len(stores)} residual stores")
+    if len(gradients) != len(residuals):
+        raise ValueError(f"{len(gradients)} gradients for {len(residuals)} residuals")
 
     state.iteration += 1
     i = state.iteration
     theta_min = state.theta_min
     candidate_cf = state.candidate_cf
 
-    g_efs = [apply_feedback(g, r) for g, r in zip(grads, stores)]
-    ef_norms = [squared_l2_norm(g) for g in g_efs]
+    g_efs = [apply_feedback(g, r) for g, r in zip(gradients, residuals)]
+    ef_norms = [squared_l2_norm(g.values) for g in g_efs]
 
     if all(n == 0.0 for n in ef_norms):
         # vanished gradient: dense no-op, no compression work or gain update
@@ -248,14 +246,14 @@ def run_iteration(state: ControllerState, gradients, residuals,
         # every worker pays the same modeled compression time, in parallel
         g_mins = []
         for w, g_ef in enumerate(g_efs):
-            part, t_min = compress(cfg.compressor, g_ef, theta_min,
+            part, t_min = compress(compressor, g_ef, theta_min,
                                    rng.split(i, w, _STAGE_MIN), cost.compression_latency)
             g_mins.append(part)
         delta_min = state.gains.observe(theta_min, _mean_raw_gain(g_mins, ef_norms))
 
         g_cs = []
         for w, part in enumerate(g_mins):
-            stepped, t_step = compress_further(cfg.compressor, part, state.theta_s,
+            stepped, t_step = compress_further(compressor, part, state.theta_s,
                                                rng.split(i, w, _STAGE_STEP),
                                                cost.compression_latency)
             g_cs.append(stepped)
@@ -266,14 +264,13 @@ def run_iteration(state: ControllerState, gradients, residuals,
                              candidate_cf=candidate_cf, minimum_cf=theta_min)
         parts = {CANDIDATE: g_cs, MINIMUM: g_mins}.get(decision.choice)
 
-    result = send(decision, g_efs, parts, stores, t_compress, state.table, cost,
+    result = send(decision, g_efs, parts, residuals, t_compress, state.table, cost,
                   batch_size, theta_min, candidate_cf)
     check_gravac(state, i, delta_min, delta_c)
     return result
 
 
 def _mean_raw_gain(parts: list[SparseGradient], ef_norms: list[float]) -> float:
-    """Mean per-worker gain ratio, clamped to 1 per worker; zero-norm workers skipped."""
-    gains = [min(1.0, compression_gain_raw(p, None, n))
-             for p, n in zip(parts, ef_norms) if n > 0.0]
+    """Mean per-worker compression gain; zero-norm workers skipped."""
+    gains = [compression_gain(p, n) for p, n in zip(parts, ef_norms) if n > 0.0]
     return sum(gains) / len(gains)

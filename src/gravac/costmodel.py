@@ -85,9 +85,8 @@ class CostModelParams:
         if missing:
             raise ValueError(f"missing latency coefficients for {missing}")
 
-    def compression_latency(self, kind: CompressorKind | str, n_input: int, kept: int) -> float:
-        name = kind.name if isinstance(kind, CompressorKind) else kind
-        return self.latency_coeffs[name].seconds(n_input, kept)
+    def compression_latency(self, kind: CompressorKind, n_input: int, kept: int) -> float:
+        return self.latency_coeffs[kind.name].seconds(n_input, kept)
 
 
 def allreduce_time(words: int, params: CostModelParams) -> float:
@@ -113,16 +112,14 @@ def dense_message_words(length: int) -> int:
     return int(length)
 
 
-def iteration_time(decision, t_compute: float, t_compress: float, t_sync: float) -> float:
+def iteration_time(choice: str, t_compute: float, t_compress: float, t_sync: float) -> float:
     """Total modeled iteration seconds.
 
     The dense fallback excludes compression time; compressed sends pay for
-    both compression stages. ``decision`` is a CfDecision or its choice
-    string.
+    both compression stages. ``choice`` is a CfDecision's choice string.
     """
     if t_compute < 0 or t_compress < 0 or t_sync < 0:
         raise ValueError("time components must be >= 0")
-    choice = getattr(decision, "choice", decision)
     if choice == "dense":
         return t_compute + t_sync
     return t_compute + t_compress + t_sync

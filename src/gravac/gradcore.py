@@ -1,4 +1,4 @@
-"""Dense gradient container, deterministic RNG and EWMA smoothing.
+"""Dense gradient container, deterministic RNG and the EWMA smoothing factor.
 
 Everything downstream (compressors, feedback, metrics, simulator) consumes
 the types defined here. Gradients are stored as 32-bit floats -- the wire
@@ -7,8 +7,6 @@ reproducible across platforms.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -39,52 +37,12 @@ class GradientVector:
         return f"GradientVector(length={self.length})"
 
 
-def squared_l2_norm(g) -> float:
-    """Sum of squared entries, accumulated in 64-bit.
-
-    Accepts a GradientVector or any 1-D array-like.
-    """
-    values = g.values if isinstance(g, GradientVector) else np.asarray(g)
+def squared_l2_norm(values: np.ndarray) -> float:
+    """Sum of squared entries of a 1-D array, accumulated in 64-bit."""
     if values.size == 0:
         raise ValueError("squared_l2_norm of empty vector")
     v = values.astype(np.float64, copy=False)
     return float(np.dot(v, v))
-
-
-class EwmaTracker:
-    """Exponentially weighted moving average: s <- lam*x + (1-lam)*s.
-
-    The first observation is assigned directly. Reading ``value`` before
-    any observation is an error.
-    """
-
-    __slots__ = ("lam", "_value")
-
-    def __init__(self, lam: float):
-        if not (0.0 < lam <= 1.0):
-            raise ValueError(f"smoothing factor must be in (0, 1], got {lam}")
-        self.lam = float(lam)
-        self._value = None
-
-    @property
-    def initialized(self) -> bool:
-        return self._value is not None
-
-    @property
-    def value(self) -> float:
-        if self._value is None:
-            raise ValueError("EWMA read before first observation")
-        return self._value
-
-    def update(self, x: float) -> float:
-        x = float(x)
-        if not math.isfinite(x):
-            raise ValueError(f"non-finite EWMA observation: {x}")
-        if self._value is None:
-            self._value = x
-        else:
-            self._value = self.lam * x + (1.0 - self.lam) * self._value
-        return self._value
 
 
 def ewma_lambda_from_workers(n_workers: int) -> float:

@@ -17,7 +17,7 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .compressors import KIND_NAMES, CompressorKind
+from .compressors import KIND_NAMES, TOPK, CompressorKind
 from .controller import ControllerConfig
 from .costmodel import DEFAULT_LATENCY_COEFFS, CostModelParams, LatencyCoeffs
 from .gradcore import SeededRng
@@ -74,7 +74,7 @@ class RunConfig:
     controller_omega: float = ControllerConfig.omega
     controller_window: int = ControllerConfig.window
     controller_policy: str = ControllerConfig.policy
-    compressor_kind: str = ControllerConfig.compressor.name
+    compressor_kind: str = TOPK
     compressor_dgc_sample_fraction: float = CompressorKind.dgc_sample_fraction
     cost_alpha: float = CostModelParams.alpha
     cost_beta: float = CostModelParams.beta
@@ -101,8 +101,7 @@ class RunConfig:
         return CompressorKind(self.compressor_kind, **self._section("compressor_", CompressorKind))
 
     def build_controller(self) -> ControllerConfig:
-        return ControllerConfig(compressor=self.build_compressor(),
-                                **self._section("controller_", ControllerConfig))
+        return ControllerConfig(**self._section("controller_", ControllerConfig))
 
     def build_cost(self) -> CostModelParams:
         coeffs = {kind: LatencyCoeffs(*getattr(self, f"cost_latency_{kind}"))
@@ -346,21 +345,29 @@ def _time_to_target(trace: RunTrace, target: float | None) -> float:
 
 
 def compare_runs(trace_a, trace_b, target: float | None = None) -> dict:
-    """A-over-B ratios of simulated time and volume plus final-metric delta."""
+    """A-over-B ratios of simulated time and volume plus final-metric delta.
+
+    Finite trace values can still overflow once summed or subtracted; such a
+    report is rejected with a ValueError naming the fields.
+    """
     a = _load_trace(trace_a)
     b = _load_trace(trace_b)
     if len(a) == 0 or len(b) == 0:
         raise ValueError("cannot compare empty traces")
-    report = {
-        "time_a": _time_to_target(a, target),
-        "time_b": _time_to_target(b, target),
-        "floats_a": int(a.total("floats_sent")),
-        "floats_b": int(b.total("floats_sent")),
-        "final_loss_a": a.records[-1].loss,
-        "final_loss_b": b.records[-1].loss,
-    }
+    with np.errstate(over="ignore"):  # an overflowed total is rejected below
+        report = {
+            "time_a": _time_to_target(a, target),
+            "time_b": _time_to_target(b, target),
+            "floats_a": int(a.total("floats_sent")),
+            "floats_b": int(b.total("floats_sent")),
+            "final_loss_a": a.records[-1].loss,
+            "final_loss_b": b.records[-1].loss,
+        }
     report["time_ratio"] = report["time_a"] / report["time_b"]
     report["floats_ratio"] = report["floats_a"] / report["floats_b"]
     report["words_ratio"] = a.total("words_sent") / b.total("words_sent")
     report["final_metric_delta"] = report["final_loss_a"] - report["final_loss_b"]
+    bad = [key for key, value in report.items() if not math.isfinite(value)]
+    if bad:
+        raise ValueError(f"comparison overflows: {', '.join(bad)} not finite")
     return report

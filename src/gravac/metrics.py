@@ -12,63 +12,56 @@ from __future__ import annotations
 import math
 
 from .compressors import SparseGradient
-from .gradcore import EwmaTracker, GradientVector, squared_l2_norm
+from .gradcore import squared_l2_norm
 
 
-def compression_gain_raw(g_c: SparseGradient, g_ef: GradientVector | None,
-                         ef_norm_sq: float | None = None) -> float:
-    """Unclamped norm ratio ||g_c||^2 / ||g_ef||^2.
+def compression_gain(g_c: SparseGradient, ef_norm_sq: float) -> float:
+    """Norm ratio ||g_c||^2 / ||g_ef||^2 clamped to at most 1.
 
-    The denominator may be passed precomputed. A zero-norm reference signals
-    a vanished gradient and is an error; callers treat that iteration as a
-    dense no-op.
+    ``ef_norm_sq`` is the squared norm of the error-feedback gradient g_c
+    came from. A zero-norm reference signals a vanished gradient and is an
+    error; callers treat that iteration as a dense no-op.
     """
-    if ef_norm_sq is None:
-        if g_ef is None:
-            raise ValueError("need either g_ef or its precomputed squared norm")
-        ef_norm_sq = squared_l2_norm(g_ef)
-    if ef_norm_sq <= 0.0:
+    if not ef_norm_sq > 0.0:
         raise ValueError("zero-norm reference gradient: compression gain undefined")
-    return squared_l2_norm(g_c.vals) / ef_norm_sq
-
-
-def compression_gain(g_c: SparseGradient, g_ef: GradientVector | None,
-                     ef_norm_sq: float | None = None) -> float:
-    """Gain clamped into (0, 1]; identity compression gives exactly 1.0."""
-    return min(1.0, compression_gain_raw(g_c, g_ef, ef_norm_sq))
+    return min(1.0, squared_l2_norm(g_c.vals) / ef_norm_sq)
 
 
 class GainTracker:
-    """Per-CF EWMA of compression gains.
+    """Per-CF EWMA of compression gains: s <- lam*x + (1-lam)*s.
 
-    Each compression factor keeps its own tracker so the minimum and
-    candidate CFs can be compared concurrently. CF 1 (dense) is pinned to a
-    constant gain of 1.0.
+    Each compression factor keeps its own smoothed gain so the minimum and
+    candidate CFs can be compared concurrently; a CF's first observation is
+    assigned directly. CF 1 (dense) is pinned to a constant gain of 1.0.
     """
 
     def __init__(self, lam: float):
+        if not (0.0 < lam <= 1.0):
+            raise ValueError(f"smoothing factor must be in (0, 1], got {lam}")
         self.lam = float(lam)
-        self._trackers: dict[float, EwmaTracker] = {}
+        self._smoothed: dict[float, float] = {}
 
     def observe(self, cf: float, raw_gain: float) -> float:
         cf = float(cf)
         if cf == 1.0:
             return 1.0
-        gain = min(1.0, float(raw_gain))
-        tracker = self._trackers.get(cf)
-        if tracker is None:
-            tracker = self._trackers[cf] = EwmaTracker(self.lam)
-        return tracker.update(gain)
+        x = float(raw_gain)
+        if not math.isfinite(x):
+            raise ValueError(f"non-finite gain observation: {x}")
+        x = min(1.0, x)
+        s = self._smoothed.get(cf)
+        self._smoothed[cf] = x if s is None else self.lam * x + (1.0 - self.lam) * s
+        return self._smoothed[cf]
 
     def value(self, cf: float) -> float:
         cf = float(cf)
         if cf == 1.0:
             return 1.0
-        return self._trackers[cf].value
+        return self._smoothed[cf]
 
     def has(self, cf: float) -> bool:
         cf = float(cf)
-        return cf == 1.0 or (cf in self._trackers and self._trackers[cf].initialized)
+        return cf == 1.0 or cf in self._smoothed
 
 
 class ThroughputTable:
@@ -106,11 +99,3 @@ def update_step(table: ThroughputTable, cf: float, gain: float, t_iter: float,
     table.t_compress[cf] = t_sys * gain
     return table
 
-
-def scaling_efficiency(throughput_n: float, throughput_1: float, workers: int) -> float:
-    """Measured-over-ideal throughput: T_N / (N * T_1)."""
-    if throughput_1 <= 0.0:
-        raise ValueError(f"single-worker throughput must be positive, got {throughput_1}")
-    if workers < 1:
-        raise ValueError(f"worker count must be >= 1, got {workers}")
-    return throughput_n / (workers * throughput_1)

@@ -10,7 +10,7 @@ per worker per iteration.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from typing import Iterator
 
 import numpy as np
@@ -19,9 +19,9 @@ from .compressors import CompressorKind, aggregate, aggregate_dense, compress
 from .controller import (DENSE, CfDecision, ControllerConfig, ControllerState,
                          run_iteration, send)
 from .costmodel import CostModelParams
-from .feedback import ResidualStore, apply_feedback
+from .feedback import apply_feedback
 from .gradcore import GradientVector, SeededRng, ewma_lambda_from_workers, squared_l2_norm
-from .metrics import GainTracker, ThroughputTable, compression_gain_raw
+from .metrics import GainTracker, ThroughputTable, compression_gain
 
 GRAVAC = "gravac"
 STATIC = "static-cf"
@@ -69,7 +69,10 @@ class OptimizerState:
         if not self.lr_decay_factor > 0:
             raise ValueError(f"lr_decay_factor must be > 0, got {self.lr_decay_factor}")
         if self.buffer is None:
-            self.buffer = np.zeros_like(self.weights)
+            # np.zeros, unlike zeros_like, leaves the pages unwritten until
+            # used, so a settings-only state (run_training trains a copy)
+            # holds no resident memory
+            self.buffer = np.zeros(self.weights.shape)
         elif self.buffer.shape != self.weights.shape:
             raise ValueError("momentum buffer must match weight shape")
 
@@ -197,14 +200,16 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
     """Run the full synchronous training loop and return its trace.
 
     Deterministic given (task, optimizer settings, cost, mode, seed): every
-    random draw flows from substreams of the run seed.
+    random draw flows from substreams of the run seed. ``optimizer`` gives
+    the settings only: the run trains a copy that starts from the task's
+    initial weights, and the caller's object is left as it was.
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
     if mode == STATIC and (static_cf is None or static_cf < 1.0):
         raise ValueError("static-cf mode requires a compression factor >= 1")
-    if mode == STATIC and compressor is None:
-        raise ValueError("static-cf mode requires a compressor kind")
+    if mode != DENSE_MODE and compressor is None:
+        raise ValueError(f"{mode} mode requires a compressor kind")
     if mode == GRAVAC and controller_config is None:
         raise ValueError("gravac mode requires a controller config")
     if iterations < 1:
@@ -217,42 +222,42 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
     length = task.parameter_count
     batch_size = task.batch_size
 
-    opt = optimizer
-    # a copy: the loop updates the weights in place and the task may keep its array
-    opt.weights = np.array(task.initial_weights(root.split(_RNG_INIT)), dtype=np.float64)
-    opt.buffer = np.zeros_like(opt.weights)
+    # copies: the loop updates the weights in place and the task may keep its array
+    opt = replace(optimizer, buffer=None, weights=np.array(
+        task.initial_weights(root.split(_RNG_INIT)), dtype=np.float64))
 
     # each mode is one step policy: per-worker gradients in, IterationResult out
-    stores = [ResidualStore(length) for _ in range(n_workers)] if mode != DENSE_MODE else []
+    residuals = [GradientVector(np.zeros(length, dtype=np.float32))
+                 for _ in range(n_workers)] if mode != DENSE_MODE else []
     if mode == GRAVAC:
         state = ControllerState.fresh(controller_config, n_workers)
         table = state.table
 
         def step(grads, i):
-            return run_iteration(state, grads, stores, cost, control_rng, batch_size)
+            return run_iteration(state, compressor, grads, residuals, cost, control_rng,
+                                 batch_size)
     elif mode == STATIC:
         table = ThroughputTable()
         gains = GainTracker(ewma_lambda_from_workers(n_workers))
         cf = float(static_cf)
 
         def step(grads, i):
-            g_efs = [apply_feedback(g, r) for g, r in zip(grads, stores)]
+            g_efs = [apply_feedback(g, r) for g, r in zip(grads, residuals)]
             parts = []
             for w, g_ef in enumerate(g_efs):
                 part, t_compress = compress(compressor, g_ef, static_cf,
                                             control_rng.split(i, w), cost.compression_latency)
                 parts.append(part)
-            ef_norms = [squared_l2_norm(g) for g in g_efs]
-            raws = [min(1.0, compression_gain_raw(p, None, n))
-                    for p, n in zip(parts, ef_norms) if n > 0]
+            ef_norms = [squared_l2_norm(g.values) for g in g_efs]
+            raws = [compression_gain(p, n) for p, n in zip(parts, ef_norms) if n > 0]
             delta = gains.observe(cf, float(np.mean(raws))) if raws else 1.0
             return send(CfDecision(STATIC_CHOICE, cf, delta, delta, delta), g_efs, parts,
-                        stores, t_compress, table, cost, batch_size, cf, cf)
+                        residuals, t_compress, table, cost, batch_size, cf, cf)
     else:
         table = ThroughputTable()
 
         def step(grads, i):
-            return send(CfDecision(DENSE, 1.0, 1.0, 1.0, 1.0), grads, None, stores, 0.0,
+            return send(CfDecision(DENSE, 1.0, 1.0, 1.0, 1.0), grads, None, residuals, 0.0,
                         table, cost, batch_size, 1.0, 1.0)
 
     trace = RunTrace()

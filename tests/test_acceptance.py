@@ -14,8 +14,8 @@ from gravac.compressors import (CompressorKind, compress, compress_further,
 from gravac.controller import ControllerConfig, ControllerState, check_gravac
 from gravac.costmodel import (RING, TREE, CostModelParams, LatencyCoeffs,
                               allreduce_time)
-from gravac.feedback import ResidualStore, apply_feedback, update_residual
-from gravac.gradcore import GradientVector, SeededRng
+from gravac.feedback import apply_feedback, update_residual
+from gravac.gradcore import GradientVector, SeededRng, squared_l2_norm
 from gravac.harness import parse_config, run_experiment
 from gravac.kdestats import cf_usage_samples, default_grid, gaussian_kde
 from gravac.metrics import compression_gain
@@ -90,7 +90,7 @@ def test_criterion_3_gain_bounds():
         cf = float(rng.uniform(1.0, n))
         g = GradientVector(rng.standard_normal(n).astype(np.float32))
         s, _ = compress(kind, g, cf, SeededRng(i))
-        gain = compression_gain(s, g)
+        gain = compression_gain(s, squared_l2_norm(g.values))
         assert 0.0 < gain <= 1.0, (kind.name, n, cf, gain)
 
     for i, kind in enumerate(ALL_KINDS):
@@ -98,10 +98,10 @@ def test_criterion_3_gain_bounds():
             n = int(rng.integers(2, 512))
             g = GradientVector(rng.standard_normal(n).astype(np.float32))
             s, _ = compress(kind, g, 1.0, SeededRng(1000 + 100 * i + trial))
-            assert compression_gain(s, g) == 1.0, kind.name
+            assert compression_gain(s, squared_l2_norm(g.values)) == 1.0, kind.name
 
     g = GradientVector(rng.standard_normal(4096).astype(np.float32))
-    gains = [compression_gain(compress(TOPK, g, cf)[0], g)
+    gains = [compression_gain(compress(TOPK, g, cf)[0], squared_l2_norm(g.values))
              for cf in (1, 2, 4, 8, 16, 64, 256, 1024, 4096)]
     assert all(a >= b for a, b in zip(gains, gains[1:]))
     print("\nACCEPTANCE 3 gain bounds: PASS")
@@ -112,7 +112,7 @@ def test_criterion_4_error_feedback_conservation():
     relative (element-wise max)."""
     rng = np.random.default_rng(404)
     n = 512
-    store = ResidualStore(n)
+    store = GradientVector(np.zeros(n))
     raw_sum = np.zeros(n, dtype=np.float64)
     sent_sum = np.zeros(n, dtype=np.float64)
     for i in range(500):
@@ -122,7 +122,7 @@ def test_criterion_4_error_feedback_conservation():
         sent, _ = compress(TOPK, g_ef, 10)
         sent_sum += decompress(sent).values
         update_residual(g_ef, sent, store)
-    lhs = sent_sum + store.residual
+    lhs = sent_sum + store.values
     err = np.max(np.abs(lhs - raw_sum)) / np.max(np.abs(raw_sum))
     assert err <= 1e-4, f"relative error {err:.2e}"
     print(f"\nACCEPTANCE 4 error-feedback conservation: PASS (err {err:.2e})")
@@ -222,10 +222,9 @@ def test_criterion_7_convergence_parity():
     dense = run_training(task, opt, cost, "dense", 3000, seed=42)
     task, opt, cost = setup()
     controller = ControllerConfig(theta_min=10.0, theta_max=1000.0, epsilon=0.9,
-                                  omega=0.01, window=50, policy="exponential",
-                                  compressor=TOPK)
+                                  omega=0.01, window=50, policy="exponential")
     adaptive = run_training(task, opt, cost, "gravac", 3000, seed=42,
-                            controller_config=controller)
+                            controller_config=controller, compressor=TOPK)
 
     acc_gap = abs(adaptive.metric_value - dense.metric_value)
     volume_ratio = dense.trace.total("floats_sent") / adaptive.trace.total("floats_sent")
@@ -258,10 +257,9 @@ def test_criterion_8_randomk_rescue():
 
     task, opt, cost = setup()
     controller = ControllerConfig(theta_min=1.5, theta_max=1000.0, epsilon=0.65,
-                                  omega=0.01, window=50, policy="geometric",
-                                  compressor=RANDOMK)
+                                  omega=0.01, window=50, policy="geometric")
     adaptive = run_training(task, opt, cost, "gravac", iters, seed=7,
-                            controller_config=controller)
+                            controller_config=controller, compressor=RANDOMK)
     rescue_ratio = adaptive.final_loss / adaptive.initial_loss
     assert rescue_ratio < 0.01, f"adaptive run did not converge: {rescue_ratio:.4f}"
     print(f"\nACCEPTANCE 8 random-k rescue: PASS (stall {stall_ratio:.3f}, "

@@ -1,0 +1,61 @@
+"""What the benchmark in ``perfbench/`` needs from the package.
+
+The benchmark wraps ``gravac`` functions from outside (``perfbench/tracer.py``)
+and calls the compressors directly (``perfbench/child.py micro``). A renamed
+function or a changed signature does not fail a run there: its span or
+counter just reads as unmeasured. These tests run one short traced workload
+and the compressor microbench and fail when anything the benchmark reads is
+gone. They read ``perfbench/`` and change nothing in it.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+PERFBENCH = os.path.join(ROOT, "perfbench")
+sys.path.insert(0, PERFBENCH)
+
+import tracer  # noqa: E402
+
+# tracer targets whose function was deleted on purpose; the span group of
+# each stays measured through the group's other targets
+DELETED_TARGETS = {"gravac.metrics.compression_gain_raw"}
+
+with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as _fh:
+    BENCHMARK = json.load(_fh)
+
+
+def child(*args: str) -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.join(ROOT, "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, os.path.join(PERFBENCH, "child.py"), *args],
+                          capture_output=True, text=True, timeout=120, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_traced_run_measures_every_span_and_counter(tmp_path):
+    out = tmp_path / "out"
+    info = child("traced", "mlp_small", "3", str(out), "3")
+    assert info["iterations"] == 3
+    with open(out / "spans.json", encoding="utf-8") as fh:
+        spans = json.load(fh)
+    assert set(spans["missing"]) <= DELETED_TARGETS
+    assert spans["broken_counters"] == []
+    assert set(spans["wrapped"]) == {name for name, *_ in tracer.TARGETS}
+    counters = {c[0] for *_, c in tracer.TARGETS if c is not None}
+    assert set(spans["counters"]) == counters
+    assert all(v > 0 for v in spans["counters"].values())
+
+
+def test_microbench_reports_ok_for_every_compressor():
+    result = child("micro", "3")
+    assert result["ok"]
+    declared = {m["name"] for m in BENCHMARK["per_layer"]
+                if m["name"].startswith("compressors.micro.")}
+    assert set(result["micro"]) == declared

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from gravac.compressors import (CompressorKind, SparseGradient, _exact_topk, _select,
                                 aggregate, aggregate_dense, compress, compress_further,
                                 decompress, keep_count)
+from gravac.feedback import apply_feedback, update_residual
 from gravac.gradcore import GradientVector, SeededRng, squared_l2_norm
 
 TOPK = CompressorKind("topk")
@@ -254,10 +255,10 @@ class TestSharedInvariants:
         rng = np.random.default_rng(16)
         for trial in range(30):
             g = random_vector(rng, 300)
-            total = squared_l2_norm(g)
+            total = squared_l2_norm(g.values)
             for kind in (TOPK, DGC, RANDOMK):
                 s, _ = compress(kind, g, float(rng.uniform(1, 20)), SeededRng(trial))
-                assert squared_l2_norm(decompress(s)) <= total * (1 + 1e-12)
+                assert squared_l2_norm(decompress(s).values) <= total * (1 + 1e-12)
 
     def test_deterministic_given_seed(self):
         g = random_vector(np.random.default_rng(17), 512)
@@ -366,3 +367,69 @@ class TestRedsyncPickOracles:
                 expected = set(oracle_redsync_pick(mag, k).tolist())
                 positions, _ = _select(REDSYNC, values, k, None)
                 assert set(positions.tolist()) == expected, (n, k)
+
+
+_FINITE32 = st.floats(-1e6, 1e6, width=32) | st.sampled_from([0.0, -0.0, 1.0, -1.0, 0.5])
+
+
+def tied_normal(seed, n, levels):
+    """A seeded normal vector; ``levels`` > 0 rounds it onto a grid, which makes ties."""
+    v = np.random.default_rng(seed).standard_normal(n)
+    return np.round(v * levels) / levels if levels else v
+
+
+_GRADIENTS = st.one_of(
+    st.lists(_FINITE32, min_size=1, max_size=48),
+    # above 256 entries DGC estimates its threshold from a sample
+    st.builds(tied_normal, st.integers(0, 2**32 - 1), st.integers(257, 1500),
+              st.sampled_from([0, 1, 4])))
+
+
+def substituted(source):
+    """Redsync's values for the picked ``source``: sign times the mean picked magnitude."""
+    mean_mag = np.float32(np.abs(source).astype(np.float64).mean())
+    return (np.sign(source) * mean_mag).astype(np.float32)
+
+
+class TestStageProperties:
+    """Both compression stages of every kind, after error feedback."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(kind=st.sampled_from(ALL_KINDS), gradient=_GRADIENTS,
+           residual_seed=st.integers(0, 2**32 - 1), cf=st.floats(1.0, 2000.0),
+           step=st.floats(1.0, 64.0), seed=st.integers(0, 2**32 - 1))
+    def test_keep_count_format_and_feedback(self, kind, gradient, residual_seed, cf, step,
+                                            seed):
+        g = GradientVector(gradient)
+        n = g.length
+        residual = GradientVector(np.random.default_rng(residual_seed).standard_normal(n))
+        g_ef = apply_feedback(g, residual)
+        first, _ = compress(kind, g_ef, cf, SeededRng(seed).split(0))
+        second, _ = compress_further(kind, first, step, SeededRng(seed).split(1))
+        assert first.kept == keep_count(n, cf)
+        assert second.kept == keep_count(first.kept, step)
+        assert set(second.indices.tolist()) <= set(first.indices.tolist())
+
+        local = np.searchsorted(first.indices, second.indices)
+        for view, n_in, source in ((first, n, g_ef.values[first.indices.astype(np.int64)]),
+                                   (second, first.kept, first.vals[local])):
+            idx = view.indices.astype(np.int64)
+            assert view.indices.dtype == np.uint32 and view.vals.dtype == np.float32
+            assert view.indices.shape == view.vals.shape == (view.kept,)
+            assert np.all(np.diff(idx) > 0) and idx[-1] < n == view.original_length
+
+            after = update_residual(g_ef, view, GradientVector(np.zeros(n)))
+            unsent = np.ones(n, dtype=bool)
+            unsent[idx] = False
+            assert np.array_equal(after.values[unsent], g_ef.values[unsent])
+            if kind is REDSYNC:
+                # the residual keeps exactly the substitution error
+                # keeping every input entry is a passthrough
+                expected = source if view.kept == n_in else substituted(source)
+                assert np.array_equal(view.vals, expected)
+                assert np.array_equal(after.values[idx], g_ef.values[idx] - view.vals)
+            else:
+                # sent values are the gradient's own, so nothing is lost
+                assert np.array_equal(view.vals, g_ef.values[idx])
+                assert not after.values[idx].any()
+                assert np.array_equal(decompress(view).values + after.values, g_ef.values)

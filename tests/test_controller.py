@@ -6,7 +6,6 @@ from gravac.controller import (CANDIDATE, DENSE, MINIMUM, ControllerConfig,
                                ControllerState, check_gravac, run_iteration,
                                scaling_policy, select_cf)
 from gravac.costmodel import CostModelParams
-from gravac.feedback import ResidualStore
 from gravac.gradcore import GradientVector, SeededRng
 from gravac.metrics import update_step
 
@@ -14,10 +13,9 @@ TOPK = CompressorKind("topk")
 
 
 def make_state(theta_min=10.0, theta_max=1000.0, epsilon=0.7, omega=0.01,
-               window=500, policy="exponential", workers=4, compressor=TOPK):
+               window=500, policy="exponential", workers=4):
     cfg = ControllerConfig(theta_min=theta_min, theta_max=theta_max, epsilon=epsilon,
-                           omega=omega, window=window, policy=policy,
-                           compressor=compressor)
+                           omega=omega, window=window, policy=policy)
     return ControllerState.fresh(cfg, workers)
 
 
@@ -165,14 +163,12 @@ def run_n(state, n, cost, length=64, seed=0, scale=1.0, workers=1, batch_size=1)
     """Drive run_iteration with i.i.d. gradients; returns per-iteration results."""
     rng = SeededRng(seed)
     data = SeededRng(seed ^ 0x5EED)
-    stores = [ResidualStore(length) for _ in range(workers)]
+    stores = [GradientVector(np.zeros(length)) for _ in range(workers)]
     results = []
     for i in range(1, n + 1):
         grads = [GradientVector(scale * data.split(w, i).generator.standard_normal(length))
                  for w in range(workers)]
-        results.append(run_iteration(state, grads if workers > 1 else grads[0],
-                                     stores if workers > 1 else stores[0],
-                                     cost, rng, batch_size))
+        results.append(run_iteration(state, TOPK, grads, stores, cost, rng, batch_size))
     return results
 
 
@@ -204,27 +200,27 @@ class TestRunIteration:
         state = make_state(epsilon=1.0 - 1e-9, window=100)
         cost = CostModelParams(workers=4)
         rng = SeededRng(5)
-        stores = [ResidualStore(32) for _ in range(4)]
+        stores = [GradientVector(np.zeros(32)) for _ in range(4)]
         grads = [GradientVector(SeededRng(50 + w).generator.standard_normal(32))
                  for w in range(4)]
-        result = run_iteration(state, grads, stores, cost, rng)
+        result = run_iteration(state, TOPK, grads, stores, cost, rng)
         assert result.decision.choice == DENSE
         agg = aggregate_dense(result.sent)
         oracle = np.mean([g.values.astype(np.float64) for g in grads], axis=0)
         np.testing.assert_allclose(agg.values, oracle.astype(np.float32), rtol=1e-6)
         for store in stores:
-            assert not store.residual.any()
+            assert not store.values.any()
 
     def test_window_advances_step_factor(self):
         state = make_state(epsilon=1e-9, window=2, theta_min=2.0, theta_max=512.0)
         cost = CostModelParams(workers=1)
         seen = []
         rng = SeededRng(1)
-        store = ResidualStore(64)
+        store = GradientVector(np.zeros(64))
         gen = SeededRng(2)
         for i in range(1, 9):
             g = GradientVector(gen.split(i).generator.standard_normal(64))
-            r = run_iteration(state, g, store, cost, rng)
+            r = run_iteration(state, TOPK, [g], [store], cost, rng)
             seen.append(r.candidate_cf)
         # candidate advances at iterations 2, 4, 6, ... per the policy
         assert seen[:2] == [2.0, 2.0]
@@ -261,19 +257,20 @@ class TestRunIteration:
     def test_zero_gradient_is_dense_noop(self):
         state = make_state(epsilon=0.5, window=10)
         cost = CostModelParams(workers=1)
-        store = ResidualStore(16)
+        store = GradientVector(np.zeros(16))
         g = GradientVector(np.zeros(16, dtype=np.float32))
-        r = run_iteration(state, g, store, cost, SeededRng(0))
+        r = run_iteration(state, TOPK, [g], [store], cost, SeededRng(0))
         assert r.decision.choice == DENSE
         assert r.t_compress == 0.0
-        assert not store.residual.any()
+        assert not store.values.any()
 
     def test_mismatched_workers_rejected(self):
         state = make_state()
         cost = CostModelParams(workers=2)
         grads = [GradientVector(np.ones(8)), GradientVector(np.ones(8))]
         with pytest.raises(ValueError):
-            run_iteration(state, grads, [ResidualStore(8)], cost, SeededRng(0))
+            run_iteration(state, TOPK, grads, [GradientVector(np.zeros(8))], cost,
+                          SeededRng(0))
 
 
 class TestConfigValidation:

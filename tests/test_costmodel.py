@@ -95,12 +95,6 @@ class TestIterationTime:
         assert iteration_time("candidate", 0.1, 0.05, 0.2) == pytest.approx(0.35)
         assert iteration_time("minimum", 0.1, 0.05, 0.2) == pytest.approx(0.35)
 
-    def test_accepts_decision_object(self):
-        class FakeDecision:
-            choice = "dense"
-
-        assert iteration_time(FakeDecision(), 1.0, 5.0, 2.0) == 3.0
-
     def test_negative_components_rejected(self):
         with pytest.raises(ValueError):
             iteration_time("dense", -0.1, 0.0, 0.0)
@@ -115,8 +109,8 @@ class TestCompressionLatency:
             "randomk": LatencyCoeffs(0, 0, 0),
         })
         expected = 1e-6 + 1e-9 * 10_000 + 2e-9 * 100 * math.log2(100)
-        np.testing.assert_allclose(p.compression_latency("topk", 10_000, 100), expected,
-                                   rtol=1e-12)
+        np.testing.assert_allclose(p.compression_latency(CompressorKind("topk"), 10_000, 100),
+                                   expected, rtol=1e-12)
 
     def test_k_of_one_uses_log_floor(self):
         p = CostModelParams()

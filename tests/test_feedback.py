@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gravac.compressors import CompressorKind, compress, decompress
-from gravac.feedback import ResidualStore, apply_feedback, clear_residual, update_residual
+from gravac.feedback import apply_feedback, clear_residual, update_residual
 from gravac.gradcore import GradientVector, SeededRng
 
 TOPK = CompressorKind("topk")
@@ -11,89 +11,89 @@ TOPK = CompressorKind("topk")
 class TestApplyFeedback:
     def test_zero_residual_identity(self):
         g = GradientVector([1.0, -2.0, 3.0])
-        out = apply_feedback(g, ResidualStore(3))
+        out = apply_feedback(g, GradientVector(np.zeros(3)))
         assert np.array_equal(out.values, g.values)
 
     def test_small_example(self):
-        store = ResidualStore(2)
-        store.residual[:] = [0.5, -1.0]
+        store = GradientVector(np.zeros(2))
+        store.values[:] = [0.5, -1.0]
         out = apply_feedback(GradientVector([1.0, 1.0]), store)
         assert out.values.tolist() == [1.5, 0.0]
 
     def test_matches_elementwise_addition_oracle(self):
         rng = np.random.default_rng(0)
         g = GradientVector(rng.standard_normal(200).astype(np.float32))
-        store = ResidualStore(200)
-        store.residual = rng.standard_normal(200).astype(np.float32)
-        expected = g.values + store.residual
+        store = GradientVector(np.zeros(200))
+        store.values = rng.standard_normal(200).astype(np.float32)
+        expected = g.values + store.values
         assert np.array_equal(apply_feedback(g, store).values, expected)
 
     def test_length_mismatch_rejected(self):
         with pytest.raises(ValueError):
-            apply_feedback(GradientVector([1.0, 2.0]), ResidualStore(3))
+            apply_feedback(GradientVector([1.0, 2.0]), GradientVector(np.zeros(3)))
 
 
 class TestUpdateResidual:
     def test_full_support_leaves_zero(self):
         g = GradientVector([1.0, 2.0, 3.0])
         sent, _ = compress(TOPK, g, 1)
-        store = update_residual(g, sent, ResidualStore(3))
-        assert not store.residual.any()
+        store = update_residual(g, sent, GradientVector(np.zeros(3)))
+        assert not store.values.any()
 
     def test_partial_send(self):
         g = GradientVector([3.0, 2.0, 1.0])
         sent, _ = compress(TOPK, g, 3)  # keeps index 0 only
-        store = update_residual(g, sent, ResidualStore(3))
-        assert store.residual.tolist() == [0.0, 2.0, 1.0]
+        store = update_residual(g, sent, GradientVector(np.zeros(3)))
+        assert store.values.tolist() == [0.0, 2.0, 1.0]
 
     def test_matches_dense_subtraction_oracle(self):
         rng = np.random.default_rng(1)
         g = GradientVector(rng.standard_normal(500).astype(np.float32))
         sent, _ = compress(TOPK, g, 7)
-        store = update_residual(g, sent, ResidualStore(500))
+        store = update_residual(g, sent, GradientVector(np.zeros(500)))
         expected = g.values - decompress(sent).values
-        assert np.array_equal(store.residual, expected)
+        assert np.array_equal(store.values, expected)
 
     def test_sent_positions_not_in_residual_support(self):
         rng = np.random.default_rng(2)
         g = GradientVector(rng.standard_normal(300).astype(np.float32))
         sent, _ = compress(TOPK, g, 5)
-        store = update_residual(g, sent, ResidualStore(300))
-        assert not store.residual[sent.indices.astype(int)].any()
+        store = update_residual(g, sent, GradientVector(np.zeros(300)))
+        assert not store.values[sent.indices.astype(int)].any()
 
     def test_length_mismatch_rejected(self):
         g = GradientVector([1.0, 2.0, 3.0])
         sent, _ = compress(TOPK, g, 3)
         with pytest.raises(ValueError):
-            update_residual(g, sent, ResidualStore(5))
+            update_residual(g, sent, GradientVector(np.zeros(5)))
 
     def test_value_substitution_error_stays_in_residual(self):
         # redsync sends sign*mean values; the substitution error must remain
         # behind so mass is conserved
         g = GradientVector([8.0, -2.0, 0.1, 0.05])
         sent, _ = compress(CompressorKind("redsync"), g, 2)
-        store = update_residual(g, sent, ResidualStore(4))
-        np.testing.assert_allclose(store.residual, [3.0, 3.0, 0.1, 0.05])
-        np.testing.assert_allclose(decompress(sent).values + store.residual, g.values)
+        store = update_residual(g, sent, GradientVector(np.zeros(4)))
+        np.testing.assert_allclose(store.values, [3.0, 3.0, 0.1, 0.05])
+        np.testing.assert_allclose(decompress(sent).values + store.values, g.values)
 
 
 class TestClearResidual:
     def test_zeroes_state(self):
-        store = ResidualStore(4)
-        store.residual[:] = 1.0
-        assert not clear_residual(store).residual.any()
+        store = GradientVector(np.zeros(4))
+        store.values[:] = 1.0
+        assert not clear_residual(store).values.any()
 
     def test_idempotent(self):
-        store = ResidualStore(4)
-        store.residual[:] = 2.0
+        store = GradientVector(np.zeros(4))
+        store.values[:] = 2.0
         clear_residual(store)
-        before = store.residual.copy()
+        before = store.values.copy()
         clear_residual(store)
-        assert np.array_equal(store.residual, before)
+        assert np.array_equal(store.values, before)
 
     def test_feedback_identity_after_clear(self):
-        store = ResidualStore(3)
-        store.residual[:] = [1.0, 2.0, 3.0]
+        store = GradientVector(np.zeros(3))
+        store.values[:] = [1.0, 2.0, 3.0]
         clear_residual(store)
         g = GradientVector([4.0, 5.0, 6.0])
         assert np.array_equal(apply_feedback(g, store).values, g.values)
@@ -105,7 +105,7 @@ class TestConservation:
         raw gradient mass (no dense fallback)."""
         rng = np.random.default_rng(3)
         n = 256
-        store = ResidualStore(n)
+        store = GradientVector(np.zeros(n))
         raw_sum = np.zeros(n, dtype=np.float64)
         sent_sum = np.zeros(n, dtype=np.float64)
         for i in range(200):
@@ -115,6 +115,6 @@ class TestConservation:
             sent, _ = compress(TOPK, g_ef, 8, SeededRng(i))
             sent_sum += decompress(sent).values
             update_residual(g_ef, sent, store)
-        lhs = sent_sum + store.residual
+        lhs = sent_sum + store.values
         err = np.max(np.abs(lhs - raw_sum)) / np.max(np.abs(raw_sum))
         assert err <= 1e-4

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gravac.gradcore import (EwmaTracker, GradientVector, SeededRng,
-                             ewma_lambda_from_workers, squared_l2_norm)
+from gravac.gradcore import GradientVector, SeededRng, ewma_lambda_from_workers, squared_l2_norm
+from gravac.metrics import GainTracker
 
 
 class TestGradientVector:
@@ -22,16 +22,16 @@ class TestGradientVector:
 
 class TestSquaredL2Norm:
     def test_small_example(self):
-        assert squared_l2_norm(GradientVector([1, 2, 2])) == 9.0
+        assert squared_l2_norm(GradientVector([1, 2, 2]).values) == 9.0
 
     def test_all_zeros(self):
-        assert squared_l2_norm(GradientVector(np.zeros(10))) == 0.0
+        assert squared_l2_norm(GradientVector(np.zeros(10)).values) == 0.0
 
     def test_matches_64bit_summation_oracle(self):
         # independent oracle: exact compensated summation of float64 squares
         values = SeededRng(7).generator.standard_normal(1000).astype(np.float32)
         expected = math.fsum(float(v) ** 2 for v in values)
-        got = squared_l2_norm(GradientVector(values))
+        got = squared_l2_norm(GradientVector(values).values)
         assert abs(got - expected) <= 1e-6 * expected
 
     def test_empty_errors(self):
@@ -49,14 +49,18 @@ class TestSquaredL2Norm:
 
 
 class TestEwma:
+    """The gain EWMA, s <- lam*x + (1-lam)*s, kept per CF by GainTracker."""
+
+    CF = 10.0
+
     def test_first_observation_assigned(self):
-        t = EwmaTracker(0.5)
-        assert t.update(1.0) == 1.0
+        t = GainTracker(0.5)
+        assert t.observe(self.CF, 0.8) == 0.8
 
     def test_two_observations(self):
-        t = EwmaTracker(0.5)
-        t.update(1.0)
-        assert t.update(0.0) == 0.5
+        t = GainTracker(0.5)
+        t.observe(self.CF, 1.0)
+        assert t.observe(self.CF, 0.0) == 0.5
 
     def test_three_step_recurrence_oracle(self):
         # hand-rolled recurrence, kept independent of the tracker
@@ -64,36 +68,41 @@ class TestEwma:
         s = xs[0]
         for x in xs[1:]:
             s = lam * x + (1 - lam) * s
-        t = EwmaTracker(lam)
+        t = GainTracker(lam)
         for x in xs:
-            t.update(x)
-        np.testing.assert_allclose(t.value, s, rtol=1e-15)
+            t.observe(self.CF, x)
+        np.testing.assert_allclose(t.value(self.CF), s, rtol=1e-15)
 
     def test_read_before_observation_errors(self):
-        with pytest.raises(ValueError):
-            _ = EwmaTracker(0.5).value
+        t = GainTracker(0.5)
+        assert not t.has(self.CF)
+        with pytest.raises(KeyError):
+            t.value(self.CF)
 
     def test_non_finite_rejected(self):
-        t = EwmaTracker(0.5)
+        t = GainTracker(0.5)
         with pytest.raises(ValueError):
-            t.update(float("nan"))
+            t.observe(self.CF, float("nan"))
         with pytest.raises(ValueError):
-            t.update(float("inf"))
+            t.observe(self.CF, float("inf"))
 
     def test_bad_lambda_rejected(self):
-        for lam in (0.0, -0.1, 1.5):
+        for lam in (0.0, -0.1, 1.5, float("nan")):
             with pytest.raises(ValueError):
-                EwmaTracker(lam)
+                GainTracker(lam)
 
     @given(st.floats(min_value=0.01, max_value=1.0),
            st.lists(st.floats(min_value=-1e6, max_value=1e6), min_size=1, max_size=30))
     @settings(max_examples=200, deadline=None)
     def test_convex_combination(self, lam, xs):
-        t = EwmaTracker(lam)
+        # the tracker smooths the observations clamped to at most 1
+        t = GainTracker(lam)
         for x in xs:
-            t.update(x)
-        assert min(xs) - 1e-9 * (1 + abs(min(xs))) <= t.value
-        assert t.value <= max(xs) + 1e-9 * (1 + abs(max(xs)))
+            t.observe(self.CF, x)
+        clamped = [min(1.0, x) for x in xs]
+        low, high = min(clamped), max(clamped)
+        assert low - 1e-9 * (1 + abs(low)) <= t.value(self.CF)
+        assert t.value(self.CF) <= high + 1e-9 * (1 + abs(high))
 
 
 class TestLambdaFromWorkers:

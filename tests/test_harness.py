@@ -447,6 +447,27 @@ class TestCli:
         assert "out-of-range fields ['floats_sent', 't_iter', 'words_sent']" in captured.err
         assert len(captured.err.splitlines()) == 1
 
+    # each row is in range, but the sums or the loss delta overflowed and
+    # compare printed Infinity, which is not JSON, and exited 0
+    @pytest.mark.parametrize("a_edit, b_edit, named", [
+        ({"t_iter": 1.7e308}, {}, "time_a, time_ratio"),
+        ({}, {"t_iter": 1.7e308}, "time_b"),
+        ({"loss": 1e308}, {"loss": -1e308}, "final_metric_delta")])
+    def test_compare_overflowing_report_exits_two(self, tmp_path, capsys, a_edit, b_edit,
+                                                  named):
+        good, _ = self.rewritten_trace(tmp_path, capsys, dict)
+        rows = [json.loads(line) for line in open(good, encoding="utf-8")]
+        paths = []
+        for name, edit in (("a", a_edit), ("b", b_edit)):
+            path = tmp_path / f"{name}.jsonl"
+            path.write_text("".join(json.dumps(dict(row, **edit)) + "\n" for row in rows))
+            paths.append(str(path))
+        assert main(["compare", *paths]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"{named} not finite" in captured.err
+        assert len(captured.err.splitlines()) == 1
+
     # the densities were NaN: log10 of a CF below 1 or not finite
     @pytest.mark.parametrize("cf", ["0", "-5", "1e309", "NaN", "Infinity"])
     def test_kde_trace_with_cf_out_of_range_exits_two(self, tmp_path, capsys, cf):

@@ -108,8 +108,26 @@ class TestDenseTraining:
         task, opt, cost = quadratic_setup(size=8, lr=0.4)
         opt.lr_decay_iters = (5,)
         opt.lr_decay_factor = 10.0
-        run_training(task, opt, cost, "dense", 10, seed=0)
-        assert opt.lr == pytest.approx(0.04)
+        result = run_training(task, opt, cost, "dense", 10, seed=0)
+        # unit curvature and no noise: each step scales w by 1 - lr, with lr
+        # 0.4 in iterations 1-4 and 0.04 from iteration 5 on
+        np.testing.assert_allclose(result.weights, 0.6 ** 4 * 0.96 ** 6, rtol=1e-6)
+
+    @pytest.mark.parametrize("mode", ["dense", "static-cf", "gravac"])
+    def test_caller_optimizer_is_not_changed(self, mode):
+        # the run trains a copy; it used to decay the caller's lr and replace
+        # its arrays, so a second run with the same object differed
+        task, opt, cost = quadratic_setup(size=16, noise_std=0.1, momentum=0.9)
+        opt.lr_decay_iters = (3,)
+        weights, buffer = opt.weights, opt.buffer
+        cc = ControllerConfig(theta_min=2.0, theta_max=8.0, epsilon=0.5, window=2)
+        traces = [run_training(task, opt, cost, mode, 6, seed=4, controller_config=cc,
+                               compressor=TOPK, static_cf=4.0).trace.to_jsonl()
+                  for _ in range(2)]
+        assert traces[0] == traces[1]
+        assert opt.lr == 0.05
+        assert opt.weights is weights and opt.buffer is buffer
+        assert not weights.any() and not buffer.any()
 
 
 class TestStaticCfTraining:
@@ -143,9 +161,9 @@ class TestGravacTraining:
     def test_trace_schema_complete(self):
         task, opt, cost = quadratic_setup(size=64, noise_std=0.1, batch_size=2)
         cc = ControllerConfig(theta_min=2.0, theta_max=16.0, epsilon=0.5,
-                              window=5, compressor=TOPK)
+                              window=5)
         result = run_training(task, opt, cost, "gravac", 15, seed=3,
-                              controller_config=cc)
+                              controller_config=cc, compressor=TOPK)
         assert len(result.trace) == 15
         row = result.trace.records[0].to_dict()
         for field in ("iter", "cf", "gain_min", "gain_c", "t_o", "t_compress",
@@ -158,9 +176,9 @@ class TestGravacTraining:
         for _ in range(2):
             task, opt, cost = quadratic_setup(size=64, noise_std=0.3, batch_size=2)
             cc = ControllerConfig(theta_min=2.0, theta_max=64.0, epsilon=0.6,
-                                  window=4, compressor=CompressorKind("randomk"))
+                                  window=4)
             result = run_training(task, opt, cost, "gravac", 30, seed=11,
-                                  controller_config=cc)
+                                  controller_config=cc, compressor=CompressorKind("randomk"))
             traces.append(result.trace.to_jsonl())
         assert traces[0] == traces[1]
 
@@ -169,15 +187,34 @@ class TestGravacTraining:
         for seed in (1, 2):
             task, opt, cost = quadratic_setup(size=64, noise_std=0.3, batch_size=2)
             cc = ControllerConfig(theta_min=2.0, theta_max=64.0, epsilon=0.6,
-                                  window=4, compressor=CompressorKind("randomk"))
+                                  window=4)
             outs.append(run_training(task, opt, cost, "gravac", 30, seed=seed,
-                                     controller_config=cc).trace.to_jsonl())
+                                     controller_config=cc,
+                                     compressor=CompressorKind("randomk")).trace.to_jsonl())
         assert outs[0] != outs[1]
 
     def test_requires_controller_config(self):
         task, opt, cost = quadratic_setup()
         with pytest.raises(ValueError):
-            run_training(task, opt, cost, "gravac", 5, seed=0)
+            run_training(task, opt, cost, "gravac", 5, seed=0, compressor=TOPK)
+
+    def test_requires_compressor(self):
+        task, opt, cost = quadratic_setup()
+        with pytest.raises(ValueError, match="compressor"):
+            run_training(task, opt, cost, "gravac", 5, seed=0,
+                         controller_config=ControllerConfig())
+
+    def test_compressor_argument_is_used(self):
+        # gravac mode used to take its compressor from the controller config
+        # and ignore this argument
+        outs = []
+        for kind in ("topk", "randomk"):
+            task, opt, cost = quadratic_setup(size=64, noise_std=0.3, batch_size=2)
+            cc = ControllerConfig(theta_min=2.0, theta_max=64.0, epsilon=0.6, window=4)
+            outs.append(run_training(task, opt, cost, "gravac", 10, seed=1,
+                                     controller_config=cc,
+                                     compressor=CompressorKind(kind)).trace.to_jsonl())
+        assert outs[0] != outs[1]
 
     def test_unreachable_epsilon_matches_dense_baseline(self):
         # every iteration falls back to the dense send, so weights and losses
@@ -187,9 +224,9 @@ class TestGravacTraining:
             task, opt, cost = quadratic_setup(size=32, noise_std=0.2, workers=3,
                                               batch_size=2)
             cc = ControllerConfig(theta_min=4.0, theta_max=32.0,
-                                  epsilon=1.0 - 1e-9, window=5, compressor=TOPK)
+                                  epsilon=1.0 - 1e-9, window=5)
             runs.append(run_training(task, opt, cost, mode, 40, seed=9,
-                                     controller_config=cc))
+                                     controller_config=cc, compressor=TOPK))
         dense, adaptive = runs
         assert all(r.choice == "dense" for r in adaptive.trace)
         assert np.array_equal(dense.weights, adaptive.weights)
