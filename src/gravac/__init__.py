@@ -15,6 +15,6 @@ from .kdestats import cf_histogram, cf_usage_samples, default_grid, gaussian_kde
 from .metrics import GainTracker, ThroughputTable, compression_gain, update_step
 from .simworkers import (DivergenceError, IterationRecord, OptimizerState,
                          RunTrace, TrainingResult, run_training, sgd_update)
-from .tasks import QuadraticBowl, SyntheticMlp, build_task
+from .tasks import QuadraticBowl, SyntheticMlp
 
 __version__ = "0.1.0"

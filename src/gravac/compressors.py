@@ -173,10 +173,13 @@ def compress(kind: CompressorKind, g: GradientVector, cf: float,
              latency: LatencyFn | None = None) -> tuple[SparseGradient, float]:
     """Compress a dense gradient to factor ``cf``.
 
-    Keeps exactly max(1, floor(M / cf)) entries. The returned seconds come
-    from the supplied modeled latency hook, never from wall-clock
-    measurement; 0.0 when absent.
+    Keeps exactly max(1, floor(M / cf)) entries; a NaN or infinite entry
+    has no magnitude rank and is rejected. The returned seconds come from
+    the supplied modeled latency hook, never from wall-clock measurement;
+    0.0 when absent.
     """
+    if not np.isfinite(g.values).all():
+        raise ValueError("cannot compress a gradient with non-finite entries")
     n = g.length
     kept = keep_count(n, cf)
     indices, vals = _select(kind, g.values, kept, rng)
@@ -197,14 +200,9 @@ def compress_further(kind: CompressorKind, s: SparseGradient, step: float,
         raise ValueError(f"step factor must be >= 1, got {step}")
     k1 = s.kept
     k2 = keep_count(k1, step)
-    if k2 >= k1:
-        out = SparseGradient(s.indices.copy(), s.vals.copy(), s.original_length)
-    else:
-        local, vals = _select(kind, s.vals, k2, rng)
-        indices = s.indices[local.astype(np.int64)]
-        out = SparseGradient(indices, vals, s.original_length)
+    local, vals = _select(kind, s.vals, k2, rng)
     seconds = latency(kind, k1, k2) if latency is not None else 0.0
-    return out, seconds
+    return SparseGradient(s.indices[local.astype(np.int64)], vals, s.original_length), seconds
 
 
 def decompress(s: SparseGradient) -> GradientVector:

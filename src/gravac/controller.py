@@ -115,8 +115,7 @@ class ControllerState:
     theta_min: float
     theta_s: float = 1.0
     step: int = 0
-    iteration: int = 0
-    frozen: bool = False
+    # set once the search freezes; the candidate CF stays fixed from then on
     theta_ideal: float | None = None
     # set when the saturation rule picked the CF with the *larger* throughput
     # rank but the *higher* CF value; logged, never acted on
@@ -144,7 +143,7 @@ def check_gravac(state: ControllerState, iteration: int,
     no compressed send has happened yet; escalation is skipped then.
     """
     cfg = state.config
-    if state.frozen or iteration % cfg.window != 0:
+    if state.theta_ideal is not None or iteration % cfg.window != 0:
         return state
 
     # Escalate the minimum CF to the candidate evaluated in the window that
@@ -162,7 +161,6 @@ def check_gravac(state: ControllerState, iteration: int,
         (cf_first, v_first), (cf_second, v_second) = top
         if v_second > 0 and abs(v_first - v_second) / v_second <= cfg.omega:
             state.theta_ideal = cf_second
-            state.frozen = True
             if cf_second > cf_first:
                 state.saturation_picked_higher_cf = True
             state.theta_s = max(1.0, state.theta_ideal / state.theta_min)
@@ -175,7 +173,6 @@ class IterationResult:
 
     sent: Sequence[SparseGradient] | Sequence[GradientVector]
     decision: CfDecision
-    t_compute: float
     t_compress: float
     t_sync: float
     t_iter: float
@@ -208,17 +205,32 @@ def send(decision: CfDecision, gradients, parts, residuals, t_compress: float,
         sent, floats = parts, parts[0].kept
         words = sparse_message_words(parts[0])
     t_sync = allreduce_time(words, cost)
-    t_iter = iteration_time(decision.choice, cost.t_compute, t_compress, t_sync)
+    t_iter = iteration_time(cost.t_compute, t_compress, t_sync)
     update_step(table, decision.cf, decision.gain, t_iter, cost.workers, batch_size)
-    return IterationResult(sent, decision, cost.t_compute, t_compress, t_sync, t_iter,
-                           floats, words, candidate_cf, theta_min)
+    return IterationResult(sent, decision, t_compress, t_sync, t_iter, floats, words,
+                           candidate_cf, theta_min)
 
 
-def run_iteration(state: ControllerState, compressor: CompressorKind,
+def compress_workers(stage, compressor: CompressorKind, views: Sequence, cf: float,
+                     rng: SeededRng, cost: CostModelParams, i: int,
+                     *tag: int) -> tuple[tuple[SparseGradient, ...], float]:
+    """Apply ``stage`` (``compress`` or ``compress_further``) at ``cf`` to
+    every worker's view, each with the rng substream ``(i, worker, *tag)``.
+
+    Returns the parts and the modeled seconds of the stage: workers
+    compress in parallel, so the stage takes as long as the slowest.
+    """
+    parts, seconds = zip(*(stage(compressor, view, cf, rng.split(i, w, *tag),
+                                 cost.compression_latency)
+                           for w, view in enumerate(views)))
+    return parts, max(seconds)
+
+
+def run_iteration(state: ControllerState, i: int, compressor: CompressorKind,
                   gradients: list[GradientVector], residuals: list[GradientVector],
                   cost: CostModelParams, rng: SeededRng,
                   batch_size: int = 1) -> IterationResult:
-    """One full adaptive step over per-worker gradients.
+    """Adaptive step ``i`` (1-based) over per-worker gradients.
 
     ``gradients`` and ``residuals`` are equal-length worker-ascending lists.
     Mutates the controller state and the residuals in place. Volume
@@ -228,8 +240,6 @@ def run_iteration(state: ControllerState, compressor: CompressorKind,
     if len(gradients) != len(residuals):
         raise ValueError(f"{len(gradients)} gradients for {len(residuals)} residuals")
 
-    state.iteration += 1
-    i = state.iteration
     theta_min = state.theta_min
     candidate_cf = state.candidate_cf
 
@@ -238,25 +248,14 @@ def run_iteration(state: ControllerState, compressor: CompressorKind,
 
     if all(n == 0.0 for n in ef_norms):
         # vanished gradient: dense no-op, no compression work or gain update
-        gains = state.gains
-        delta_min = gains.value(theta_min) if gains.has(theta_min) else None
-        delta_c = gains.value(candidate_cf) if gains.has(candidate_cf) else None
+        delta_min, delta_c = state.gains.get(theta_min), state.gains.get(candidate_cf)
         decision, parts, t_compress = CfDecision(DENSE, 1.0, 1.0, 1.0, 1.0), None, 0.0
     else:
-        # every worker pays the same modeled compression time, in parallel
-        g_mins = []
-        for w, g_ef in enumerate(g_efs):
-            part, t_min = compress(compressor, g_ef, theta_min,
-                                   rng.split(i, w, _STAGE_MIN), cost.compression_latency)
-            g_mins.append(part)
+        g_mins, t_min = compress_workers(compress, compressor, g_efs, theta_min,
+                                         rng, cost, i, _STAGE_MIN)
         delta_min = state.gains.observe(theta_min, _mean_raw_gain(g_mins, ef_norms))
-
-        g_cs = []
-        for w, part in enumerate(g_mins):
-            stepped, t_step = compress_further(compressor, part, state.theta_s,
-                                               rng.split(i, w, _STAGE_STEP),
-                                               cost.compression_latency)
-            g_cs.append(stepped)
+        g_cs, t_step = compress_workers(compress_further, compressor, g_mins, state.theta_s,
+                                        rng, cost, i, _STAGE_STEP)
         delta_c = state.gains.observe(candidate_cf, _mean_raw_gain(g_cs, ef_norms))
         t_compress = t_min + t_step
 
@@ -270,7 +269,7 @@ def run_iteration(state: ControllerState, compressor: CompressorKind,
     return result
 
 
-def _mean_raw_gain(parts: list[SparseGradient], ef_norms: list[float]) -> float:
+def _mean_raw_gain(parts: Sequence[SparseGradient], ef_norms: list[float]) -> float:
     """Mean per-worker compression gain; zero-norm workers skipped."""
     gains = [compression_gain(p, n) for p, n in zip(parts, ef_norms) if n > 0.0]
     return sum(gains) / len(gains)

@@ -112,14 +112,8 @@ def dense_message_words(length: int) -> int:
     return int(length)
 
 
-def iteration_time(choice: str, t_compute: float, t_compress: float, t_sync: float) -> float:
-    """Total modeled iteration seconds.
-
-    The dense fallback excludes compression time; compressed sends pay for
-    both compression stages. ``choice`` is a CfDecision's choice string.
-    """
+def iteration_time(t_compute: float, t_compress: float, t_sync: float) -> float:
+    """Total modeled iteration seconds: compute, compression and sync."""
     if t_compute < 0 or t_compress < 0 or t_sync < 0:
         raise ValueError("time components must be >= 0")
-    if choice == "dense":
-        return t_compute + t_sync
     return t_compute + t_compress + t_sync

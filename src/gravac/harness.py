@@ -22,7 +22,7 @@ from .controller import ControllerConfig
 from .costmodel import DEFAULT_LATENCY_COEFFS, CostModelParams, LatencyCoeffs
 from .gradcore import SeededRng
 from .kdestats import cf_histogram, cf_usage_samples, default_grid, gaussian_kde
-from .simworkers import (MODES, STATIC, GRAVAC, OptimizerState, RunTrace,
+from .simworkers import (EVAL_SAMPLES, MODES, STATIC, GRAVAC, OptimizerState, RunTrace,
                          run_training)
 from .tasks import SYNTHETIC_MLP, TASK_CLASSES, TASK_KINDS, QuadraticBowl, SyntheticMlp
 
@@ -51,7 +51,7 @@ class RunConfig:
     iters: int = 1000
     seed: int = 0
     out: str = ""
-    eval_samples: int = 2048
+    eval_samples: int = EVAL_SAMPLES
     baseline: str = ""
     task_kind: str = SYNTHETIC_MLP
     task_size: int = QuadraticBowl.size

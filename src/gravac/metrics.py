@@ -53,15 +53,10 @@ class GainTracker:
         self._smoothed[cf] = x if s is None else self.lam * x + (1.0 - self.lam) * s
         return self._smoothed[cf]
 
-    def value(self, cf: float) -> float:
+    def get(self, cf: float) -> float | None:
+        """The smoothed gain of ``cf``; None before its first observation."""
         cf = float(cf)
-        if cf == 1.0:
-            return 1.0
-        return self._smoothed[cf]
-
-    def has(self, cf: float) -> bool:
-        cf = float(cf)
-        return cf == 1.0 or cf in self._smoothed
+        return 1.0 if cf == 1.0 else self._smoothed.get(cf)
 
 
 class ThroughputTable:

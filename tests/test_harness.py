@@ -468,6 +468,20 @@ class TestCli:
         assert f"{named} not finite" in captured.err
         assert len(captured.err.splitlines()) == 1
 
+    def test_compare_sums_int_columns_exactly(self, tmp_path, capsys):
+        # each row is in range, but an int64 sum of 1,100 of them wrapped
+        # around to a negative total and compare exited 0
+        top = 2 ** 53 - 1
+        good, _ = self.rewritten_trace(tmp_path, capsys, dict)
+        with open(good, encoding="utf-8") as fh:
+            row = dict(json.loads(fh.readline()), floats_sent=top, words_sent=top)
+        path = tmp_path / "big.jsonl"
+        path.write_text((json.dumps(row) + "\n") * 1100)
+        assert main(["compare", str(path), str(path)]) == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["floats_a"] == report["floats_b"] == 1100 * top
+        assert report["floats_ratio"] == report["words_ratio"] == 1.0
+
     # the densities were NaN: log10 of a CF below 1 or not finite
     @pytest.mark.parametrize("cf", ["0", "-5", "1e309", "NaN", "Infinity"])
     def test_kde_trace_with_cf_out_of_range_exits_two(self, tmp_path, capsys, cf):

@@ -6,7 +6,7 @@ import pytest
 from gravac.costmodel import CostModelParams
 from gravac.kdestats import cf_histogram, cf_usage_samples, default_grid, gaussian_kde
 from gravac.simworkers import IterationRecord, OptimizerState, RunTrace, run_training
-from gravac.tasks import build_task
+from gravac.tasks import QuadraticBowl
 
 
 def make_trace(cfs):
@@ -63,7 +63,7 @@ class TestCfUsage:
         np.testing.assert_allclose(cf_usage_samples(trace), [0.0, 1.0, 2.0])
 
     def test_dense_run_histogram(self):
-        task = build_task("quadratic", size=16)
+        task = QuadraticBowl(size=16)
         opt = OptimizerState(weights=np.zeros(16), lr=0.05)
         result = run_training(task, opt, CostModelParams(workers=2), "dense", 12, seed=0)
         assert cf_histogram(result.trace) == {1.0: 12}

@@ -63,32 +63,32 @@ class TestGainTracker:
     def test_dense_cf_pinned_to_one(self):
         tracker = GainTracker(0.5)
         assert tracker.observe(1.0, 0.3) == 1.0
-        assert tracker.value(1.0) == 1.0
+        assert tracker.get(1.0) == 1.0
 
     def test_per_cf_streams_are_independent(self):
         tracker = GainTracker(0.5)
         tracker.observe(10.0, 0.8)
         tracker.observe(20.0, 0.4)
         tracker.observe(10.0, 0.6)
-        assert tracker.value(10.0) == pytest.approx(0.7)
-        assert tracker.value(20.0) == pytest.approx(0.4)
+        assert tracker.get(10.0) == pytest.approx(0.7)
+        assert tracker.get(20.0) == pytest.approx(0.4)
 
     def test_values_stay_in_unit_interval(self):
         tracker = GainTracker(0.25)
         for raw in (0.5, 3.0, 0.9, 1.7):
             tracker.observe(10.0, raw)
-        assert 0.0 < tracker.value(10.0) <= 1.0
+        assert 0.0 < tracker.get(10.0) <= 1.0
 
     def test_nan_observation_rejected_and_not_stored(self):
         # min(1.0, nan) is 1.0, so a clamp before the finiteness check hides NaN
         tracker = GainTracker(0.5)
         with pytest.raises(ValueError, match="non-finite"):
             tracker.observe(10.0, float("nan"))
-        assert not tracker.has(10.0)
+        assert tracker.get(10.0) is None
         tracker.observe(10.0, 0.4)
         with pytest.raises(ValueError, match="non-finite"):
             tracker.observe(10.0, float("nan"))
-        assert tracker.value(10.0) == 0.4
+        assert tracker.get(10.0) == 0.4
 
 
 class TestUpdateStep:

@@ -1,4 +1,5 @@
 import json
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -9,15 +10,15 @@ from gravac.costmodel import CostModelParams
 from gravac.gradcore import GradientVector
 from gravac.simworkers import (DivergenceError, IterationRecord, OptimizerState,
                                RunTrace, run_training, sgd_update)
-from gravac.tasks import build_task
+from gravac.tasks import QuadraticBowl
 
 TOPK = CompressorKind("topk")
 
 
 def quadratic_setup(size=64, noise_std=0.0, lr=0.05, momentum=0.0, workers=4,
                     batch_size=1, **task_kwargs):
-    task = build_task("quadratic", size=size, noise_std=noise_std,
-                      batch_size=batch_size, **task_kwargs)
+    task = QuadraticBowl(size=size, noise_std=noise_std, batch_size=batch_size,
+                         **task_kwargs)
     cost = CostModelParams(workers=workers)
     opt = OptimizerState(weights=np.zeros(size), lr=lr, momentum=momentum)
     return task, opt, cost
@@ -165,7 +166,7 @@ class TestGravacTraining:
         result = run_training(task, opt, cost, "gravac", 15, seed=3,
                               controller_config=cc, compressor=TOPK)
         assert len(result.trace) == 15
-        row = result.trace.records[0].to_dict()
+        row = asdict(result.trace.records[0])
         for field in ("iter", "cf", "gain_min", "gain_c", "t_o", "t_compress",
                       "t_s", "t_iter", "tsys", "tcomp", "loss",
                       "floats_sent", "words_sent"):
@@ -254,7 +255,7 @@ class TestRunTraceIo:
         ("floats_sent", 4.5), ("choice", 1)])
     def test_mistyped_value_rejected(self, tmp_path, name, value):
         task, opt, cost = quadratic_setup(size=16)
-        row = run_training(task, opt, cost, "dense", 1, seed=0).trace.records[0].to_dict()
+        row = asdict(run_training(task, opt, cost, "dense", 1, seed=0).trace.records[0])
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(dict(row, **{name: value})) + "\n")
         with pytest.raises(ValueError, match=rf"mistyped fields \['{name}'\]"):

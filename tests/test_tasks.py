@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gravac.gradcore import GradientVector, SeededRng
-from gravac.tasks import QuadraticBowl, SyntheticMlp, build_task
+from gravac.tasks import QuadraticBowl, SyntheticMlp
 
 
 def per_worker_quadratic_gradient(task, w, worker, iteration, rng):
@@ -174,12 +174,3 @@ class TestSyntheticMlp:
         with pytest.raises(ValueError, match="data_seed"):
             SyntheticMlp(data_seed=seed)
 
-
-class TestBuildTask:
-    def test_factory_dispatch(self):
-        assert isinstance(build_task("quadratic", size=4), QuadraticBowl)
-        assert isinstance(build_task("synthetic_mlp"), SyntheticMlp)
-
-    def test_unknown_kind(self):
-        with pytest.raises(ValueError):
-            build_task("transformer")
