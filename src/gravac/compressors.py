@@ -7,7 +7,9 @@ cut or topped up to the exact top-k, so it selects the exact top-k directly
 and then sends sign * mean |selected| for every entry. All of them keep exactly
 ``max(1, floor(n / cf))`` entries so downstream volume accounting is exact,
 and all support a second-level pass that compresses an already-compressed
-tensor without touching the original dense vector.
+tensor without touching the original dense vector. Redsync's second pass
+ranks the kept entries' own values, which its view carries beside the
+substituted ones, so it equals a direct compress to the smaller keep count.
 """
 
 from __future__ import annotations
@@ -49,18 +51,25 @@ class SparseGradient:
     """(index, value) encoding of a compressed gradient.
 
     ``indices`` are strictly increasing positions into the original dense
-    vector of ``original_length`` entries.
+    vector of ``original_length`` entries. ``source_vals`` are the kept
+    entries' own values when ``vals`` substitutes them (Redsync), else None;
+    they are not sent.
     """
 
     indices: np.ndarray
     vals: np.ndarray
     original_length: int
+    source_vals: np.ndarray | None = None
 
     def __post_init__(self):
         self.indices = np.asarray(self.indices, dtype=np.uint32)
         self.vals = np.asarray(self.vals, dtype=np.float32)
         if self.indices.shape != self.vals.shape or self.indices.ndim != 1:
             raise ValueError("indices and vals must be 1-D and equally sized")
+        if self.source_vals is not None:
+            self.source_vals = np.asarray(self.source_vals, dtype=np.float32)
+            if self.source_vals.shape != self.vals.shape:
+                raise ValueError("source_vals must match vals in size")
         if self.indices.size == 0:
             raise ValueError("sparse gradient must keep at least one entry")
         if np.any(np.diff(self.indices.astype(np.int64)) <= 0):
@@ -141,31 +150,34 @@ def _dgc_pick(mag: np.ndarray, k: int, kind: CompressorKind, rng: SeededRng | No
     return chosen
 
 
-def _select(kind: CompressorKind, values: np.ndarray, k: int,
-            rng: SeededRng | None) -> tuple[np.ndarray, np.ndarray]:
-    """Pick k of n entries per the compressor rule.
+def _select(kind: CompressorKind, values: np.ndarray, k: int, rng: SeededRng | None,
+            source: np.ndarray | None = None
+            ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """Pick k of the n entries ``values`` per the compressor rule.
 
-    Returns (ascending positions, values to send). Keeping everything is an
-    identity passthrough for every kind, including Redsync.
+    The rule ranks ``source``, the entries' own values, when ``values``
+    substitutes them. Returns (ascending positions, values to send, the
+    picked own values if those sent substitute them, else None). Keeping
+    everything is an identity passthrough for every kind, including Redsync.
     """
     n = values.size
     if k >= n:
-        return np.arange(n, dtype=np.uint32), values.astype(np.float32, copy=True)
-    mag = np.abs(values)
+        return np.arange(n), values.copy(), None if source is None else source.copy()
+    own = values if source is None else source
+    mag = np.abs(own)
     if kind.name in (TOPK, REDSYNC):
-        picked = _exact_topk(mag, k)
+        picked = _exact_topk(mag, k)  # ascending already
     elif kind.name == RANDOMK:
         if rng is None:
             raise ValueError("randomk compression requires an rng")
-        picked = rng.generator.choice(n, size=k, replace=False)
+        picked = np.sort(rng.generator.choice(n, size=k, replace=False))
     else:
-        picked = _dgc_pick(mag, k, kind, rng)
-    picked = np.sort(picked.astype(np.int64))
-    vals = values[picked].astype(np.float32, copy=True)
-    if kind.name == REDSYNC:
-        mean_mag = np.float32(np.abs(vals).astype(np.float64).mean())
-        vals = (np.sign(vals) * mean_mag).astype(np.float32)
-    return picked.astype(np.uint32), vals
+        picked = np.sort(_dgc_pick(mag, k, kind, rng))
+    kept = own[picked]
+    if kind.name != REDSYNC:
+        return picked, kept, None
+    mean_mag = np.float32(np.abs(kept).astype(np.float64).mean())
+    return picked, (np.sign(kept) * mean_mag).astype(np.float32), kept
 
 
 def compress(kind: CompressorKind, g: GradientVector, cf: float,
@@ -182,9 +194,9 @@ def compress(kind: CompressorKind, g: GradientVector, cf: float,
         raise ValueError("cannot compress a gradient with non-finite entries")
     n = g.length
     kept = keep_count(n, cf)
-    indices, vals = _select(kind, g.values, kept, rng)
+    indices, vals, source = _select(kind, g.values, kept, rng)
     seconds = latency(kind, n, kept) if latency is not None else 0.0
-    return SparseGradient(indices, vals, n), seconds
+    return SparseGradient(indices, vals, n, source), seconds
 
 
 def compress_further(kind: CompressorKind, s: SparseGradient, step: float,
@@ -194,15 +206,16 @@ def compress_further(kind: CompressorKind, s: SparseGradient, step: float,
 
     Keeps max(1, floor(k1 / step)) of the k1 retained values; indices stay
     positions in the original dense space, so the result is as if the dense
-    vector had been compressed to roughly step * achieved_cf directly.
+    vector had been compressed to roughly step * achieved_cf directly (for
+    top-k and Redsync, exactly so).
     """
     if step < 1.0:
         raise ValueError(f"step factor must be >= 1, got {step}")
     k1 = s.kept
     k2 = keep_count(k1, step)
-    local, vals = _select(kind, s.vals, k2, rng)
+    local, vals, source = _select(kind, s.vals, k2, rng, s.source_vals)
     seconds = latency(kind, k1, k2) if latency is not None else 0.0
-    return SparseGradient(s.indices[local.astype(np.int64)], vals, s.original_length), seconds
+    return SparseGradient(s.indices[local], vals, s.original_length, source), seconds
 
 
 def decompress(s: SparseGradient) -> GradientVector:

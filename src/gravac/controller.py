@@ -23,7 +23,7 @@ from .costmodel import (CostModelParams, allreduce_time, dense_message_words,
 from .feedback import apply_feedback, clear_residual, update_residual
 from .gradcore import (GradientVector, SeededRng, ewma_lambda_from_workers,
                        squared_l2_norm)
-from .metrics import GainTracker, ThroughputTable, compression_gain, update_step
+from .metrics import GainTracker, ThroughputTable, mean_gain, update_step
 
 EXPONENTIAL = "exponential"
 GEOMETRIC = "geometric"
@@ -253,10 +253,10 @@ def run_iteration(state: ControllerState, i: int, compressor: CompressorKind,
     else:
         g_mins, t_min = compress_workers(compress, compressor, g_efs, theta_min,
                                          rng, cost, i, _STAGE_MIN)
-        delta_min = state.gains.observe(theta_min, _mean_raw_gain(g_mins, ef_norms))
+        delta_min = state.gains.observe(theta_min, mean_gain(g_mins, ef_norms))
         g_cs, t_step = compress_workers(compress_further, compressor, g_mins, state.theta_s,
                                         rng, cost, i, _STAGE_STEP)
-        delta_c = state.gains.observe(candidate_cf, _mean_raw_gain(g_cs, ef_norms))
+        delta_c = state.gains.observe(candidate_cf, mean_gain(g_cs, ef_norms))
         t_compress = t_min + t_step
 
         decision = select_cf(delta_c, delta_min, cfg.epsilon,
@@ -267,9 +267,3 @@ def run_iteration(state: ControllerState, i: int, compressor: CompressorKind,
                   batch_size, theta_min, candidate_cf)
     check_gravac(state, i, delta_min, delta_c)
     return result
-
-
-def _mean_raw_gain(parts: Sequence[SparseGradient], ef_norms: list[float]) -> float:
-    """Mean per-worker compression gain; zero-norm workers skipped."""
-    gains = [compression_gain(p, n) for p, n in zip(parts, ef_norms) if n > 0.0]
-    return sum(gains) / len(gains)

@@ -10,6 +10,7 @@ scalar the controller maximizes: compression throughput.
 from __future__ import annotations
 
 import math
+from typing import Sequence
 
 from .compressors import SparseGradient
 from .gradcore import squared_l2_norm
@@ -25,6 +26,13 @@ def compression_gain(g_c: SparseGradient, ef_norm_sq: float) -> float:
     if not ef_norm_sq > 0.0:
         raise ValueError("zero-norm reference gradient: compression gain undefined")
     return min(1.0, squared_l2_norm(g_c.vals) / ef_norm_sq)
+
+
+def mean_gain(parts: Sequence[SparseGradient], ef_norms: Sequence[float]) -> float:
+    """Mean compression gain over the workers whose ``ef_norms`` entry is
+    positive, summed left to right in worker order; at least one must be."""
+    gains = [compression_gain(p, n) for p, n in zip(parts, ef_norms) if n > 0.0]
+    return sum(gains) / len(gains)
 
 
 class GainTracker:

@@ -21,7 +21,7 @@ from .controller import (DENSE, CfDecision, ControllerConfig, ControllerState,
 from .costmodel import CostModelParams
 from .feedback import apply_feedback
 from .gradcore import GradientVector, SeededRng, ewma_lambda_from_workers, squared_l2_norm
-from .metrics import GainTracker, ThroughputTable, compression_gain
+from .metrics import GainTracker, ThroughputTable, mean_gain
 
 GRAVAC = "gravac"
 STATIC = "static-cf"
@@ -40,7 +40,8 @@ _RNG_EVAL = 4
 
 
 class DivergenceError(RuntimeError):
-    """Raised when the training loss blows past the divergence guard."""
+    """Raised when the training loss blows past the divergence guard or a
+    worker's gradient has a non-finite entry."""
 
 
 @dataclass
@@ -244,8 +245,7 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
             parts, t_compress = compress_workers(compress, compressor, g_efs, static_cf,
                                                  control_rng, cost, i)
             ef_norms = [squared_l2_norm(g.values) for g in g_efs]
-            raws = [compression_gain(p, n) for p, n in zip(parts, ef_norms) if n > 0]
-            delta = gains.observe(cf, float(np.mean(raws))) if raws else 1.0
+            delta = gains.observe(cf, mean_gain(parts, ef_norms)) if any(ef_norms) else 1.0
             return send(CfDecision(STATIC_CHOICE, cf, delta, delta, delta), g_efs, parts,
                         residuals, t_compress, table, cost, batch_size, cf, cf)
     else:
@@ -272,6 +272,8 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
             raise DivergenceError(
                 f"iteration {i}: loss {loss:.6g} exceeded {DIVERGENCE_FACTOR:.0e} x "
                 f"initial loss {initial_loss:.6g}")
+        if not all(np.isfinite(g.values).all() for g in grads):
+            raise DivergenceError(f"iteration {i}: a worker's gradient has non-finite entries")
 
         result = step(grads, i)
         d = result.decision

@@ -31,8 +31,10 @@ class QuadraticBowl:
     """Loss 0.5 * sum(curvature * (w - w_star)^2) with additive gradient noise.
 
     Per-sample gradients are curvature*(w - w_star) + noise with i.i.d.
-    Gaussian noise, averaged over the batch. The reported loss is the
-    noiseless objective.
+    N(0, noise_std^2) noise, averaged over the batch. The batch mean of the
+    noise is drawn directly: one float32 standard normal per coordinate,
+    scaled by noise_std / sqrt(batch_size), which has the same distribution.
+    The reported loss is the noiseless objective.
     """
 
     size: int = 512
@@ -79,26 +81,34 @@ class QuadraticBowl:
         return float(0.5 * np.dot(self.curvature * d, d))
 
     def _noiseless(self, w: np.ndarray) -> tuple[np.ndarray, float]:
-        return self.curvature * (np.asarray(w, dtype=np.float64) - self.w_star), self.loss(w)
+        d = np.asarray(w, dtype=np.float64) - self.w_star
+        grad = self.curvature * d
+        # a gradient beyond the float32 range becomes inf, which the training
+        # loop rejects as a divergence
+        with np.errstate(over="ignore"):
+            grad32 = grad.astype(np.float32)
+        return grad32, float(0.5 * np.dot(grad, d))
 
     def gradient(self, w: np.ndarray, worker: int, iteration: int, rng: SeededRng,
                  noiseless: tuple[np.ndarray, float] | None = None
                  ) -> tuple[GradientVector, float]:
         """One worker's noisy gradient and the noiseless loss at ``w``.
 
-        ``noiseless`` is ``(curvature * (w - w_star), loss(w))`` when the
-        caller has computed it already; it is not modified.
+        The noise is ``standard_normal(size, float32)`` from the substream
+        ``rng.split(_BATCH, worker, iteration)``, times
+        ``float32(noise_std / sqrt(batch_size))``, added to the float32
+        noiseless gradient. ``noiseless`` is ``(float32(curvature * (w -
+        w_star)), loss(w))`` when the caller has computed it already; it is
+        not modified.
         """
         grad, loss = self._noiseless(w) if noiseless is None else noiseless
         if self.noise_std > 0.0:
             gen = rng.split(_BATCH, worker, iteration).generator
-            noise = gen.standard_normal((self.batch_size, self.size))
-            # a batch of one is its own mean, bit for bit
-            noisy = noise[0] if self.batch_size == 1 else noise.mean(axis=0)
-            noisy *= self.noise_std
-            noisy += grad
-            grad = noisy
-        return GradientVector(grad), loss
+            noise = gen.standard_normal(self.size, dtype=np.float32)
+            noise *= np.float32(self.noise_std / np.sqrt(self.batch_size))
+            noise += grad
+            return GradientVector(noise), loss
+        return GradientVector(grad.copy()), loss
 
     def gradients(self, w: np.ndarray, workers: int, iteration: int,
                   rng: SeededRng) -> tuple[list[GradientVector], list[float]]:

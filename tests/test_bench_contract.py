@@ -53,6 +53,18 @@ def test_traced_run_measures_every_span_and_counter(tmp_path):
     assert all(v > 0 for v in spans["counters"].values())
 
 
+def test_traced_quadratic_spans_one_gradient_per_worker_and_iteration(tmp_path):
+    # the quadratic computes its noiseless part once per iteration, but
+    # tasks.gradient is spanned per worker, so each worker's draw is measured
+    out = tmp_path / "out"
+    info = child("traced", "quad_1m", "3", str(out), "2")
+    assert info["iterations"] == 2
+    with open(out / "spans.json", encoding="utf-8") as fh:
+        spans = json.load(fh)
+    _, _, calls = tracer.self_times(spans)
+    assert calls["tasks.gradient"] == info["workers"] * info["iterations"]
+
+
 def test_microbench_reports_ok_for_every_compressor():
     result = child("micro", "3")
     assert result["ok"]

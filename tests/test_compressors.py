@@ -362,7 +362,7 @@ class TestRedsyncPickOracles:
             assert picked == set(oracle_redsync_pick(mag, k).tolist()), k
             if not np.isnan(values).any():  # a NaN at the boundary leaves fewer than k
                 with np.errstate(invalid="ignore"):  # substituted values may be 0 * inf
-                    positions, _ = _select(REDSYNC, values, k, None)
+                    positions = _select(REDSYNC, values, k, None)[0]
                 assert set(positions.tolist()) == picked, k
 
     def test_bisection_and_topup_paths_agree(self):
@@ -373,7 +373,7 @@ class TestRedsyncPickOracles:
             mag = np.abs(values)
             for k in (1, 2, n // 10, n // 3, n // 2, n - 1):
                 expected = set(oracle_redsync_pick(mag, k).tolist())
-                positions, _ = _select(REDSYNC, values, k, None)
+                positions = _select(REDSYNC, values, k, None)[0]
                 assert set(positions.tolist()) == expected, (n, k)
 
 
@@ -418,9 +418,7 @@ class TestStageProperties:
         assert second.kept == keep_count(first.kept, step)
         assert set(second.indices.tolist()) <= set(first.indices.tolist())
 
-        local = np.searchsorted(first.indices, second.indices)
-        for view, n_in, source in ((first, n, g_ef.values[first.indices.astype(np.int64)]),
-                                   (second, first.kept, first.vals[local])):
+        for view in (first, second):
             idx = view.indices.astype(np.int64)
             assert view.indices.dtype == np.uint32 and view.vals.dtype == np.float32
             assert view.indices.shape == view.vals.shape == (view.kept,)
@@ -432,9 +430,11 @@ class TestStageProperties:
             unsent[idx] = False
             assert np.array_equal(after.values[unsent], g_ef.values[unsent])
             if kind is REDSYNC:
-                # the residual keeps exactly the substitution error
-                # keeping every input entry is a passthrough
-                expected = source if view.kept == n_in else substituted(source)
+                # the residual keeps exactly the substitution error; both
+                # stages substitute the mean of the picked entries' own
+                # magnitudes, and keeping every entry is a passthrough
+                source = g_ef.values[idx]
+                expected = source if view.kept == n else substituted(source)
                 assert np.array_equal(view.vals, expected)
                 assert np.array_equal(after.values[idx], g_ef.values[idx] - view.vals)
             else:
@@ -442,3 +442,19 @@ class TestStageProperties:
                 assert np.array_equal(view.vals, g_ef.values[idx])
                 assert not after.values[idx].any()
                 assert np.array_equal(decompress(view).values + after.values, g_ef.values)
+
+    @settings(max_examples=150, deadline=None)
+    @given(kind=st.sampled_from((TOPK, REDSYNC)), gradient=_GRADIENTS,
+           cf=st.floats(1.0, 2000.0), step=st.floats(1.0, 64.0))
+    def test_second_stage_equals_direct_compress(self, kind, gradient, cf, step):
+        # Redsync's second stage once ranked the substituted values, which
+        # all have one magnitude, and so kept the lowest-index entries
+        g = GradientVector(gradient)
+        n = g.length
+        first, _ = compress(kind, g, cf)
+        second, _ = compress_further(kind, first, step)
+        k2 = second.kept
+        direct, _ = compress(kind, g, n / (k2 + 0.5) if k2 < n else 1.0)
+        assert direct.kept == k2
+        assert direct.indices.tobytes() == second.indices.tobytes()
+        assert direct.vals.tobytes() == second.vals.tobytes()

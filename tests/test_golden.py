@@ -2,9 +2,12 @@
 
 Each case runs ``run_experiment`` on a small config and hashes the
 ``trace.jsonl`` and ``summary.json`` it writes together with the final
-weights. The pinned digests were taken before the training loop was
-restructured; a refactor that changes any of them changed behaviour. A PR
-that changes traces on purpose updates the digest and says why.
+weights. A refactor that changes any of them changed behaviour. A change
+that alters traces on purpose updates the digests and says why. They were
+last taken when the random source became SFC64 with float32 quadratic
+noise, Redsync's second stage began ranking the kept entries' own values and
+both compressed modes began averaging gains with one helper; only the
+vanished-gradient case, which draws nothing, kept its digest.
 """
 
 import hashlib
@@ -54,33 +57,33 @@ CASES = {
 }
 
 GOLDEN = {
-    "quad-n4-gravac-topk": "d928245102d801350fa6775ca82e18b05c50ca66389a576c999bf3105446c699",
-    "quad-n4-gravac-dgc": "03344f7c264bcf8d0a020d96daeebc4d6e84fdb755c2d57df222791389952ead",
-    "quad-n4-gravac-redsync": "5fa1e41da0833161ccc7b67c31dd4255bff7c9ea83fbc1fd9e74df5e5551786e",
-    "quad-n4-gravac-randomk": "68021d55fd2e301cde5265c143826abe1128eddaa39fd180dfe5f72811719256",
-    "quad-n4-gravac-topk-eps0.7": "9fb82fc46ea4b1b3fb6e71c3417fde92a8d274d31e47a978fac70837515e0534",
-    "quad-n4-static-cf-topk": "80a6556e7b9acb78ae57d85fa471f4b277aae064d664c5323cd2d85054a98cbd",
-    "quad-n4-static-cf-dgc": "73048ab700197f99732f60c3ac0cc69ec66524e34fdeb6aeed402c101fd5f813",
-    "quad-n4-static-cf-redsync": "7aa70edb57d160227398d782b39d3aa7bc88bc3d97d09cd29e22fa1bfd15b9de",
-    "quad-n4-static-cf-randomk": "38195c12a394056a9779fdc33823115841b4cb8c7e715ca4beeecd6cff5bdd2f",
-    "quad-n4-dense-topk": "8dfce4a3e1d8fe23b995f353c3d20d7983dbe56119b088b7b02c862a361062bb",
-    "quad-n4-dense-dgc": "8dfce4a3e1d8fe23b995f353c3d20d7983dbe56119b088b7b02c862a361062bb",
-    "quad-n4-dense-redsync": "8dfce4a3e1d8fe23b995f353c3d20d7983dbe56119b088b7b02c862a361062bb",
-    "quad-n4-dense-randomk": "8dfce4a3e1d8fe23b995f353c3d20d7983dbe56119b088b7b02c862a361062bb",
-    "quad-n8-static-cf-topk": "eea6c823132e459610f370b8a75e0dff1e56bb4be8f8be361b2b303fde83ec41",
-    "quad-n8-static-cf-dgc": "2c5505e0ad62a7b98a9576cba47a23f05c211e179da2dc9ffe6b1a54c3d51e8d",
-    "quad-n8-static-cf-redsync": "909fb23620fec926ac2bb25d57bc0181d7149cb495fe6918ea58d449a8287c50",
-    "quad-n8-static-cf-randomk": "c529d3fc3548ba0a387bc9ee67e118f0181d56799b0af231fb8ed3709efee3ef",
-    "mlp-n4-gravac-topk": "ad7197d7e5e467f9dc77c86b8765fab0d8d8f44a739a7035fc8af411a7d01945",
+    "quad-n4-gravac-topk": "264cdc4c78349304d96146184dad0999c7e3a749453da577208b429aa97d939a",
+    "quad-n4-gravac-dgc": "1db22647556fc92048ee856404ff889507d91d3b97a86235112f4f71f6abdf4c",
+    "quad-n4-gravac-redsync": "9fbcab92497dcffa42889d957739af366c60279284c6ca85607ddb4380f0bb6f",
+    "quad-n4-gravac-randomk": "30ff7a0935abd76617cefdee471dee578dead83f258e62ff1564ab351317c73a",
+    "quad-n4-gravac-topk-eps0.7": "0ebc5360b1f9fa51ac4cb4348985a7c5251c5f43bef990d42e4d6a325b8d25d4",
+    "quad-n4-static-cf-topk": "02090533d0d36a2143eb4ecdc5d26331e444458520e2c0d229060d0287e527df",
+    "quad-n4-static-cf-dgc": "eb8e4c7e55c6eb78d2c7b587609f8392d50c0b459328d796b6de3b412964f1d6",
+    "quad-n4-static-cf-redsync": "627d595a072e0e8cbe120feb61c5ea163c5f9e08242a24840d0299dae3c3e0d3",
+    "quad-n4-static-cf-randomk": "ce556e242ac3429a0f8411fe10a0d1c3b2e1dd989530d1c369c8a853e716ab39",
+    "quad-n4-dense-topk": "5f3ef3fbb62a5c054b8c9d4fc7f0d512ff1f3a0abd89b3657840ce645a3b69fc",
+    "quad-n4-dense-dgc": "5f3ef3fbb62a5c054b8c9d4fc7f0d512ff1f3a0abd89b3657840ce645a3b69fc",
+    "quad-n4-dense-redsync": "5f3ef3fbb62a5c054b8c9d4fc7f0d512ff1f3a0abd89b3657840ce645a3b69fc",
+    "quad-n4-dense-randomk": "5f3ef3fbb62a5c054b8c9d4fc7f0d512ff1f3a0abd89b3657840ce645a3b69fc",
+    "quad-n8-static-cf-topk": "84392ec890b40a6a4fd181849d5fb8efafaed338a4d538fc6f7d11229883ce55",
+    "quad-n8-static-cf-dgc": "c0c8435d03a76dd622f32343edbe6561775fccebad6398b1abaa9fba36844db7",
+    "quad-n8-static-cf-redsync": "b7887e6d18ee3f63faaf7be48e720fecdf67b3cae3b1c9b49231fdf39a38edb3",
+    "quad-n8-static-cf-randomk": "195644c34a4e485dcebeaec03add4af8464c82eb7284f84eaff9711a72043782",
+    "mlp-n4-gravac-topk": "745d017a2b0fb20d8fc739f96456f15bdd36016cbc5807c0f9898497049ddb33",
     "quad-n4-gravac-vanished": "ae1f9f56d44a7efd4db5edf0e8125d25edf109df3a25f2629f34be20a37b56cd",
-    "quad-m20k-b1-gravac-dgc": "f9e8e3cc0b1db313b12091802aad35d215b45cb63162c6b5eb23be1cfc67b259",
-    "quad-m20k-b1-gravac-redsync": "da74e1e350d2f1fad7a362be6bcf74b904708443849be34bdcd14a1deb41beac",
-    "quad-m20k-b1-gravac-topk": "628427f8b17168299141848c0b720fde012ad5fed0d0bd020871eed46d44d3d5",
-    "quad-m20k-b1-static-cf-redsync": "283de5372a761a9f0c36c961b0349b196d6eca08f6c13aa26aa7cf893c98d045",
-    "quad-m20k-b3-gravac-dgc": "951efebc7301add7917b2016700eda30dd306f58961c7b92e222dc692eb34bc3",
-    "quad-m20k-b3-gravac-redsync": "c292f5c3ed3d6340969d3c685926aa5bdcd959501c3cad39a429509754e588b5",
-    "quad-m20k-b3-gravac-topk": "260827786e342aee07a2f36dbb12fa501af70293ac6b2fdef99a2ba6f0feda54",
-    "quad-m20k-b3-static-cf-redsync": "dc8ad05a6e2620951090ea79beabc4edc979e4b11d8a63e5d9c914dd591c3dda",
+    "quad-m20k-b1-gravac-dgc": "2e531e685d1ade48a6a49a02616b36e39850af792510a4edf428d825a228aee7",
+    "quad-m20k-b1-gravac-redsync": "603e4bf0f3a9cf95330d92ab1544e60b6818d018729a95bdf73f060865b28d80",
+    "quad-m20k-b1-gravac-topk": "fbcad400a023fd52edeb7efc183f242e6c22b9da479a8476ffdacb887f9aeecd",
+    "quad-m20k-b1-static-cf-redsync": "cc0950c61ac67752795dc5ce8c6694e143195c771fdc56dc099b62477007bcb3",
+    "quad-m20k-b3-gravac-dgc": "6a7e0d65747c36ca13766f370a6d174ee8fb32bcd87ad221c35c44d945ee7300",
+    "quad-m20k-b3-gravac-redsync": "62aa2116cd5309d077fa6b5d3ae04ba7a38f2dad0b7639873925362a1901fcdf",
+    "quad-m20k-b3-gravac-topk": "5a1e1c59eef4e732c0d1641a943144e7a10d7ab0fde4870749d27349daa8db2d",
+    "quad-m20k-b3-static-cf-redsync": "dd67344e1eb12228981fa4ab2d3b7612841d3520f1d0f15f98d2e775ab537631",
 }
 
 # changed once on purpose: the dead compressor.redsync_max_rounds key was removed

@@ -135,13 +135,20 @@ class TestSeededRng:
             SeededRng(seed)
 
     def test_largest_seeds_keep_distinct_substreams(self):
-        # numpy reads the Philox key as float64 when the stream is >= 2**63;
-        # 2**53 and 2**53 + 1 collided there, the two largest valid seeds do not
+        # a Philox key [seed, stream] was read as float64 when the stream was
+        # >= 2**63; 2**53 and 2**53 + 1 collided there, the two largest valid
+        # seeds did not
         a, b = SeededRng(2**53 - 1), SeededRng(2**53 - 2)
         high = [p for p in range(32) if a.split(p).stream >= 2**63]
         assert high
         for p in high:
             assert a.split(p).generator.random() != b.split(p).generator.random()
+
+    def test_high_streams_differing_in_low_bits_differ(self):
+        # the float64 Philox key dropped the low 11 bits of such a stream
+        a = SeededRng(5, stream=2**63 + 2048).generator.random(4)
+        b = SeededRng(5, stream=2**63 + 2049).generator.random(4)
+        assert not np.array_equal(a, b)
 
     def test_split_is_deterministic_and_disjoint(self):
         root = SeededRng(99)

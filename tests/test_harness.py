@@ -292,6 +292,17 @@ class TestCli:
         assert code == 3
         assert "divergence" in capsys.readouterr().err
 
+    # a gradient beyond the float32 range exited 2 in the compressed modes,
+    # where compress rejected it, and 3 in dense mode, a step later, when the
+    # loss overflowed
+    @pytest.mark.parametrize("mode", ["gravac", "static-cf", "dense"])
+    def test_overflowing_gradient_exits_three(self, tmp_path, capsys, mode):
+        code = main(self.run_args(tmp_path, "run", "--mode", mode, "--iters", "3",
+                                  "--set", "task.init_offset=1e39"))
+        assert code == 3
+        assert "iteration 1: a worker's gradient has non-finite entries" in \
+            capsys.readouterr().err
+
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("GRAVAC_SEED", "777")
         assert main(self.run_args(tmp_path, "env", "--mode", "dense",

@@ -2,8 +2,8 @@
 
 Every trace row (compared as its JSON text, so each float to the last bit)
 and the final weights must be equal. The grid covers 4 compressors x 3
-modes x N in {1, 4} on both tasks; two more runs freeze the search and
-train on a vanished gradient.
+modes x N in {1, 4, 8} on both tasks. Of three more runs, one freezes the
+search, one just misses freezing and one trains on a vanished gradient.
 """
 
 import json
@@ -24,12 +24,10 @@ ITERS = 30
 MODES = ("gravac", "static-cf", "dense")
 
 
-def quadratic(**kwargs):
-    size = kwargs.pop("size", 300)
-    settings = dict(size=size, noise_std=0.3, batch_size=2,
-                    curvature=np.geomspace(0.01, 3.0, size))
-    task = QuadraticBowl(**dict(settings, **kwargs))
-    opt = OptimizerState(weights=np.zeros(size), lr=0.1, momentum=0.5, weight_decay=1e-3,
+def quadratic(**overrides):
+    settings = dict(size=300, noise_std=0.3, batch_size=2, curvature=np.geomspace(0.01, 3.0, 300))
+    task = QuadraticBowl(**dict(settings, **overrides))
+    opt = OptimizerState(weights=np.zeros(task.size), lr=0.1, momentum=0.5, weight_decay=1e-3,
                          lr_decay_iters=(15,), lr_decay_factor=2.0)
     return task, opt
 
@@ -68,7 +66,7 @@ def grid_case(task_name, workers):
     return task, opt, CostModelParams(workers=workers, topology=topology)
 
 
-@pytest.mark.parametrize("workers", [1, 4])
+@pytest.mark.parametrize("workers", [1, 4, 8])
 @pytest.mark.parametrize("mode", MODES)
 @pytest.mark.parametrize("kind", KIND_NAMES)
 @pytest.mark.parametrize("task_name", sorted(TASKS))

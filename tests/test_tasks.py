@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -6,13 +8,12 @@ from gravac.tasks import QuadraticBowl, SyntheticMlp
 
 
 def per_worker_quadratic_gradient(task, w, worker, iteration, rng):
-    """The quadratic's gradient as it was drawn before ``gradients`` existed."""
-    d = np.asarray(w, dtype=np.float64) - task.w_star
-    grad = task.curvature * d
+    """One worker's gradient as ``QuadraticBowl.gradient``'s docstring states it."""
+    grad = (task.curvature * (np.asarray(w, dtype=np.float64) - task.w_star)).astype(np.float32)
     if task.noise_std > 0.0:
         gen = rng.split(0, worker, iteration).generator
-        noise = gen.standard_normal((task.batch_size, task.size))
-        grad = grad + task.noise_std * noise.mean(axis=0)
+        scale = np.float32(task.noise_std / np.sqrt(task.batch_size))
+        grad = gen.standard_normal(task.size, dtype=np.float32) * scale + grad
     return GradientVector(grad), task.loss(w)
 
 
@@ -78,6 +79,26 @@ class TestQuadraticBowl:
             single, single_loss = task.gradient(w, worker, 9, SeededRng(6))
             assert single.values.tobytes() == ref.values.tobytes() and single_loss == ref_loss
         assert np.array_equal(w, w_before)
+
+    @pytest.mark.parametrize("batch_size", [1, 3])
+    def test_noise_rows_have_the_batch_mean_distribution(self, batch_size):
+        size, sigma = 100_000, 0.5
+        var = sigma ** 2 / batch_size
+        task = QuadraticBowl(size=size, noise_std=sigma, batch_size=batch_size)
+        w = np.full(size, 2.0)
+        rows = {}
+        for iteration in (1, 2):
+            grads, _ = task.gradients(w, 3, iteration, SeededRng(4))
+            again, _ = task.gradients(w, 3, iteration, SeededRng(4))
+            for worker, (g, h) in enumerate(zip(grads, again)):
+                assert g.values.tobytes() == h.values.tobytes()
+                noise = g.values.astype(np.float64) - 2.0
+                # five standard errors of the sample mean and variance
+                assert abs(noise.mean()) < 5 * np.sqrt(var / size)
+                assert abs(noise.var() / var - 1.0) < 5 * np.sqrt(2.0 / size)
+                rows[worker, iteration] = noise
+        for a, b in itertools.combinations(rows.values(), 2):
+            assert abs(np.corrcoef(a, b)[0, 1]) < 5 / np.sqrt(size)
 
     def test_rejects_bad_curvature(self):
         with pytest.raises(ValueError):
