@@ -72,7 +72,7 @@ class SparseGradient:
                 raise ValueError("source_vals must match vals in size")
         if self.indices.size == 0:
             raise ValueError("sparse gradient must keep at least one entry")
-        if np.any(np.diff(self.indices.astype(np.int64)) <= 0):
+        if np.any(self.indices[1:] <= self.indices[:-1]):
             raise ValueError("indices must be strictly increasing")
         if int(self.indices[-1]) >= self.original_length:
             raise ValueError("index beyond original length")
@@ -121,6 +121,8 @@ def _global_topup(mag: np.ndarray, chosen: np.ndarray, short: int) -> np.ndarray
 
 
 def _dgc_pick(mag: np.ndarray, k: int, kind: CompressorKind, rng: SeededRng | None) -> np.ndarray:
+    """k ascending positions at or above a threshold estimated from a sample
+    of ``mag``; cut to the top k, or padded when the threshold overshot."""
     n = mag.size
     sample_size = min(n, max(256, int(round(kind.dgc_sample_fraction * n))))
     if sample_size >= n:
@@ -135,7 +137,7 @@ def _dgc_pick(mag: np.ndarray, k: int, kind: CompressorKind, rng: SeededRng | No
 
     chosen = np.flatnonzero(mag >= threshold)
     if chosen.size >= k:
-        return chosen[_exact_topk(mag[chosen], k)]
+        return chosen[_exact_topk(mag[chosen], k)]  # ascending already
     # threshold overshot: pad from the sampled pool below the threshold
     # (largest first), then fall back to a global top-up
     short = k - chosen.size
@@ -147,7 +149,7 @@ def _dgc_pick(mag: np.ndarray, k: int, kind: CompressorKind, rng: SeededRng | No
         short = k - chosen.size
     if short > 0:
         chosen = np.concatenate([chosen, _global_topup(mag, chosen, short)])
-    return chosen
+    return np.sort(chosen)
 
 
 def _select(kind: CompressorKind, values: np.ndarray, k: int, rng: SeededRng | None,
@@ -172,7 +174,7 @@ def _select(kind: CompressorKind, values: np.ndarray, k: int, rng: SeededRng | N
             raise ValueError("randomk compression requires an rng")
         picked = np.sort(rng.generator.choice(n, size=k, replace=False))
     else:
-        picked = np.sort(_dgc_pick(mag, k, kind, rng))
+        picked = _dgc_pick(mag, k, kind, rng)
     kept = own[picked]
     if kind.name != REDSYNC:
         return picked, kept, None

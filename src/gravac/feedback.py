@@ -5,6 +5,10 @@ per-worker residual -- a GradientVector of the gradient's length, starting
 at zero -- and is added back to the next iteration's gradient, so every
 coordinate is eventually applied. A dense (uncompressed) send clears the
 residual because nothing was withheld.
+
+A zero residual holds no memory: it is a read-only stride-0 view of one
+float32 zero (``zero_residual``), and feedback onto it is the raw gradient
+itself. Only a compressed send allocates, for the mass it withholds.
 """
 
 from __future__ import annotations
@@ -15,16 +19,27 @@ from .compressors import SparseGradient
 from .gradcore import GradientVector
 
 
+def zero_residual(length: int) -> GradientVector:
+    """A residual of ``length`` zeros that owns no buffer."""
+    return GradientVector(np.broadcast_to(np.float32(0), (length,)))
+
+
 def apply_feedback(g_raw: GradientVector, residual: GradientVector) -> GradientVector:
-    """Return g_raw + residual; the residual is not modified."""
+    """Return g_raw + residual; neither is modified.
+
+    On a zero residual (a stride-0 view of 0, as ``zero_residual`` makes)
+    that is ``g_raw`` itself: no add, no copy.
+    """
     if g_raw.length != residual.length:
         raise ValueError(f"length mismatch: gradient {g_raw.length}, residual {residual.length}")
+    if residual.values.strides == (0,) and not residual.values[0]:
+        return g_raw
     return GradientVector(g_raw.values + residual.values)
 
 
 def update_residual(g_ef: GradientVector, sent: SparseGradient,
                     residual: GradientVector) -> GradientVector:
-    """Set residual to g_ef - decompress(sent).
+    """Set residual to g_ef - decompress(sent), in a fresh array.
 
     Positions that were sent with their own value end up exactly zero;
     value-substituting compressors leave the substitution error behind.
@@ -38,6 +53,6 @@ def update_residual(g_ef: GradientVector, sent: SparseGradient,
 
 
 def clear_residual(residual: GradientVector) -> GradientVector:
-    """Zero the residual (dense-send path)."""
-    residual.values.fill(0.0)
+    """Zero the residual (dense-send path), releasing its buffer."""
+    residual.values = zero_residual(residual.length).values
     return residual

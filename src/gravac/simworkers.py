@@ -19,7 +19,7 @@ from .compressors import CompressorKind, aggregate, aggregate_dense, compress
 from .controller import (DENSE, CfDecision, ControllerConfig, ControllerState,
                          compress_workers, run_iteration, send)
 from .costmodel import CostModelParams
-from .feedback import apply_feedback
+from .feedback import apply_feedback, zero_residual
 from .gradcore import GradientVector, SeededRng, ewma_lambda_from_workers, squared_l2_norm
 from .metrics import GainTracker, ThroughputTable, mean_gain
 
@@ -49,7 +49,8 @@ class OptimizerState:
     """Momentum SGD with coupled weight decay.
 
     buffer <- momentum*buffer + (grad + weight_decay*w); w <- w - lr*buffer.
-    ``sgd_update`` updates both arrays in place.
+    ``sgd_update`` updates both arrays in place. With momentum 0 the step is
+    w <- w - lr*(grad + weight_decay*w) and the buffer is never used.
     """
 
     weights: np.ndarray
@@ -86,9 +87,10 @@ def sgd_update(opt: OptimizerState, grad: GradientVector) -> OptimizerState:
     if opt.momentum:
         opt.buffer *= opt.momentum
         opt.buffer += g
+        np.multiply(opt.buffer, opt.lr, out=g)  # g is spent: it holds the step
     else:
-        opt.buffer = g
-    opt.weights -= opt.lr * opt.buffer
+        g *= opt.lr
+    opt.weights -= g
     return opt
 
 
@@ -226,8 +228,7 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
         task.initial_weights(root.split(_RNG_INIT)), dtype=np.float64))
 
     # each mode is one step policy: per-worker gradients in, IterationResult out
-    residuals = [GradientVector(np.zeros(length, dtype=np.float32))
-                 for _ in range(n_workers)] if mode != DENSE_MODE else []
+    residuals = [zero_residual(length) for _ in range(n_workers)] if mode != DENSE_MODE else []
     if mode == GRAVAC:
         state = ControllerState.fresh(controller_config, n_workers)
         table = state.table
@@ -263,7 +264,6 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
         if i in decay_points:
             opt.lr = opt.lr / opt.lr_decay_factor
 
-        grads = result = None  # free the previous gradients before new ones are drawn
         grads, losses = task.gradients(opt.weights, n_workers, i, data_rng)
         loss = float(np.mean(losses))
         if initial_loss is None:
@@ -276,16 +276,24 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
             raise DivergenceError(f"iteration {i}: a worker's gradient has non-finite entries")
 
         result = step(grads, i)
+        grads = None  # only a dense send's result still holds them
         d = result.decision
-        sgd_update(opt, aggregate_dense(result.sent) if d.choice == DENSE
-                   else aggregate(result.sent))
+        # the update stays live until the next one replaces it: freed with the
+        # sends, it let the allocator hand the gradients' heap back to the OS
+        # and fault it in again on every quad_1m iteration
+        update = aggregate_dense(result.sent) if d.choice == DENSE else aggregate(result.sent)
         trace.append(IterationRecord(
             iter=i, cf=float(d.cf), gain_min=d.delta_min, gain_c=d.delta_c,
             t_o=cost.t_compute, t_compress=result.t_compress, t_s=result.t_sync,
             t_iter=result.t_iter, tsys=table.t_sys[d.cf], tcomp=table.t_compress[d.cf],
             loss=loss, floats_sent=result.floats_sent, words_sent=result.words_sent,
             choice=d.choice, theta_min=result.theta_min))
+        result = None  # the sends are aggregated: free them before the update allocates
+        sgd_update(opt, update)
 
+    # the last iteration's arrays are dead; free them before the evaluation allocates
+    update = losses = None
+    residuals.clear()
     metrics = task.evaluate(opt.weights, root.split(_RNG_EVAL), eval_samples)
     metric_name = task.metric_name
     return TrainingResult(trace=trace, weights=opt.weights,

@@ -205,7 +205,9 @@ class SyntheticMlp:
 
     def sample_batch(self, gen: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         labels = gen.integers(0, 2, size=n)
-        x = self._means[labels] + self._sigma * gen.standard_normal((n, self.widths[0]))
+        x = gen.standard_normal((n, self.widths[0]))
+        x *= self._sigma
+        x += self._means[labels]
         return x, labels
 
     def _forward(self, w: np.ndarray, x: np.ndarray):
@@ -239,9 +241,9 @@ class SyntheticMlp:
         flat = np.empty(self._total, dtype=np.float64)
         for layer_idx in range(len(layers) - 1, -1, -1):
             weight, _ = layers[layer_idx]
-            weight_at, _, bias_at = self._layout[layer_idx]
-            flat[weight_at] = (activations[layer_idx].T @ delta).ravel()
-            flat[bias_at] = delta.sum(axis=0)
+            weight_at, shape, bias_at = self._layout[layer_idx]
+            np.matmul(activations[layer_idx].T, delta, out=flat[weight_at].reshape(shape))
+            np.sum(delta, axis=0, out=flat[bias_at])
             if layer_idx > 0:
                 delta = (delta @ weight.T) * (1.0 - activations[layer_idx] ** 2)
         return GradientVector(flat), loss

@@ -15,6 +15,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 PERFBENCH = os.path.join(ROOT, "perfbench")
 sys.path.insert(0, PERFBENCH)
@@ -53,16 +55,33 @@ def test_traced_run_measures_every_span_and_counter(tmp_path):
     assert all(v > 0 for v in spans["counters"].values())
 
 
-def test_traced_quadratic_spans_one_gradient_per_worker_and_iteration(tmp_path):
-    # the quadratic computes its noiseless part once per iteration, but
-    # tasks.gradient is spanned per worker, so each worker's draw is measured
-    out = tmp_path / "out"
+@pytest.fixture(scope="module")
+def traced_quadratic(tmp_path_factory):
+    """Two traced quad_1m iterations: (run info, spans document)."""
+    out = tmp_path_factory.mktemp("quad") / "out"
     info = child("traced", "quad_1m", "3", str(out), "2")
     assert info["iterations"] == 2
     with open(out / "spans.json", encoding="utf-8") as fh:
-        spans = json.load(fh)
+        return info, json.load(fh)
+
+
+def test_traced_quadratic_spans_one_gradient_per_worker_and_iteration(traced_quadratic):
+    # the quadratic computes its noiseless part once per iteration, but
+    # tasks.gradient is spanned per worker, so each worker's draw is measured
+    info, spans = traced_quadratic
     _, _, calls = tracer.self_times(spans)
     assert calls["tasks.gradient"] == info["workers"] * info["iterations"]
+
+
+def test_traced_quadratic_spans_feedback_per_worker_and_iteration(traced_quadratic):
+    # every quad_1m send is dense, so each residual is a zero view that owns
+    # no buffer; the feedback calls still happen, and the byte counter reads
+    # the length such a view still has
+    info, spans = traced_quadratic
+    _, _, calls = tracer.self_times(spans)
+    per_run = info["workers"] * info["iterations"]
+    assert calls["feedback.apply"] == calls["feedback.residual"] == per_run
+    assert spans["counters"]["feedback.bytes"] > 0
 
 
 def test_microbench_reports_ok_for_every_compressor():

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gravac.compressors import (CompressorKind, SparseGradient, _exact_topk, _select,
+from gravac.compressors import (CompressorKind, SparseGradient, _dgc_pick, _exact_topk, _select,
                                 aggregate, aggregate_dense, compress, compress_further,
                                 decompress, keep_count)
 from gravac.feedback import apply_feedback, update_residual
@@ -397,6 +397,22 @@ def substituted(source):
     """Redsync's values for the picked ``source``: sign times the mean picked magnitude."""
     mean_mag = np.float32(np.abs(source).astype(np.float64).mean())
     return (np.sign(source) * mean_mag).astype(np.float32)
+
+
+class TestDgcPositions:
+    @settings(max_examples=200, deadline=None)
+    @given(gradient=_GRADIENTS, cf=st.floats(1.0, 50.0), seed=st.integers(0, 2**32 - 1))
+    def test_positions_ascend_and_are_the_sorted_picks(self, gradient, cf, seed):
+        # only the pad and global top-up paths sort their picks: the main
+        # path cuts an ascending threshold set to its ascending top k. Above
+        # 256 entries and at these CFs the sampled threshold overshoots, so
+        # the pad path runs, in about half the draws
+        values = np.asarray(gradient, dtype=np.float32)
+        n, k = values.size, keep_count(values.size, cf)
+        positions = _select(DGC, values, k, SeededRng(seed))[0]
+        picks = _dgc_pick(np.abs(values), k, DGC, SeededRng(seed)) if k < n else np.arange(n)
+        assert positions.size == k and np.all(np.diff(positions.astype(np.int64)) > 0)
+        assert np.array_equal(positions, np.sort(picks))
 
 
 class TestStageProperties:

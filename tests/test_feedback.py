@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from gravac.compressors import CompressorKind, compress, decompress
-from gravac.feedback import apply_feedback, clear_residual, update_residual
+from gravac.feedback import apply_feedback, clear_residual, update_residual, zero_residual
 from gravac.gradcore import GradientVector, SeededRng
 
 TOPK = CompressorKind("topk")
@@ -118,3 +118,38 @@ class TestConservation:
         lhs = sent_sum + store.values
         err = np.max(np.abs(lhs - raw_sum)) / np.max(np.abs(raw_sum))
         assert err <= 1e-4
+
+
+class TestZeroResidual:
+    """A zero residual is a read-only stride-0 view: it holds no memory."""
+
+    def test_fresh_and_cleared_residuals_own_no_buffer(self):
+        fresh = zero_residual(1000)
+        cleared = clear_residual(GradientVector(np.ones(1000)))
+        for store in (fresh, cleared):
+            assert store.values.strides == (0,) and store.length == 1000
+            assert store.values.dtype == np.float32 and not store.values.any()
+            assert not store.values.flags.writeable
+
+    def test_feedback_on_zero_residual_is_the_raw_gradient(self):
+        g = GradientVector([1.0, -0.0, 3.0])
+        assert apply_feedback(g, zero_residual(3)) is g
+        assert apply_feedback(g, clear_residual(GradientVector([5.0, 6.0, 7.0]))) is g
+
+    def test_stride_zero_nonzero_residual_is_added(self):
+        g = GradientVector([1.0, 2.0])
+        ones = GradientVector(np.broadcast_to(np.float32(1), (2,)))
+        assert apply_feedback(g, ones).values.tolist() == [2.0, 3.0]
+
+    def test_compressed_send_after_clear_leaves_writable_residual(self):
+        rng = np.random.default_rng(4)
+        store = clear_residual(GradientVector(rng.standard_normal(300)))
+        g = GradientVector(rng.standard_normal(300).astype(np.float32))
+        g_ef = apply_feedback(g, store)
+        sent, _ = compress(TOPK, g_ef, 6)
+        update_residual(g_ef, sent, store)
+        assert store.values.flags.writeable and store.values.strides == (4,)
+        assert np.array_equal(store.values, g.values - decompress(sent).values)
+        assert not np.shares_memory(store.values, g.values)
+        store.values[0] += 1.0  # the residual is its own array, not the gradient
+        assert np.array_equal(g_ef.values, g.values)

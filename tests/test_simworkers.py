@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 from dataclasses import asdict
 
 import numpy as np
@@ -232,6 +233,29 @@ class TestGravacTraining:
         assert all(r.choice == "dense" for r in adaptive.trace)
         assert np.array_equal(dense.weights, adaptive.weights)
         assert np.array_equal(dense.trace.column("loss"), adaptive.trace.column("loss"))
+
+
+class TestMemory:
+    def test_dense_sends_hold_no_dead_vectors(self):
+        # incompressible noise under Redsync at eps 0.5: every send is dense,
+        # so both compression stages run, every residual is cleared and the
+        # sent views are the raw gradients. In gradient sizes (4M bytes) the
+        # peak is 12.9: the weights and the optimizer buffer (2 each), the
+        # gradients (4), the float64 sum (2), the new and the previous update
+        # (1 each). While zero residuals still owned buffers it was 20.9
+        size, workers = 200_000, 4
+        task = QuadraticBowl(size=size, noise_std=0.1)
+        opt = OptimizerState(weights=np.zeros(1), lr=0.1)
+        tracemalloc.start()
+        try:
+            result = run_training(task, opt, CostModelParams(workers=workers), "gravac", 5,
+                                  seed=1, controller_config=ControllerConfig(epsilon=0.5),
+                                  compressor=CompressorKind("redsync"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert set(result.trace.column("choice")) == {"dense"}
+        assert peak <= 13 * 4 * size
 
 
 class TestRunTraceIo:
