@@ -50,6 +50,8 @@ CASES = {
     "quad-n4-gravac-topk-eps0.7": dict(QUAD, mode="gravac", **{
         "compressor.kind": "topk", "cost.workers": "4", "controller.epsilon": "0.7"}),
     "mlp-n4-gravac-topk": MLP,
+    # 300 evaluation samples end in a partial block of the blocked evaluation
+    "mlp-n4-gravac-topk-eval300": dict(MLP, eval_samples="300"),
     "quad-n4-gravac-vanished": dict(QUAD, mode="gravac", **{
         "task.init_offset": "0", "task.noise_std": "0", "cost.workers": "4"}),
     # a vector large enough that Redsync's bisection runs many rounds
@@ -80,6 +82,8 @@ GOLDEN = {
     "quad-n8-static-cf-redsync": "b7887e6d18ee3f63faaf7be48e720fecdf67b3cae3b1c9b49231fdf39a38edb3",
     "quad-n8-static-cf-randomk": "195644c34a4e485dcebeaec03add4af8464c82eb7284f84eaff9711a72043782",
     "mlp-n4-gravac-topk": "745d017a2b0fb20d8fc739f96456f15bdd36016cbc5807c0f9898497049ddb33",
+    "mlp-n4-gravac-topk-eval300":
+        "19197cfabd3ca599875c0ba84693f184c285ba980ee21fcb28fd389ddb929454",
     "quad-n4-gravac-vanished": "ae1f9f56d44a7efd4db5edf0e8125d25edf109df3a25f2629f34be20a37b56cd",
     "quad-m20k-b1-gravac-dgc": "2e531e685d1ade48a6a49a02616b36e39850af792510a4edf428d825a228aee7",
     "quad-m20k-b1-gravac-redsync": "603e4bf0f3a9cf95330d92ab1544e60b6818d018729a95bdf73f060865b28d80",
