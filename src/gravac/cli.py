@@ -98,7 +98,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config_flags(p_run)
     p_run.set_defaults(func=_cmd_run)
 
-    p_cmp = sub.add_parser("compare", help="compare two run traces")
+    p_cmp = sub.add_parser("compare", help="compare two run traces: time, volume and "
+                           "final_loss_delta (A's final loss minus B's)")
     p_cmp.add_argument("trace_a")
     p_cmp.add_argument("trace_b")
     p_cmp.add_argument("--target", type=float, default=None,

@@ -4,7 +4,8 @@ A run is fully described by a flat config (dotted keys for nesting) plus
 CLI overrides. Outputs per run: ``trace.jsonl`` (one record per iteration),
 ``summary.json`` (totals recomputable from the trace), ``kde.csv`` and
 ``cf_histogram.csv``. All outputs are byte-deterministic given the seed;
-wall-clock never enters them.
+wall-clock never enters them. They are written to a temp dir next to the
+output dir and moved into place, so a failed write leaves the old outputs.
 """
 
 from __future__ import annotations
@@ -12,6 +13,8 @@ from __future__ import annotations
 import json
 import math
 import os
+import shutil
+import tempfile
 from dataclasses import astuple, dataclass, fields
 from typing import Callable, Mapping
 
@@ -254,22 +257,8 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> dict:
         eval_samples=cfg.eval_samples,
     )
     trace = result.trace
-
-    os.makedirs(out, exist_ok=True)
-    trace_path = os.path.join(out, "trace.jsonl")
-    with open(trace_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(trace.to_jsonl())
-
     high = math.log10(cfg.controller_theta_max) if cfg.mode == GRAVAC else None
-    with open(os.path.join(out, "kde.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(kde_csv(trace, KDE_BANDWIDTH, high))
-
     histogram = cf_histogram(trace)
-    with open(os.path.join(out, "cf_histogram.csv"), "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("cf,count\n")
-        for cf, count in histogram.items():
-            fh.write(f"{cf!r},{count}\n")
-
     summary = {
         "mode": cfg.mode,
         "iterations": len(trace),
@@ -286,10 +275,33 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> dict:
     if baseline is not None:
         summary.update({ratio: baseline[key] / summary[key]
                         for key, ratio in _BASELINE_RATIOS.items() if summary[key] > 0})
-    with open(os.path.join(out, "summary.json"), "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(summary, fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_outputs(out, {
+        "trace.jsonl": trace.to_jsonl(),
+        "kde.csv": kde_csv(trace, KDE_BANDWIDTH, high),
+        "cf_histogram.csv": "cf,count\n" + "".join(f"{cf!r},{count}\n"
+                                                   for cf, count in histogram.items()),
+        "summary.json": json.dumps(summary, indent=2, sort_keys=True) + "\n",
+    })
     return summary
+
+
+def _write_outputs(out: str, texts: Mapping[str, str]) -> None:
+    """Write each file into a temp dir next to ``out``, then move them all in.
+
+    A write that fails leaves ``out`` as it was, so it never holds a new
+    trace without its summary. The files move in dict order; the caller
+    lists the summary last.
+    """
+    os.makedirs(out, exist_ok=True)
+    staging = tempfile.mkdtemp(prefix=".staging-", dir=os.path.dirname(os.path.abspath(out)))
+    try:
+        for name, text in texts.items():
+            with open(os.path.join(staging, name), "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        for name in texts:
+            os.replace(os.path.join(staging, name), os.path.join(out, name))
+    finally:
+        shutil.rmtree(staging, ignore_errors=True)
 
 
 def kde_csv(trace: RunTrace, bandwidth: float, high: float | None = None) -> str:
@@ -345,7 +357,7 @@ def _time_to_target(trace: RunTrace, target: float | None) -> float:
 
 
 def compare_runs(trace_a, trace_b, target: float | None = None) -> dict:
-    """A-over-B ratios of simulated time and volume plus final-metric delta.
+    """A-over-B ratios of simulated time and volume plus the final-loss difference A - B.
 
     Finite trace values can still overflow once summed or subtracted; such a
     report is rejected with a ValueError naming the fields.
@@ -366,7 +378,7 @@ def compare_runs(trace_a, trace_b, target: float | None = None) -> dict:
     report["time_ratio"] = report["time_a"] / report["time_b"]
     report["floats_ratio"] = report["floats_a"] / report["floats_b"]
     report["words_ratio"] = a.total("words_sent") / b.total("words_sent")
-    report["final_metric_delta"] = report["final_loss_a"] - report["final_loss_b"]
+    report["final_loss_delta"] = report["final_loss_a"] - report["final_loss_b"]
     bad = [key for key, value in report.items() if not math.isfinite(value)]
     if bad:
         raise ValueError(f"comparison overflows: {', '.join(bad)} not finite")

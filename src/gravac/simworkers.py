@@ -215,6 +215,8 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
         raise ValueError("gravac mode requires a controller config")
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
+    if eval_samples < 1:
+        raise ValueError(f"eval_samples must be >= 1, got {eval_samples}")
 
     root = SeededRng(seed)
     data_rng = root.split(_RNG_DATA)

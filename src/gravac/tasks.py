@@ -5,6 +5,13 @@ known optimum, and a small tanh MLP classifying two Gaussian blobs. Both
 produce analytic gradients (no autodiff) and are fully deterministic given
 the rng streams they are handed. ``gradients`` returns every worker's
 gradient and loss for one iteration; ``gradient`` draws one worker's.
+
+Memory follows the training working set. The MLP evaluates its samples in
+blocks of ``EVAL_BLOCK`` rows: it draws every label first, then each
+block's features from the same generator, so the stream and the logits
+equal one full-batch draw and forward. A quadratic built without
+``curvature`` or ``w_star`` stores them as read-only stride-0 views that
+own no buffer.
 """
 
 from __future__ import annotations
@@ -24,6 +31,9 @@ _BATCH = 0
 _MEANS = 1
 _INIT = 2
 _EVAL = 3
+
+# rows per forward of the MLP evaluation; bounds its feature block
+EVAL_BLOCK = 256
 
 
 @dataclass
@@ -52,13 +62,13 @@ class QuadraticBowl:
         if not self.noise_std >= 0:
             raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
         if self.curvature is None:
-            self.curvature = np.ones(self.size, dtype=np.float64)
+            self.curvature = np.broadcast_to(np.float64(1), (self.size,))
         else:
             self.curvature = np.asarray(self.curvature, dtype=np.float64)
             if self.curvature.shape != (self.size,) or not np.all(self.curvature > 0):
                 raise ValueError("curvature must be positive and match task size")
         if self.w_star is None:
-            self.w_star = np.zeros(self.size, dtype=np.float64)
+            self.w_star = np.broadcast_to(np.float64(0), (self.size,))
         else:
             self.w_star = np.asarray(self.w_star, dtype=np.float64)
             if self.w_star.shape != (self.size,):
@@ -205,10 +215,14 @@ class SyntheticMlp:
 
     def sample_batch(self, gen: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         labels = gen.integers(0, 2, size=n)
-        x = gen.standard_normal((n, self.widths[0]))
+        return self._features(gen, labels), labels
+
+    def _features(self, gen: np.random.Generator, labels: np.ndarray) -> np.ndarray:
+        """One feature row per label: scaled noise around the label's class mean."""
+        x = gen.standard_normal((len(labels), self.widths[0]))
         x *= self._sigma
         x += self._means[labels]
-        return x, labels
+        return x
 
     def _forward(self, w: np.ndarray, x: np.ndarray):
         layers = self._unpack(np.asarray(w, dtype=np.float64))
@@ -266,8 +280,11 @@ class SyntheticMlp:
 
     def evaluate(self, w: np.ndarray, rng: SeededRng, n_samples: int) -> dict:
         gen = rng.split(_EVAL).generator
-        x, labels = self.sample_batch(gen, n_samples)
-        logits, _, _ = self._forward(w, x)
+        labels = gen.integers(0, 2, size=n_samples)
+        logits = np.empty((n_samples, 2))
+        for start in range(0, n_samples, EVAL_BLOCK):
+            rows = slice(start, start + EVAL_BLOCK)
+            logits[rows] = self._forward(w, self._features(gen, labels[rows]))[0]
         accuracy = float(np.mean(np.argmax(logits, axis=1) == labels))
         return {"accuracy": accuracy, "loss": _cross_entropy(logits, labels)}
 

@@ -206,6 +206,33 @@ class TestRunExperiment:
             blobs.append((tmp_path / name / "trace.jsonl").read_bytes())
         assert blobs[0] == blobs[1]
 
+    def test_failed_summary_write_leaves_no_new_trace(self, tmp_path, monkeypatch):
+        # the trace used to be written into out before the summary was
+        out = tmp_path / "run"
+        real_open = open
+
+        def failing_open(path, *args, **kwargs):
+            if os.path.basename(path) == "summary.json":
+                raise OSError("disk full")
+            return real_open(path, *args, **kwargs)
+
+        monkeypatch.setattr("builtins.open", failing_open)
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(quad_config(mode="dense", out=str(out)))
+        monkeypatch.undo()
+        assert not (out / "trace.jsonl").exists()
+        assert os.listdir(tmp_path) in ([], ["run"])
+
+    def test_rerun_replaces_every_output(self, tmp_path):
+        names = ("trace.jsonl", "summary.json", "kde.csv", "cf_histogram.csv")
+        run_experiment(quad_config(mode="dense", iters=3, out=str(tmp_path / "run")))
+        run_experiment(quad_config(mode="gravac", out=str(tmp_path / "run")))
+        run_experiment(quad_config(mode="gravac", out=str(tmp_path / "fresh")))
+        for name in names:
+            assert (tmp_path / "run" / name).read_bytes() == \
+                (tmp_path / "fresh" / name).read_bytes()
+        assert sorted(os.listdir(tmp_path)) == ["fresh", "run"]
+
     def test_missing_out_dir_rejected(self):
         with pytest.raises(ConfigError, match="out"):
             run_experiment(quad_config(mode="dense"))
@@ -219,7 +246,7 @@ class TestCompareRuns:
         report = compare_runs(trace, trace)
         assert report["time_ratio"] == 1.0
         assert report["floats_ratio"] == 1.0
-        assert report["final_metric_delta"] == 0.0
+        assert report["final_loss_delta"] == 0.0
 
     def test_dense_vs_static_float_ratio(self, tmp_path):
         run_experiment(quad_config(mode="dense", out=str(tmp_path / "dense")))
@@ -463,7 +490,7 @@ class TestCli:
     @pytest.mark.parametrize("a_edit, b_edit, named", [
         ({"t_iter": 1.7e308}, {}, "time_a, time_ratio"),
         ({}, {"t_iter": 1.7e308}, "time_b"),
-        ({"loss": 1e308}, {"loss": -1e308}, "final_metric_delta")])
+        ({"loss": 1e308}, {"loss": -1e308}, "final_loss_delta")])
     def test_compare_overflowing_report_exits_two(self, tmp_path, capsys, a_edit, b_edit,
                                                   named):
         good, _ = self.rewritten_trace(tmp_path, capsys, dict)

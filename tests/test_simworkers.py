@@ -11,7 +11,7 @@ from gravac.costmodel import CostModelParams
 from gravac.gradcore import GradientVector
 from gravac.simworkers import (DivergenceError, IterationRecord, OptimizerState,
                                RunTrace, run_training, sgd_update)
-from gravac.tasks import QuadraticBowl
+from gravac.tasks import QuadraticBowl, SyntheticMlp
 
 TOPK = CompressorKind("topk")
 
@@ -105,6 +105,15 @@ class TestDenseTraining:
         task, opt, cost = quadratic_setup(size=8, lr=5.0)  # lr*c = 5 >> 2
         with pytest.raises(DivergenceError):
             run_training(task, opt, cost, "dense", 200, seed=0)
+
+    def test_rejects_empty_evaluation_before_training(self):
+        # it used to train, then average over no samples and report accuracy nan
+        task = SyntheticMlp(widths=(8, 4, 2))
+        task.gradients = None  # training would call it
+        opt = OptimizerState(weights=np.zeros(1), lr=0.1)
+        with pytest.raises(ValueError, match="eval_samples"):
+            run_training(task, opt, CostModelParams(workers=2), "dense", 2, seed=0,
+                         eval_samples=0)
 
     def test_lr_decay_schedule_applied(self):
         task, opt, cost = quadratic_setup(size=8, lr=0.4)

@@ -1,10 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from gravac.gradcore import GradientVector, SeededRng
-from gravac.tasks import QuadraticBowl, SyntheticMlp
+from gravac.tasks import _EVAL, QuadraticBowl, SyntheticMlp, _cross_entropy
 
 
 def per_worker_quadratic_gradient(task, w, worker, iteration, rng):
@@ -15,6 +16,16 @@ def per_worker_quadratic_gradient(task, w, worker, iteration, rng):
         scale = np.float32(task.noise_std / np.sqrt(task.batch_size))
         grad = gen.standard_normal(task.size, dtype=np.float32) * scale + grad
     return GradientVector(grad), task.loss(w)
+
+
+def full_batch_evaluation(task, w, rng, n_samples):
+    """The MLP evaluation as one draw and one forward: all labels, then all features."""
+    gen = rng.split(_EVAL).generator
+    labels = gen.integers(0, 2, size=n_samples)
+    x = gen.standard_normal((n_samples, task.widths[0])) * task._sigma + task._means[labels]
+    logits = task._forward(w, x)[0]
+    return {"accuracy": float(np.mean(np.argmax(logits, axis=1) == labels)),
+            "loss": _cross_entropy(logits, labels)}
 
 
 class TestQuadraticBowl:
@@ -108,6 +119,21 @@ class TestQuadraticBowl:
         with pytest.raises(ValueError):
             QuadraticBowl(size=2, curvature=np.array([1.0, np.nan]))
 
+    def test_default_constants_are_views_that_change_no_result(self):
+        size = 20_000
+        default = QuadraticBowl(size=size, noise_std=0.3)
+        explicit = QuadraticBowl(size=size, noise_std=0.3, curvature=np.ones(size),
+                                 w_star=np.zeros(size))
+        for const in (default.curvature, default.w_star):
+            assert const.strides == (0,) and not const.flags.writeable
+        assert default.initial_weights(None).tobytes() == explicit.initial_weights(None).tobytes()
+        w = np.random.default_rng(3).standard_normal(size)
+        assert default.loss(w) == explicit.loss(w)
+        grads, losses = default.gradients(w, 2, 5, SeededRng(7))
+        ref_grads, ref_losses = explicit.gradients(w, 2, 5, SeededRng(7))
+        assert [g.values.tobytes() for g in grads] == [g.values.tobytes() for g in ref_grads]
+        assert losses == ref_losses
+
     @pytest.mark.parametrize("noise_std", [-0.1, np.nan])
     def test_rejects_negative_or_nan_noise(self, noise_std):
         with pytest.raises(ValueError, match="noise_std"):
@@ -171,6 +197,27 @@ class TestSyntheticMlp:
         out = task.evaluate(w, SeededRng(2), n_samples=256)
         assert set(out) == {"accuracy", "loss"}
         assert 0.0 <= out["accuracy"] <= 1.0
+
+    @pytest.mark.parametrize("widths,n_samples", [
+        *(((8, 12, 6, 2), n) for n in (1, 255, 256, 257, 2048)), ((1024, 16, 2), 600)])
+    def test_blocked_evaluation_equals_one_full_batch(self, widths, n_samples):
+        task = SyntheticMlp(widths=widths, blob_spread=2.0, feature_decades=3.0)
+        w = task.initial_weights(SeededRng(1))
+        out = task.evaluate(w, SeededRng(2), n_samples)
+        assert out == full_batch_evaluation(task, w, SeededRng(2), n_samples)
+
+    def test_evaluation_memory_is_bounded_by_its_block(self):
+        # one full batch of 2048 x 1024 float64 features and its class-mean
+        # temporary peaked at 32 MiB; a block of rows needs about 4 MiB
+        task = SyntheticMlp(widths=(1024, 8, 2))
+        w = task.initial_weights(SeededRng(1))
+        tracemalloc.start()
+        try:
+            task.evaluate(w, SeededRng(2), 2048)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 6 * 2**20
 
     def test_rejects_non_binary_output(self):
         with pytest.raises(ValueError):
