@@ -12,7 +12,7 @@ from .gradcore import GradientVector, SeededRng, ewma_lambda_from_workers, squar
 from .harness import (ConfigError, RunConfig, compare_runs, parse_config,
                       run_experiment, serialize_config)
 from .kdestats import cf_histogram, cf_usage_samples, default_grid, gaussian_kde
-from .metrics import GainTracker, ThroughputTable, compression_gain, update_step
+from .metrics import GainTracker, compression_gain
 from .simworkers import (DivergenceError, IterationRecord, OptimizerState,
                          RunTrace, TrainingResult, run_training, sgd_update)
 from .tasks import QuadraticBowl, SyntheticMlp

@@ -8,13 +8,14 @@ boundary the step factor advances along a scaling policy, the minimum CF
 escalates when both gains agree within tolerance, and the search freezes on
 an ideal CF once the top two compression throughputs saturate.
 
-``send`` -- error feedback, volume and modeled-time accounting, throughput
-update -- ends every training step, adaptive, static-CF and dense alike.
+``send`` -- error feedback, volume, modeled-time and throughput
+accounting -- ends every training step, adaptive, static-CF and dense alike.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
+from dataclasses import dataclass, field
 from typing import Sequence
 
 from .compressors import CompressorKind, SparseGradient, compress, compress_further
@@ -23,7 +24,7 @@ from .costmodel import (CostModelParams, allreduce_time, dense_message_words,
 from .feedback import apply_feedback, clear_residual, update_residual
 from .gradcore import (GradientVector, SeededRng, ewma_lambda_from_workers,
                        squared_l2_norm)
-from .metrics import GainTracker, ThroughputTable, mean_gain, update_step
+from .metrics import GainTracker, mean_gain
 
 EXPONENTIAL = "exponential"
 GEOMETRIC = "geometric"
@@ -111,21 +112,18 @@ class ControllerState:
 
     config: ControllerConfig
     gains: GainTracker
-    table: ThroughputTable
     theta_min: float
     theta_s: float = 1.0
     step: int = 0
     # set once the search freezes; the candidate CF stays fixed from then on
     theta_ideal: float | None = None
-    # set when the saturation rule picked the CF with the *larger* throughput
-    # rank but the *higher* CF value; logged, never acted on
-    saturation_picked_higher_cf: bool = False
+    # CF -> compression throughput of its latest send
+    throughput: dict[float, float] = field(default_factory=dict)
 
     @classmethod
     def fresh(cls, config: ControllerConfig, workers: int) -> "ControllerState":
         lam = ewma_lambda_from_workers(workers)
-        return cls(config=config, gains=GainTracker(lam), table=ThroughputTable(),
-                   theta_min=config.theta_min)
+        return cls(config=config, gains=GainTracker(lam), theta_min=config.theta_min)
 
     @property
     def candidate_cf(self) -> float:
@@ -156,13 +154,12 @@ def check_gravac(state: ControllerState, iteration: int,
     state.step += 1
     state.theta_s = scaling_policy(cfg.policy, state.step, state.theta_min, cfg.theta_max)
 
-    top = state.table.top_two()
-    if top is not None:
-        (cf_first, v_first), (cf_second, v_second) = top
+    # an exact tie ranks the higher CF first, so the freeze takes the lower
+    ranked = sorted(state.throughput.items(), key=lambda kv: (-kv[1], -kv[0]))
+    if len(ranked) >= 2:
+        (_, v_first), (cf_second, v_second) = ranked[:2]
         if v_second > 0 and abs(v_first - v_second) / v_second <= cfg.omega:
             state.theta_ideal = cf_second
-            if cf_second > cf_first:
-                state.saturation_picked_higher_cf = True
             state.theta_s = max(1.0, state.theta_ideal / state.theta_min)
     return state
 
@@ -176,6 +173,8 @@ class IterationResult:
     t_compress: float
     t_sync: float
     t_iter: float
+    tsys: float
+    tcomp: float
     floats_sent: int
     words_sent: int
     candidate_cf: float
@@ -183,15 +182,15 @@ class IterationResult:
 
 
 def send(decision: CfDecision, gradients, parts, residuals, t_compress: float,
-         table: ThroughputTable, cost: CostModelParams, batch_size: int,
+         cost: CostModelParams, batch_size: int,
          theta_min: float, candidate_cf: float) -> IterationResult:
     """Communicate one view of the per-worker gradients and account for it.
 
     ``parts`` are the compressed views sent instead of ``gradients``, or
     None for a dense send of ``gradients`` themselves. A compressed send
     leaves its dropped mass in the residuals; a dense send clears them.
-    Charges modeled sync and iteration time and records the throughput of
-    ``decision.cf``. Volume counters are per worker.
+    Charges modeled sync and iteration time; ``tsys`` = N*b/t_iter and
+    ``tcomp`` = tsys * gain. Volume counters are per worker.
     """
     if parts is None:
         for residual in residuals:
@@ -206,9 +205,13 @@ def send(decision: CfDecision, gradients, parts, residuals, t_compress: float,
         words = sparse_message_words(parts[0])
     t_sync = allreduce_time(words, cost)
     t_iter = iteration_time(cost.t_compute, t_compress, t_sync)
-    update_step(table, decision.cf, decision.gain, t_iter, cost.workers, batch_size)
-    return IterationResult(sent, decision, t_compress, t_sync, t_iter, floats, words,
-                           candidate_cf, theta_min)
+    if not (0.0 < t_iter < math.inf):
+        raise ValueError(f"iteration time must be positive, got {t_iter}")
+    if not (0.0 < decision.gain <= 1.0):
+        raise ValueError(f"gain must be in (0, 1], got {decision.gain}")
+    tsys = cost.workers * batch_size / t_iter
+    return IterationResult(sent, decision, t_compress, t_sync, t_iter, tsys,
+                           tsys * decision.gain, floats, words, candidate_cf, theta_min)
 
 
 def compress_workers(stage, compressor: CompressorKind, views: Sequence, cf: float,
@@ -263,7 +266,8 @@ def run_iteration(state: ControllerState, i: int, compressor: CompressorKind,
                              candidate_cf=candidate_cf, minimum_cf=theta_min)
         parts = {CANDIDATE: g_cs, MINIMUM: g_mins}.get(decision.choice)
 
-    result = send(decision, g_efs, parts, residuals, t_compress, state.table, cost,
-                  batch_size, theta_min, candidate_cf)
+    result = send(decision, g_efs, parts, residuals, t_compress, cost, batch_size,
+                  theta_min, candidate_cf)
+    state.throughput[decision.cf] = result.tcomp
     check_gravac(state, i, delta_min, delta_c)
     return result

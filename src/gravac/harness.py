@@ -242,6 +242,11 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> dict:
     out = out_dir or cfg.out
     if not out:
         raise ConfigError("out: output directory required (flag --out or key out)")
+    existing = os.path.abspath(out)  # out, or the nearest ancestor that exists
+    while not os.path.lexists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing):
+        raise ConfigError(f"out: {existing} is not a directory")
     baseline = _load_baseline(cfg.baseline) if cfg.baseline else None
     task = cfg.build_task()
     result = run_training(

@@ -1,4 +1,4 @@
-"""Compression gain and throughput bookkeeping.
+"""Compression gain and its per-CF smoothing.
 
 Compression gain is the squared-norm ratio of a compressed gradient to the
 error-feedback-adjusted gradient it came from: close to 1 when the kept
@@ -65,40 +65,4 @@ class GainTracker:
         """The smoothed gain of ``cf``; None before its first observation."""
         cf = float(cf)
         return 1.0 if cf == 1.0 else self._smoothed.get(cf)
-
-
-class ThroughputTable:
-    """Latest system and compression throughput per CF (overwrite on update)."""
-
-    def __init__(self):
-        self.t_sys: dict[float, float] = {}
-        self.t_compress: dict[float, float] = {}
-
-    def top_two(self):
-        """The two largest compression-throughput entries as ((cf, v), (cf, v)).
-
-        Sorted by value descending; equal values order by CF descending so
-        the second (the one the saturation rule picks) is the lower CF.
-        Returns None with fewer than two entries.
-        """
-        if len(self.t_compress) < 2:
-            return None
-        ranked = sorted(self.t_compress.items(), key=lambda kv: (-kv[1], -kv[0]))
-        return ranked[0], ranked[1]
-
-
-def update_step(table: ThroughputTable, cf: float, gain: float, t_iter: float,
-                workers: int, batch_size: int) -> ThroughputTable:
-    """Record system throughput N*b/t_iter and compression throughput for cf."""
-    if t_iter <= 0.0 or not math.isfinite(t_iter):
-        raise ValueError(f"iteration time must be positive, got {t_iter}")
-    if not (0.0 < gain <= 1.0):
-        raise ValueError(f"gain must be in (0, 1], got {gain}")
-    if cf < 1.0:
-        raise ValueError(f"compression factor must be >= 1, got {cf}")
-    t_sys = workers * batch_size / t_iter
-    cf = float(cf)
-    table.t_sys[cf] = t_sys
-    table.t_compress[cf] = t_sys * gain
-    return table
 

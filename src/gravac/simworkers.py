@@ -21,7 +21,7 @@ from .controller import (DENSE, CfDecision, ControllerConfig, ControllerState,
 from .costmodel import CostModelParams
 from .feedback import apply_feedback, zero_residual
 from .gradcore import GradientVector, SeededRng, ewma_lambda_from_workers, squared_l2_norm
-from .metrics import GainTracker, ThroughputTable, mean_gain
+from .metrics import GainTracker, mean_gain
 
 GRAVAC = "gravac"
 STATIC = "static-cf"
@@ -233,13 +233,11 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
     residuals = [zero_residual(length) for _ in range(n_workers)] if mode != DENSE_MODE else []
     if mode == GRAVAC:
         state = ControllerState.fresh(controller_config, n_workers)
-        table = state.table
 
         def step(grads, i):
             return run_iteration(state, i, compressor, grads, residuals, cost, control_rng,
                                  batch_size)
     elif mode == STATIC:
-        table = ThroughputTable()
         gains = GainTracker(ewma_lambda_from_workers(n_workers))
         cf = float(static_cf)
 
@@ -250,13 +248,11 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
             ef_norms = [squared_l2_norm(g.values) for g in g_efs]
             delta = gains.observe(cf, mean_gain(parts, ef_norms)) if any(ef_norms) else 1.0
             return send(CfDecision(STATIC_CHOICE, cf, delta, delta, delta), g_efs, parts,
-                        residuals, t_compress, table, cost, batch_size, cf, cf)
+                        residuals, t_compress, cost, batch_size, cf, cf)
     else:
-        table = ThroughputTable()
-
         def step(grads, i):
             return send(CfDecision(DENSE, 1.0, 1.0, 1.0, 1.0), grads, None, residuals, 0.0,
-                        table, cost, batch_size, 1.0, 1.0)
+                        cost, batch_size, 1.0, 1.0)
 
     trace = RunTrace()
     initial_loss = None
@@ -287,7 +283,7 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
         trace.append(IterationRecord(
             iter=i, cf=float(d.cf), gain_min=d.delta_min, gain_c=d.delta_c,
             t_o=cost.t_compute, t_compress=result.t_compress, t_s=result.t_sync,
-            t_iter=result.t_iter, tsys=table.t_sys[d.cf], tcomp=table.t_compress[d.cf],
+            t_iter=result.t_iter, tsys=result.tsys, tcomp=result.tcomp,
             loss=loss, floats_sent=result.floats_sent, words_sent=result.words_sent,
             choice=d.choice, theta_min=result.theta_min))
         result = None  # the sends are aggregated: free them before the update allocates

@@ -22,8 +22,8 @@ latency hook). Everything else is written out here:
   compression throughputs are within omega;
 - the element-wise mean of the sent views and a momentum-SGD step.
 
-It never calls ``run_training``, ``run_iteration``, ``send``, ``check_gravac``
-or ``update_step``. ``tests/test_reference_sim.py`` checks that every trace
+It never calls ``run_training``, ``run_iteration``, ``send`` or
+``check_gravac``. ``tests/test_reference_sim.py`` checks that every trace
 row and the final weights equal ``run_training``'s exactly.
 """
 

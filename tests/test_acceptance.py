@@ -161,7 +161,7 @@ def test_criterion_5_controller_schedule_replay():
     cfg = ControllerConfig(theta_min=10.0, theta_max=2000.0, omega=0.01,
                            window=10, policy="geometric")
     state = ControllerState.fresh(cfg, workers=32)
-    state.table.t_compress = {1280.0: 1029.9, 2000.0: 1035.4}
+    state.throughput = {1280.0: 1029.9, 2000.0: 1035.4}
     check_gravac(state, 10, 0.95, 0.40)
     assert state.theta_ideal is not None and state.theta_ideal == 1280.0
     assert state.candidate_cf == 1280.0

@@ -4,13 +4,13 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from gravac.compressors import CompressorKind, aggregate_dense
-from gravac.controller import (CANDIDATE, DENSE, MINIMUM, POLICIES, ControllerConfig,
-                               ControllerState, check_gravac, run_iteration,
-                               scaling_policy, select_cf)
+from gravac.compressors import CompressorKind, aggregate_dense, compress
+from gravac.controller import (CANDIDATE, DENSE, MINIMUM, POLICIES, CfDecision,
+                               ControllerConfig, ControllerState, check_gravac,
+                               run_iteration, scaling_policy, select_cf, send)
 from gravac.costmodel import CostModelParams
+from gravac.feedback import zero_residual
 from gravac.gradcore import GradientVector, SeededRng
-from gravac.metrics import update_step
 
 TOPK = CompressorKind("topk")
 
@@ -99,24 +99,39 @@ class TestCheckGravac:
 
     def test_saturation_freeze_on_published_throughputs(self):
         state = make_state(window=10, theta_min=10.0, theta_max=2000.0, policy="geometric")
-        state.table.t_compress = {1280.0: 1029.9, 2000.0: 1035.4}
+        state.throughput = {1280.0: 1029.9, 2000.0: 1035.4}
         check_gravac(state, 10, 0.9, 0.5)
         assert state.theta_ideal is not None
         assert state.theta_ideal == 1280.0
         assert state.theta_s == 128.0
         assert state.candidate_cf == 1280.0
-        assert state.saturation_picked_higher_cf is False
+
+    def test_freeze_ranks_by_throughput(self):
+        # in insertion order the first two entries sit far apart; ranked,
+        # the top two (300 at CF 40, 250 at CF 160) are within omega
+        state = make_state(window=10, omega=0.25)
+        state.throughput = {10.0: 100.0, 40.0: 300.0, 160.0: 250.0}
+        check_gravac(state, 10, 0.9, 0.5)
+        assert state.theta_ideal == 160.0
+
+    @pytest.mark.parametrize("throughput", [{10.0: 100.0, 40.0: 100.0},
+                                            {40.0: 100.0, 10.0: 100.0}])
+    def test_exact_tie_freezes_on_lower_cf(self, throughput):
+        state = make_state(window=10)
+        state.throughput = throughput
+        check_gravac(state, 10, 0.9, 0.5)
+        assert state.theta_ideal == 10.0
 
     def test_no_freeze_when_gap_exceeds_omega(self):
         state = make_state(window=10)
-        state.table.t_compress = {10.0: 100.0, 20.0: 150.0}
+        state.throughput = {10.0: 100.0, 20.0: 150.0}
         check_gravac(state, 10, 0.9, 0.5)
         assert state.theta_ideal is None
         assert state.theta_s == 2.0
 
     def test_saturation_needs_two_entries(self):
         state = make_state(window=10)
-        state.table.t_compress = {10.0: 100.0}
+        state.throughput = {10.0: 100.0}
         check_gravac(state, 10, 0.9, 0.5)
         assert state.theta_ideal is None
 
@@ -128,14 +143,12 @@ class TestCheckGravac:
         assert state.step == 0 and state.theta_s == 4.0 and state.theta_min == 10.0
 
     def test_divergent_pick_is_flagged(self):
-        # second-largest value belongs to the *higher* CF: implemented as-is,
-        # logged for inspection
+        # second-largest value belongs to the *higher* CF: implemented as-is
         state = make_state(window=10)
-        state.table.t_compress = {40.0: 100.0, 10.0: 100.5}
+        state.throughput = {40.0: 100.0, 10.0: 100.5}
         check_gravac(state, 10, 0.9, 0.5)
         assert state.theta_ideal is not None
         assert state.theta_ideal == 40.0
-        assert state.saturation_picked_higher_cf is True
 
     def test_all_equal_gains_schedule_hand_computed(self):
         """With gains scripted identically the escalation fires every window;
@@ -247,10 +260,9 @@ class TestRunIteration:
     def test_freeze_pins_candidate_cf(self):
         state = make_state(epsilon=1e-9, window=2, theta_min=2.0, theta_max=64.0)
         cost = CostModelParams(workers=1)
-        # seed the table so its top two entries sit within omega and far above
+        # seed the throughputs so the top two sit within omega and far above
         # anything the run itself will record; the first boundary must freeze
-        update_step(state.table, 4.0, 0.9, 1e-9, 1, 1)
-        update_step(state.table, 8.0, 0.9 * 1.005, 1e-9, 1, 1)
+        state.throughput = {4.0: 1 / 1e-9 * 0.9, 8.0: 1 / 1e-9 * (0.9 * 1.005)}
         results = run_n(state, 20, cost, length=64)
         assert state.theta_ideal is not None
         assert state.theta_ideal == 4.0
@@ -273,6 +285,54 @@ class TestRunIteration:
         with pytest.raises(ValueError):
             run_iteration(state, 1, TOPK, grads, [GradientVector(np.zeros(8))], cost,
                           SeededRng(0))
+
+    def test_throughput_keeps_each_cfs_latest_send(self):
+        state = make_state(epsilon=0.6, window=3, theta_min=2.0, theta_max=64.0)
+        results = run_n(state, 30, CostModelParams(workers=2), length=256, workers=2)
+        latest = {}  # replay oracle: each CF's compression throughput at its last send
+        for r in results:
+            latest[r.decision.cf] = r.tcomp
+        assert state.throughput == latest
+        # some CF was sent at several throughputs, so overwriting is exercised
+        assert len({r.tcomp for r in results}) > len(latest) >= 2
+
+
+def sparse_send(gain, t_compute=1.0, workers=32, batch_size=32, cf=10.0):
+    """One send of top-k views at zero sync and compression time, so that
+    t_iter equals t_compute."""
+    cost = CostModelParams(alpha=0.0, beta=0.0, workers=workers, t_compute=t_compute)
+    g = GradientVector(np.arange(1.0, 65.0, dtype=np.float32))
+    part, _ = compress(TOPK, g, cf)
+    return send(CfDecision(CANDIDATE, cf, gain, gain, gain), [g] * workers, [part] * workers,
+                [zero_residual(64) for _ in range(workers)], 0.0, cost, batch_size, cf, cf)
+
+
+class TestSend:
+    def test_example_values(self):
+        r = sparse_send(1.0)
+        assert r.t_iter == 1.0
+        assert r.tsys == 1024.0
+        assert r.tcomp == 1024.0
+
+    def test_gain_scales_compression_throughput(self):
+        r = sparse_send(0.5)
+        assert r.tsys == 32 * 32 / r.t_iter
+        assert r.tcomp == pytest.approx(0.5 * r.tsys)
+
+    def test_compression_throughput_never_exceeds_system(self):
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            r = sparse_send(float(rng.uniform(0.01, 1.0)), float(rng.uniform(0.001, 10)),
+                            workers=4, cf=float(rng.uniform(1, 32)))
+            assert r.tsys == pytest.approx(4 * 32 / r.t_iter)
+            assert r.tcomp <= r.tsys + 1e-12
+
+    def test_invalid_inputs_rejected(self):
+        with pytest.raises(ValueError, match="iteration time must be positive, got 0.0"):
+            sparse_send(1.0, t_compute=0.0)
+        for gain in (0.0, 1.5):
+            with pytest.raises(ValueError, match=r"gain must be in \(0, 1\]"):
+                sparse_send(gain)
 
 
 class ControllerSchedule(RuleBasedStateMachine):
@@ -299,7 +359,7 @@ class ControllerSchedule(RuleBasedStateMachine):
     def record_send(self, send, gain, t_iter, workers):
         state = self.state
         cf = {DENSE: 1.0, MINIMUM: state.theta_min, CANDIDATE: state.candidate_cf}[send]
-        update_step(state.table, cf, gain, t_iter, workers, 1)
+        state.throughput[cf] = workers / t_iter * gain
 
     @rule(iterations=st.integers(1, 4),
           delta_min=st.none() | st.floats(0.0, 1.0), delta_c=st.none() | st.floats(0.0, 1.0))

@@ -237,6 +237,23 @@ class TestRunExperiment:
         with pytest.raises(ConfigError, match="out"):
             run_experiment(quad_config(mode="dense"))
 
+    # such an out used to fail with a FileExistsError or NotADirectoryError
+    # only after the whole run had trained
+    @pytest.mark.parametrize("below", ["", "sub/run"])
+    def test_out_that_cannot_be_a_directory_rejected_before_training(self, tmp_path,
+                                                                     monkeypatch, below):
+        def no_training(*args, **kwargs):
+            raise AssertionError("run_training was called")
+
+        monkeypatch.setattr("gravac.harness.run_training", no_training)
+        blocker = tmp_path / "file"
+        blocker.write_text("")
+        out = os.path.join(blocker, below) if below else str(blocker)
+        with pytest.raises(ConfigError) as raised:
+            run_experiment(quad_config(mode="dense", out=out))
+        assert str(raised.value) == f"out: {blocker} is not a directory"
+        assert os.listdir(tmp_path) == ["file"]
+
 
 class TestCompareRuns:
     def test_self_comparison_is_unity(self, tmp_path):
@@ -329,6 +346,26 @@ class TestCli:
         assert code == 3
         assert "iteration 1: a worker's gradient has non-finite entries" in \
             capsys.readouterr().err
+
+    @pytest.mark.parametrize("below", [(), ("sub", "run")])
+    def test_out_that_cannot_be_a_directory_exits_two(self, tmp_path, capsys, below):
+        (tmp_path / "file").write_text("")
+        assert main(self.run_args(tmp_path, os.path.join("file", *below))) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: out: {tmp_path / 'file'} is not a directory\n"
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == ["file"]
+
+    def test_zero_modeled_time_exits_two(self, tmp_path, capsys):
+        code = main(["run", "--mode", "dense", "--set", "task.kind=quadratic",
+                     "--set", "task.size=8", "--set", "cost.workers=1",
+                     "--set", "cost.t_compute=0", "--iters", "3",
+                     "--out", str(tmp_path / "run")])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == "error: iteration time must be positive, got 0.0\n"
+        assert captured.out == ""
+        assert os.listdir(tmp_path) == []
 
     def test_env_seed_override(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("GRAVAC_SEED", "777")

@@ -3,7 +3,7 @@ import pytest
 
 from gravac.compressors import CompressorKind, SparseGradient, compress, decompress
 from gravac.gradcore import GradientVector, SeededRng, squared_l2_norm
-from gravac.metrics import GainTracker, ThroughputTable, compression_gain, update_step
+from gravac.metrics import GainTracker, compression_gain
 
 TOPK = CompressorKind("topk")
 RANDOMK = CompressorKind("randomk")
@@ -89,52 +89,4 @@ class TestGainTracker:
         with pytest.raises(ValueError, match="non-finite"):
             tracker.observe(10.0, float("nan"))
         assert tracker.get(10.0) == 0.4
-
-
-class TestUpdateStep:
-    def test_example_values(self):
-        table = update_step(ThroughputTable(), 10.0, 1.0, 1.0, 32, 32)
-        assert table.t_sys[10.0] == 1024.0
-        assert table.t_compress[10.0] == 1024.0
-
-    def test_gain_scales_compression_throughput(self):
-        table = update_step(ThroughputTable(), 10.0, 0.5, 1.0, 32, 32)
-        assert table.t_compress[10.0] == pytest.approx(0.5 * table.t_sys[10.0])
-
-    def test_latest_value_wins(self):
-        table = ThroughputTable()
-        updates = [(10.0, 0.9, 2.0), (10.0, 0.8, 1.0), (10.0, 0.7, 4.0)]
-        # replay oracle: the table must hold exactly the last update's numbers
-        for cf, gain, t_iter in updates:
-            update_step(table, cf, gain, t_iter, 4, 8)
-        cf, gain, t_iter = updates[-1]
-        assert table.t_sys[10.0] == pytest.approx(4 * 8 / t_iter)
-        assert table.t_compress[10.0] == pytest.approx(4 * 8 / t_iter * gain)
-
-    def test_compression_throughput_never_exceeds_system(self):
-        rng = np.random.default_rng(5)
-        table = ThroughputTable()
-        for _ in range(100):
-            cf = float(rng.uniform(1, 100))
-            update_step(table, cf, float(rng.uniform(0.01, 1.0)),
-                        float(rng.uniform(0.001, 10)), 4, 32)
-        for cf in table.t_compress:
-            assert table.t_compress[cf] <= table.t_sys[cf] + 1e-12
-
-    def test_invalid_inputs_rejected(self):
-        with pytest.raises(ValueError):
-            update_step(ThroughputTable(), 10.0, 1.0, 0.0, 4, 32)
-        with pytest.raises(ValueError):
-            update_step(ThroughputTable(), 10.0, 1.5, 1.0, 4, 32)
-        with pytest.raises(ValueError):
-            update_step(ThroughputTable(), 0.5, 1.0, 1.0, 4, 32)
-
-    def test_top_two_ranking(self):
-        table = ThroughputTable()
-        table.t_compress = {10.0: 100.0, 40.0: 300.0, 160.0: 250.0}
-        (cf1, v1), (cf2, v2) = table.top_two()
-        assert (cf1, v1) == (40.0, 300.0)
-        assert (cf2, v2) == (160.0, 250.0)
-        table.t_compress = {10.0: 100.0}
-        assert table.top_two() is None
 
