@@ -31,6 +31,9 @@ KIND_NAMES = (TOPK, DGC, REDSYNC, RANDOMK)
 # (kind, input_length, kept) -> modeled seconds; cost model supplies this
 LatencyFn = Callable[["CompressorKind", int, int], float]
 
+# entries per float64 accumulator block in aggregation
+AGGREGATE_BLOCK = 1 << 16
+
 
 @dataclass(frozen=True)
 class CompressorKind:
@@ -113,11 +116,15 @@ def _exact_topk(mag: np.ndarray, k: int) -> np.ndarray:
 
 
 def _global_topup(mag: np.ndarray, chosen: np.ndarray, short: int) -> np.ndarray:
-    """Largest-magnitude positions outside ``chosen``, ties to lower index."""
-    mask = np.ones(mag.size, dtype=bool)
-    mask[chosen] = False
-    rest = np.flatnonzero(mask)
-    return rest[_exact_topk(mag[rest], short)]
+    """Largest-magnitude positions outside ``chosen``, ties to lower index.
+
+    Ranks a copy of ``mag`` with the chosen positions set to -1, below
+    every magnitude: ``short`` never exceeds the positions left, so none
+    of them is picked.
+    """
+    rest = mag.copy()
+    rest[chosen] = -1
+    return _exact_topk(rest, short)
 
 
 def _dgc_pick(mag: np.ndarray, k: int, kind: CompressorKind, rng: SeededRng | None) -> np.ndarray:
@@ -227,6 +234,21 @@ def decompress(s: SparseGradient) -> GradientVector:
     return GradientVector(dense)
 
 
+def _blocked_mean(m: int, n_parts: int, add_parts) -> GradientVector:
+    """float32 mean over parts, summed in float64 one block of entries at a
+    time: ``add_parts(acc, start)`` adds every part's entries in
+    [start, start + acc.size) to ``acc``. Only a block-sized accumulator is
+    alive, and each entry sees the same additions as a whole-vector sum.
+    """
+    out = np.empty(m, dtype=np.float32)
+    for start in range(0, m, AGGREGATE_BLOCK):
+        acc = np.zeros(min(AGGREGATE_BLOCK, m - start), dtype=np.float64)
+        add_parts(acc, start)
+        acc /= n_parts
+        out[start:start + acc.size] = acc
+    return GradientVector(out)
+
+
 def aggregate(parts: Sequence[SparseGradient]) -> GradientVector:
     """Element-wise mean of densified parts (the 1/N allreduce scaling).
 
@@ -236,13 +258,20 @@ def aggregate(parts: Sequence[SparseGradient]) -> GradientVector:
     if not parts:
         raise ValueError("aggregate of zero parts")
     m = parts[0].original_length
-    acc = np.zeros(m, dtype=np.float64)
     for p in parts:
         if p.original_length != m:
             raise ValueError(f"length mismatch in aggregate: {p.original_length} != {m}")
-        acc[p.indices.astype(np.int64)] += p.vals.astype(np.float64)
-    acc /= len(parts)
-    return GradientVector(acc.astype(np.float32))
+    starts = np.arange(0, m + AGGREGATE_BLOCK, AGGREGATE_BLOCK)
+    # each part's index range per block: its indices ascend
+    bounds = [np.searchsorted(p.indices, starts) for p in parts]
+
+    def add_parts(acc, start):
+        b = start // AGGREGATE_BLOCK
+        for p, at in zip(parts, bounds):
+            kept = slice(at[b], at[b + 1])
+            acc[p.indices[kept].astype(np.int64) - start] += p.vals[kept].astype(np.float64)
+
+    return _blocked_mean(m, len(parts), add_parts)
 
 
 def aggregate_dense(parts: Sequence[GradientVector]) -> GradientVector:
@@ -250,10 +279,12 @@ def aggregate_dense(parts: Sequence[GradientVector]) -> GradientVector:
     if not parts:
         raise ValueError("aggregate of zero parts")
     m = parts[0].length
-    acc = np.zeros(m, dtype=np.float64)
     for p in parts:
         if p.length != m:
             raise ValueError(f"length mismatch in aggregate: {p.length} != {m}")
-        acc += p.values
-    acc /= len(parts)
-    return GradientVector(acc.astype(np.float32))
+
+    def add_parts(acc, start):
+        for p in parts:
+            acc += p.values[start:start + acc.size]
+
+    return _blocked_mean(m, len(parts), add_parts)

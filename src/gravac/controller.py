@@ -21,7 +21,7 @@ from typing import Sequence
 from .compressors import CompressorKind, SparseGradient, compress, compress_further
 from .costmodel import (CostModelParams, allreduce_time, dense_message_words,
                         iteration_time, sparse_message_words)
-from .feedback import apply_feedback, clear_residual, update_residual
+from .feedback import clear_residual, update_residual
 from .gradcore import (GradientVector, SeededRng, ewma_lambda_from_workers,
                        squared_l2_norm)
 from .metrics import GainTracker, mean_gain
@@ -188,7 +188,8 @@ def send(decision: CfDecision, gradients, parts, residuals, t_compress: float,
 
     ``parts`` are the compressed views sent instead of ``gradients``, or
     None for a dense send of ``gradients`` themselves. A compressed send
-    leaves its dropped mass in the residuals; a dense send clears them.
+    leaves its dropped mass in the residuals, which take the gradients'
+    buffers over; a dense send clears them.
     Charges modeled sync and iteration time; ``tsys`` = N*b/t_iter and
     ``tcomp`` = tsys * gain. Volume counters are per worker.
     """
@@ -230,23 +231,24 @@ def compress_workers(stage, compressor: CompressorKind, views: Sequence, cf: flo
 
 
 def run_iteration(state: ControllerState, i: int, compressor: CompressorKind,
-                  gradients: list[GradientVector], residuals: list[GradientVector],
+                  g_efs: list[GradientVector], residuals: list[GradientVector],
                   cost: CostModelParams, rng: SeededRng,
                   batch_size: int = 1) -> IterationResult:
-    """Adaptive step ``i`` (1-based) over per-worker gradients.
+    """Adaptive step ``i`` (1-based) over per-worker error-feedback gradients.
 
-    ``gradients`` and ``residuals`` are equal-length worker-ascending lists.
-    Mutates the controller state and the residuals in place. Volume
-    counters are per worker.
+    ``g_efs`` are the gradients with their residuals already folded in
+    (``apply_feedback``); ``g_efs`` and ``residuals`` are equal-length
+    worker-ascending lists. Mutates the controller state and the residuals
+    in place; a compressed send hands each residual its ``g_efs`` buffer.
+    Volume counters are per worker.
     """
     cfg = state.config
-    if len(gradients) != len(residuals):
-        raise ValueError(f"{len(gradients)} gradients for {len(residuals)} residuals")
+    if len(g_efs) != len(residuals):
+        raise ValueError(f"{len(g_efs)} gradients for {len(residuals)} residuals")
 
     theta_min = state.theta_min
     candidate_cf = state.candidate_cf
 
-    g_efs = [apply_feedback(g, r) for g, r in zip(gradients, residuals)]
     ef_norms = [squared_l2_norm(g.values) for g in g_efs]
 
     if all(n == 0.0 for n in ef_norms):

@@ -229,7 +229,8 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
     opt = replace(optimizer, weights=np.array(
         task.initial_weights(root.split(_RNG_INIT)), dtype=np.float64))
 
-    # each mode is one step policy: per-worker gradients in, IterationResult out
+    # each mode is one step policy: per-worker gradients in (with their
+    # residuals folded in, outside dense mode), IterationResult out
     residuals = [zero_residual(length) for _ in range(n_workers)] if mode != DENSE_MODE else []
     if mode == GRAVAC:
         state = ControllerState.fresh(controller_config, n_workers)
@@ -241,8 +242,7 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
         gains = GainTracker(ewma_lambda_from_workers(n_workers))
         cf = float(static_cf)
 
-        def step(grads, i):
-            g_efs = [apply_feedback(g, r) for g, r in zip(grads, residuals)]
+        def step(g_efs, i):
             parts, t_compress = compress_workers(compress, compressor, g_efs, static_cf,
                                                  control_rng, cost, i)
             ef_norms = [squared_l2_norm(g.values) for g in g_efs]
@@ -262,7 +262,14 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
         if i in decay_points:
             opt.lr = opt.lr / opt.lr_decay_factor
 
-        grads, losses = task.gradients(opt.weights, n_workers, i, data_rng)
+        # each gradient is folded into its residual as it is drawn, so at
+        # most one raw gradient is alive beside the workers' buffers
+        grads, losses, finite = [], [], True
+        for worker, (g, worker_loss) in enumerate(
+                task.gradients(opt.weights, n_workers, i, data_rng)):
+            finite = finite and bool(np.isfinite(g.values).all())
+            grads.append(apply_feedback(g, residuals[worker]) if residuals else g)
+            losses.append(worker_loss)
         loss = float(np.mean(losses))
         if initial_loss is None:
             initial_loss = loss
@@ -270,7 +277,7 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
             raise DivergenceError(
                 f"iteration {i}: loss {loss:.6g} exceeded {DIVERGENCE_FACTOR:.0e} x "
                 f"initial loss {initial_loss:.6g}")
-        if not all(np.isfinite(g.values).all() for g in grads):
+        if not finite:
             raise DivergenceError(f"iteration {i}: a worker's gradient has non-finite entries")
 
         result = step(grads, i)

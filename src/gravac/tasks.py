@@ -3,8 +3,9 @@
 Two tasks stand in for full DL workloads: a noisy diagonal quadratic with a
 known optimum, and a small tanh MLP classifying two Gaussian blobs. Both
 produce analytic gradients (no autodiff) and are fully deterministic given
-the rng streams they are handed. ``gradients`` returns every worker's
-gradient and loss for one iteration; ``gradient`` draws one worker's.
+the rng streams they are handed. ``gradients`` yields every worker's
+gradient and loss for one iteration, each drawn only when the caller asks
+for it; ``gradient`` draws one worker's.
 
 Memory follows the training working set. The MLP evaluates its samples in
 blocks of ``EVAL_BLOCK`` rows: it draws every label first, then each
@@ -17,6 +18,7 @@ own no buffer.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
@@ -121,12 +123,12 @@ class QuadraticBowl:
         return GradientVector(grad.copy()), loss
 
     def gradients(self, w: np.ndarray, workers: int, iteration: int,
-                  rng: SeededRng) -> tuple[list[GradientVector], list[float]]:
-        """Every worker's gradient and loss; the noiseless part is computed once."""
+                  rng: SeededRng) -> Iterator[tuple[GradientVector, float]]:
+        """Each worker's gradient and loss, in worker order; the noiseless
+        part is computed once."""
         noiseless = self._noiseless(w)
-        grads = [self.gradient(w, worker, iteration, rng, noiseless)[0]
-                 for worker in range(workers)]
-        return grads, [noiseless[1]] * workers
+        for worker in range(workers):
+            yield self.gradient(w, worker, iteration, rng, noiseless)
 
     def evaluate(self, w: np.ndarray, rng: SeededRng, n_samples: int) -> dict:
         del rng, n_samples
@@ -185,14 +187,19 @@ class SyntheticMlp:
         gen = SeededRng(self.data_seed).split(_MEANS).generator
         # separation direction concentrated on the large-scale dimensions
         # (scale-weighted), unit length after whitening so the Bayes optimum
-        # is Phi(blob_distance / 2) for any spectrum
-        direction = self._sigma * gen.standard_normal(d)
-        norm = np.linalg.norm(direction)
-        if not (np.isfinite(norm) and norm > 0):
-            raise ValueError(f"blob_spread {self.blob_spread} gives a separation direction "
-                             f"of norm {norm}, not finite and positive")
-        direction /= norm
-        half = 0.5 * self.blob_distance * self._sigma * direction
+        # is Phi(blob_distance / 2) for any spectrum. Settings that overflow
+        # are rejected by the finiteness checks, so numpy need not warn
+        with np.errstate(over="ignore"):
+            direction = self._sigma * gen.standard_normal(d)
+            norm = np.linalg.norm(direction)
+            if not (np.isfinite(norm) and norm > 0):
+                raise ValueError(f"blob_spread {self.blob_spread} gives a separation direction "
+                                 f"of norm {norm}, not finite and positive")
+            direction /= norm
+            half = 0.5 * self.blob_distance * self._sigma * direction
+        if not np.isfinite(half).all():
+            raise ValueError(f"blob_distance {self.blob_distance} and blob_spread "
+                             f"{self.blob_spread} give class means that are not finite")
         self._means = np.stack([-half, half])
 
     @property
@@ -269,14 +276,9 @@ class SyntheticMlp:
         return self.gradient_on(w, x, labels)
 
     def gradients(self, w: np.ndarray, workers: int, iteration: int,
-                  rng: SeededRng) -> tuple[list[GradientVector], list[float]]:
-        """Every worker's gradient and loss on its own batch."""
-        grads, losses = [], []
-        for worker in range(workers):
-            g, loss = self.gradient(w, worker, iteration, rng)
-            grads.append(g)
-            losses.append(loss)
-        return grads, losses
+                  rng: SeededRng) -> Iterator[tuple[GradientVector, float]]:
+        """Each worker's gradient and loss on its own batch, in worker order."""
+        return (self.gradient(w, worker, iteration, rng) for worker in range(workers))
 
     def evaluate(self, w: np.ndarray, rng: SeededRng, n_samples: int) -> dict:
         gen = rng.split(_EVAL).generator

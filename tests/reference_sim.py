@@ -104,7 +104,7 @@ def reference_run(task, optimizer, cost, mode, iterations, seed,
     for i in range(1, iterations + 1):
         if i in optimizer.lr_decay_iters:
             lr = lr / optimizer.lr_decay_factor
-        grads, losses = task.gradients(w, n_workers, i, data_rng)
+        grads, losses = zip(*task.gradients(w, n_workers, i, data_rng))
         loss = float(np.mean(losses))
 
         t_compress = 0.0

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gravac.compressors import (CompressorKind, SparseGradient, _dgc_pick, _exact_topk, _select,
-                                aggregate, aggregate_dense, compress, compress_further,
-                                decompress, keep_count)
+from gravac.compressors import (AGGREGATE_BLOCK, CompressorKind, SparseGradient, _dgc_pick,
+                                _exact_topk, _global_topup, _select, aggregate, aggregate_dense,
+                                compress, compress_further, decompress, keep_count)
 from gravac.feedback import apply_feedback, update_residual
 from gravac.gradcore import GradientVector, SeededRng, squared_l2_norm
 from gravac.metrics import compression_gain
@@ -228,6 +228,20 @@ class TestAggregate:
         parts = [GradientVector([1.0, 2.0]), GradientVector([3.0, 6.0])]
         assert aggregate_dense(parts).values.tolist() == [2.0, 4.0]
 
+    @pytest.mark.parametrize("m", [1, AGGREGATE_BLOCK, 2 * AGGREGATE_BLOCK + 3])
+    def test_blocks_give_the_bits_of_one_float64_sum(self, m):
+        # entries on both sides of each block edge, and a last partial block
+        rng = np.random.default_rng(m)
+        dense = [random_vector(rng, m) for _ in range(3)]
+        parts = [compress(RANDOMK, g, 1.5, SeededRng(w))[0] for w, g in enumerate(dense)]
+        sparse_sum = np.zeros(m, dtype=np.float64)
+        dense_sum = np.zeros(m, dtype=np.float64)
+        for g, p in zip(dense, parts):
+            sparse_sum[p.indices.astype(np.int64)] += p.vals.astype(np.float64)
+            dense_sum += g.values
+        assert aggregate(parts).values.tobytes() == (sparse_sum / 3).astype(np.float32).tobytes()
+        assert aggregate_dense(dense).values.tobytes() == (dense_sum / 3).astype(np.float32).tobytes()
+
 
 class TestSharedInvariants:
     def test_support_size_exactness_all_kinds(self):
@@ -401,6 +415,19 @@ def substituted(source):
 
 class TestDgcPositions:
     @settings(max_examples=200, deadline=None)
+    @given(gradient=_GRADIENTS, data=st.data())
+    def test_global_topup_equals_the_index_array_oracle(self, gradient, data):
+        # the top-up ranks a copy of the magnitudes with the chosen positions
+        # at -1; it once ranked an index array of the positions left
+        mag = np.abs(np.asarray(gradient, dtype=np.float32))
+        n = mag.size
+        chosen = np.asarray(sorted(data.draw(st.sets(st.integers(0, n - 1), max_size=n - 1))),
+                            dtype=np.int64)
+        short = data.draw(st.integers(1, n - chosen.size))
+        picked = _global_topup(mag, chosen, short)
+        assert np.array_equal(picked, np.sort(oracle_global_topup(mag, chosen, short)))
+
+    @settings(max_examples=200, deadline=None)
     @given(gradient=_GRADIENTS, cf=st.floats(1.0, 50.0), seed=st.integers(0, 2**32 - 1))
     def test_positions_ascend_and_are_the_sorted_picks(self, gradient, cf, seed):
         # only the pad and global top-up paths sort their picks: the main
@@ -441,7 +468,9 @@ class TestStageProperties:
             assert np.all(np.diff(idx) > 0) and idx[-1] < n == view.original_length
             assert 0.0 < compression_gain(view, squared_l2_norm(g_ef.values)) <= 1.0
 
-            after = update_residual(g_ef, view, GradientVector(np.zeros(n)))
+            # a copy: the residual takes over the buffer it is handed
+            after = update_residual(GradientVector(g_ef.values.copy()), view,
+                                    GradientVector(np.zeros(n)))
             unsent = np.ones(n, dtype=bool)
             unsent[idx] = False
             assert np.array_equal(after.values[unsent], g_ef.values[unsent])

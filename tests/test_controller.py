@@ -9,7 +9,7 @@ from gravac.controller import (CANDIDATE, DENSE, MINIMUM, POLICIES, CfDecision,
                                ControllerConfig, ControllerState, check_gravac,
                                run_iteration, scaling_policy, select_cf, send)
 from gravac.costmodel import CostModelParams
-from gravac.feedback import zero_residual
+from gravac.feedback import apply_feedback, zero_residual
 from gravac.gradcore import GradientVector, SeededRng
 
 TOPK = CompressorKind("topk")
@@ -181,7 +181,8 @@ def run_n(state, n, cost, length=64, seed=0, scale=1.0, workers=1, batch_size=1)
     stores = [GradientVector(np.zeros(length)) for _ in range(workers)]
     results = []
     for i in range(1, n + 1):
-        grads = [GradientVector(scale * data.split(w, i).generator.standard_normal(length))
+        grads = [apply_feedback(GradientVector(
+                     scale * data.split(w, i).generator.standard_normal(length)), stores[w])
                  for w in range(workers)]
         results.append(run_iteration(state, i, TOPK, grads, stores, cost, rng, batch_size))
     return results
@@ -234,7 +235,7 @@ class TestRunIteration:
         store = GradientVector(np.zeros(64))
         gen = SeededRng(2)
         for i in range(1, 9):
-            g = GradientVector(gen.split(i).generator.standard_normal(64))
+            g = apply_feedback(GradientVector(gen.split(i).generator.standard_normal(64)), store)
             r = run_iteration(state, i, TOPK, [g], [store], cost, rng)
             seen.append(r.candidate_cf)
         # candidate advances at iterations 2, 4, 6, ... per the policy

@@ -50,8 +50,8 @@ class TestUpdateResidual:
         rng = np.random.default_rng(1)
         g = GradientVector(rng.standard_normal(500).astype(np.float32))
         sent, _ = compress(TOPK, g, 7)
+        expected = g.values - decompress(sent).values  # before g's buffer is taken over
         store = update_residual(g, sent, GradientVector(np.zeros(500)))
-        expected = g.values - decompress(sent).values
         assert np.array_equal(store.values, expected)
 
     def test_sent_positions_not_in_residual_support(self):
@@ -71,10 +71,11 @@ class TestUpdateResidual:
         # redsync sends sign*mean values; the substitution error must remain
         # behind so mass is conserved
         g = GradientVector([8.0, -2.0, 0.1, 0.05])
+        raw = g.values.copy()  # update_residual takes g's buffer over
         sent, _ = compress(CompressorKind("redsync"), g, 2)
         store = update_residual(g, sent, GradientVector(np.zeros(4)))
         np.testing.assert_allclose(store.values, [3.0, 3.0, 0.1, 0.05])
-        np.testing.assert_allclose(decompress(sent).values + store.values, g.values)
+        np.testing.assert_allclose(decompress(sent).values + store.values, raw)
 
 
 class TestClearResidual:
@@ -139,7 +140,9 @@ class TestZeroResidual:
     def test_stride_zero_nonzero_residual_is_added(self):
         g = GradientVector([1.0, 2.0])
         ones = GradientVector(np.broadcast_to(np.float32(1), (2,)))
+        assert not ones.values.flags.writeable
         assert apply_feedback(g, ones).values.tolist() == [2.0, 3.0]
+        assert ones.values.strides == (0,) and not ones.values.any()
 
     def test_compressed_send_after_clear_leaves_writable_residual(self):
         rng = np.random.default_rng(4)
@@ -147,9 +150,36 @@ class TestZeroResidual:
         g = GradientVector(rng.standard_normal(300).astype(np.float32))
         g_ef = apply_feedback(g, store)
         sent, _ = compress(TOPK, g_ef, 6)
-        update_residual(g_ef, sent, store)
+        # a copy: the residual takes over the buffer it is handed
+        update_residual(GradientVector(g_ef.values.copy()), sent, store)
         assert store.values.flags.writeable and store.values.strides == (4,)
         assert np.array_equal(store.values, g.values - decompress(sent).values)
         assert not np.shares_memory(store.values, g.values)
         store.values[0] += 1.0  # the residual is its own array, not the gradient
         assert np.array_equal(g_ef.values, g.values)
+
+
+class TestBufferOwnership:
+    """Each worker's one buffer passes between gradient and residual."""
+
+    def test_feedback_folds_the_residual_into_the_gradient(self):
+        rng = np.random.default_rng(5)
+        g = GradientVector(rng.standard_normal(64).astype(np.float32))
+        store = GradientVector(rng.standard_normal(64).astype(np.float32))
+        buffer = g.values
+        expected = g.values + store.values
+        out = apply_feedback(g, store)
+        assert out is g and out.values is buffer
+        assert np.array_equal(out.values, expected)
+        # the residual's mass now lives in g: it is the read-only zero view
+        assert store.values.strides == (0,) and not store.values.flags.writeable
+        assert store.length == 64 and not store.values.any()
+
+    def test_residual_takes_over_the_gradient_buffer(self):
+        rng = np.random.default_rng(6)
+        g_ef = GradientVector(rng.standard_normal(300).astype(np.float32))
+        sent, _ = compress(TOPK, g_ef, 5)
+        expected = g_ef.values - decompress(sent).values
+        store = update_residual(g_ef, sent, zero_residual(300))
+        assert store.values is g_ef.values
+        assert store.values.flags.writeable and np.array_equal(store.values, expected)

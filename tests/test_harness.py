@@ -153,6 +153,43 @@ def test_out_of_range_value_rejected_naming_its_section(key, value, kind):
     assert str(info.value).startswith(key.split(".")[0])
 
 
+# every config key but the two that size an allocation while the config is
+# validated: a large task.size or task.widths would allocate, not fail
+FUZZ_KEYS = [key for key in (line.split(" = ")[0]
+                             for line in serialize_config(parse_config()).splitlines())
+             if key not in ("task.size", "task.widths")]
+# floats spread over every decade up to 1e308, so that products overflow
+_FLOAT = st.builds("{}e{}".format, st.floats(-9.9, 9.9), st.integers(-330, 307))
+_NUMBER = st.one_of(_FLOAT, st.integers(-2**70, 2**70).map(str),
+                    st.sampled_from(["nan", "-inf", "inf"]))
+FUZZ_VALUES = st.one_of(_FLOAT, st.lists(_NUMBER, min_size=1, max_size=4).map(",".join),
+                        _NUMBER, st.text(max_size=12))
+
+
+@pytest.mark.parametrize("key", FUZZ_KEYS)
+@settings(max_examples=50, deadline=None)
+@example(value="1e308", others={})
+@given(value=FUZZ_VALUES, others=st.dictionaries(st.sampled_from(FUZZ_KEYS), FUZZ_VALUES,
+                                                 max_size=2))
+def test_any_override_parses_or_is_a_config_error(key, value, others):
+    # numpy warnings are errors here: a value the config rejects must not
+    # print one before the error line
+    try:
+        parse_config(overrides={**others, key: value})
+    except ConfigError:
+        pass
+
+
+def test_rejected_config_prints_one_line():
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = main(["print-config", "--set", "task.blob_spread=1e308"])
+    assert code == 2
+    assert err.getvalue().splitlines() == [
+        "config error: task: blob_spread 1e+308 gives a separation direction of norm inf, "
+        "not finite and positive"]
+
+
 class TestRunExperiment:
     def test_writes_all_artifacts(self, tmp_path):
         cfg = quad_config(mode="dense", out=str(tmp_path / "run"))

@@ -266,6 +266,33 @@ class TestMemory:
         assert set(result.trace.column("choice")) == {"dense"}
         assert peak <= 13 * 4 * size
 
+    @pytest.mark.parametrize("kind", ["topk", "dgc", "redsync"])
+    def test_compressed_sends_keep_one_buffer_per_worker(self, kind):
+        # an MLP the controller compresses at eps 0.5. Each worker's gradient
+        # is folded into its residual as it is drawn, and the residual keeps
+        # that buffer after the send. In gradient sizes (4M bytes) the peak
+        # is 13.6 to 14.0, inside aggregate: the weights and the optimizer
+        # buffer (2 each), one buffer per worker (4), the sent parts at CF 10
+        # (0.8), the new and the previous update (1 each), the float64 block
+        # sum (2: M is below one block) and the upcast indices and values.
+        # While feedback added into a fresh array and the residual copied it,
+        # raw gradients, sums and copies were alive together: 20.0 to 23.0
+        task = SyntheticMlp(widths=(256, 128, 64, 2))
+        size, workers = task.parameter_count, 4
+        assert size == 41_282
+        opt = OptimizerState(weights=np.zeros(1), lr=0.1)
+        tracemalloc.start()
+        try:
+            result = run_training(task, opt, CostModelParams(workers=workers), "gravac", 40,
+                                  seed=1,
+                                  controller_config=ControllerConfig(window=10, epsilon=0.5),
+                                  compressor=CompressorKind(kind))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert {"minimum", "candidate"} <= set(result.trace.column("choice"))
+        assert peak <= 15 * 4 * size
+
 
 class TestRunTraceIo:
     def test_jsonl_roundtrip(self, tmp_path):

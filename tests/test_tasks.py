@@ -81,7 +81,7 @@ class TestQuadraticBowl:
                              w_star=gen.standard_normal(size))
         w = gen.standard_normal(size)
         w_before = w.copy()
-        grads, losses = task.gradients(w, 4, 9, SeededRng(6))
+        grads, losses = zip(*task.gradients(w, 4, 9, SeededRng(6)))
         assert len(grads) == len(losses) == 4
         for worker, (g, loss) in enumerate(zip(grads, losses)):
             ref, ref_loss = per_worker_quadratic_gradient(task, w, worker, 9, SeededRng(6))
@@ -99,8 +99,8 @@ class TestQuadraticBowl:
         w = np.full(size, 2.0)
         rows = {}
         for iteration in (1, 2):
-            grads, _ = task.gradients(w, 3, iteration, SeededRng(4))
-            again, _ = task.gradients(w, 3, iteration, SeededRng(4))
+            grads, _ = zip(*task.gradients(w, 3, iteration, SeededRng(4)))
+            again, _ = zip(*task.gradients(w, 3, iteration, SeededRng(4)))
             for worker, (g, h) in enumerate(zip(grads, again)):
                 assert g.values.tobytes() == h.values.tobytes()
                 noise = g.values.astype(np.float64) - 2.0
@@ -129,8 +129,8 @@ class TestQuadraticBowl:
         assert default.initial_weights(None).tobytes() == explicit.initial_weights(None).tobytes()
         w = np.random.default_rng(3).standard_normal(size)
         assert default.loss(w) == explicit.loss(w)
-        grads, losses = default.gradients(w, 2, 5, SeededRng(7))
-        ref_grads, ref_losses = explicit.gradients(w, 2, 5, SeededRng(7))
+        grads, losses = zip(*default.gradients(w, 2, 5, SeededRng(7)))
+        ref_grads, ref_losses = zip(*explicit.gradients(w, 2, 5, SeededRng(7)))
         assert [g.values.tobytes() for g in grads] == [g.values.tobytes() for g in ref_grads]
         assert losses == ref_losses
 
@@ -175,7 +175,7 @@ class TestSyntheticMlp:
     def test_gradients_are_the_per_worker_gradients(self):
         task = SyntheticMlp(widths=(8, 6, 2), batch_size=5)
         w = task.initial_weights(SeededRng(0))
-        grads, losses = task.gradients(w, 3, 4, SeededRng(8))
+        grads, losses = zip(*task.gradients(w, 3, 4, SeededRng(8)))
         for worker, (g, loss) in enumerate(zip(grads, losses)):
             ref, ref_loss = task.gradient(w, worker, 4, SeededRng(8))
             assert g.values.tobytes() == ref.values.tobytes() and loss == ref_loss
@@ -231,14 +231,44 @@ class TestSyntheticMlp:
         with pytest.raises(ValueError, match=name):
             SyntheticMlp(**{name: value})
 
-    # the separation direction's norm under- or overflows before it divides
-    @pytest.mark.parametrize("spread", [1e-300, np.inf])
+    # the separation direction's norm under- or overflows before it divides;
+    # a finite spread that overflows is rejected without a numpy warning
+    @pytest.mark.parametrize("spread", [1e-300, 1e308, np.inf])
     def test_rejects_spread_without_a_separation_direction(self, spread):
         with pytest.raises(ValueError, match="separation direction"):
             SyntheticMlp(widths=(8, 4, 2), blob_spread=spread)
+
+    def test_rejects_class_means_that_overflow(self):
+        # each factor is finite, but their product is not: the features
+        # would be infinite and the first step would abort
+        with pytest.raises(ValueError, match="class means"):
+            SyntheticMlp(widths=(8, 4, 2), blob_spread=1e100, blob_distance=1e300)
 
     @pytest.mark.parametrize("seed", [-1, 2**53])
     def test_rejects_out_of_range_data_seed(self, seed):
         with pytest.raises(ValueError, match="data_seed"):
             SyntheticMlp(data_seed=seed)
 
+
+
+@pytest.mark.parametrize("make_task", [lambda: QuadraticBowl(size=16, noise_std=0.5),
+                                       lambda: SyntheticMlp(widths=(8, 6, 2), batch_size=4)])
+def test_gradients_draws_each_worker_only_when_asked(make_task):
+    # the training loop folds each gradient into its residual before it
+    # asks for the next, so no two raw gradients need be alive
+    task = make_task()
+    w = task.initial_weights(SeededRng(0))
+    drawn = []
+    gradient = task.gradient
+
+    def spy(w, worker, *args):
+        drawn.append(worker)
+        return gradient(w, worker, *args)
+
+    task.gradient = spy
+    workers = task.gradients(w, 3, 1, SeededRng(2))
+    assert drawn == []
+    for worker in range(3):
+        next(workers)
+        assert drawn == list(range(worker + 1))
+    assert next(workers, None) is None
