@@ -34,6 +34,11 @@ LatencyFn = Callable[["CompressorKind", int, int], float]
 # entries per float64 accumulator block in aggregation
 AGGREGATE_BLOCK = 1 << 16
 
+# exact top-k of at least this many entries partitions only the entries at or
+# above a bound taken from every TOPK_BOUND_STRIDE-th magnitude
+TOPK_BOUND_MIN = 1 << 16
+TOPK_BOUND_STRIDE = 32
+
 
 @dataclass(frozen=True)
 class CompressorKind:
@@ -99,20 +104,48 @@ def keep_count(length: int, cf: float) -> int:
 def _exact_topk(mag: np.ndarray, k: int) -> np.ndarray:
     """Positions of the k largest magnitudes; ties go to the lower index.
 
-    Returned positions are ascending. O(n): one partition and one pass
-    over ``mag``; ties on the boundary magnitude are repaired only when that
-    pass keeps more than k entries.
+    Returned positions are ascending. From ``TOPK_BOUND_MIN`` entries on,
+    only the entries at or above a bound taken from a strided sample are
+    partitioned: when at least k entries reach the bound, they hold every
+    entry at or above the k-th magnitude, so the picks equal one full
+    partition's. Otherwise the whole of ``mag`` is partitioned. Ties on the
+    k-th magnitude are cut only when more than k entries reach it. NaN
+    magnitudes never reach the bounded path: ``compress`` rejects
+    non-finite gradients.
     """
     n = mag.size
     if k >= n:
         return np.arange(n)
-    kth = np.partition(mag, n - k)[n - k]
-    picked = np.flatnonzero(mag >= kth)
+    cand = _above_sample_bound(mag, k)
+    if cand is None:
+        kth = np.partition(mag, n - k)[n - k]
+        picked = np.flatnonzero(mag >= kth)
+    else:
+        sub = mag[cand]
+        kth = np.partition(sub, sub.size - k)[sub.size - k]
+        picked = cand[sub >= kth]
     if picked.size > k:
         # drop the highest-index ties
         ties = np.flatnonzero(mag[picked] == kth)
         picked = np.delete(picked, ties[k - picked.size:])
     return picked
+
+
+def _above_sample_bound(mag: np.ndarray, k: int) -> np.ndarray | None:
+    """Ascending positions of the magnitudes at or above the r-th largest of
+    ``mag[::TOPK_BOUND_STRIDE]``, r = floor(1.1 k / stride) + 16; None below
+    ``TOPK_BOUND_MIN`` entries, when the sample is shorter than r, or when
+    fewer than k positions reach it. The margin over k / stride makes the
+    last case rare unless the large magnitudes sit on the sampled stride."""
+    if mag.size < TOPK_BOUND_MIN:
+        return None
+    sample = mag[::TOPK_BOUND_STRIDE]
+    r = 11 * k // (10 * TOPK_BOUND_STRIDE) + 16
+    if r > sample.size:
+        return None
+    lo = np.partition(sample, sample.size - r)[sample.size - r]
+    cand = np.flatnonzero(mag >= lo)
+    return cand if cand.size >= k else None
 
 
 def _global_topup(mag: np.ndarray, chosen: np.ndarray, short: int) -> np.ndarray:

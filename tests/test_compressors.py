@@ -3,9 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gravac.compressors import (AGGREGATE_BLOCK, CompressorKind, SparseGradient, _dgc_pick,
-                                _exact_topk, _global_topup, _select, aggregate, aggregate_dense,
-                                compress, compress_further, decompress, keep_count)
+from gravac.compressors import (AGGREGATE_BLOCK, TOPK_BOUND_MIN, CompressorKind, SparseGradient,
+                                _dgc_pick, _exact_topk, _global_topup, _select, aggregate,
+                                aggregate_dense, compress, compress_further, decompress,
+                                keep_count)
 from gravac.feedback import apply_feedback, update_residual
 from gravac.gradcore import GradientVector, SeededRng, squared_l2_norm
 from gravac.metrics import compression_gain
@@ -503,3 +504,73 @@ class TestStageProperties:
         assert direct.kept == k2
         assert direct.indices.tobytes() == second.indices.tobytes()
         assert direct.vals.tobytes() == second.vals.tobytes()
+
+
+# ---- the bounded exact top-k: from TOPK_BOUND_MIN entries on, a strided
+# sample bounds the k-th magnitude and only the entries above it are
+# partitioned --------------------------------------------------------------
+
+@st.composite
+def large_magnitudes(draw):
+    """Magnitudes of TOPK_BOUND_MIN to 2 * TOPK_BOUND_MIN entries: a tied
+    normal, a constant or zeros, with infinities and the top-up's -1
+    sentinels at drawn positions."""
+    n = draw(st.integers(TOPK_BOUND_MIN, 2 * TOPK_BOUND_MIN))
+    base = draw(st.sampled_from(["normal", "constant", "zeros"]))
+    if base == "normal":
+        values = tied_normal(draw(st.integers(0, 2**32 - 1)), n, draw(st.sampled_from([0, 1, 4])))
+    else:
+        values = np.full(n, draw(_FINITE32) if base == "constant" else 0.0)
+    mag = np.abs(values).astype(np.float32)
+    positions = st.integers(0, n - 1)
+    for at, value in draw(st.lists(st.tuples(positions, st.sampled_from([np.inf, -1.0])),
+                                   max_size=64)):
+        mag[at] = value
+    if draw(st.booleans()):  # a run of sentinels, as a top-up marks its chosen block
+        start = draw(positions)
+        mag[start:start + draw(st.integers(1, n))] = -1.0
+    return mag
+
+
+def partition_sizes(monkeypatch):
+    """Entries seen by each later np.partition call, in call order."""
+    sizes = []
+    partition = np.partition
+
+    def spy(a, kth, *args, **kwargs):
+        sizes.append(np.asarray(a).size)
+        return partition(a, kth, *args, **kwargs)
+
+    monkeypatch.setattr(np, "partition", spy)
+    return sizes
+
+
+class TestBoundedTopk:
+    @settings(max_examples=60, deadline=None)
+    @given(large_magnitudes())
+    def test_equals_the_full_partition_oracle(self, mag):
+        n = mag.size
+        for k in (1, 2, n // 1000, n // 10, n // 2, n - 1):
+            picked = _exact_topk(mag, k)
+            assert np.array_equal(picked, np.sort(oracle_exact_topk(mag, k))), k
+
+    def test_falls_back_when_the_bound_keeps_fewer_than_k(self, monkeypatch):
+        # the large magnitudes sit exactly on the sampled positions, so the
+        # bound is 2 and only n / 32 entries reach it
+        n = 1 << 17
+        mag = np.ones(n, dtype=np.float32)
+        mag[::32] = 2
+        k = n // 20
+        expected = np.sort(oracle_exact_topk(mag, k))
+        sizes = partition_sizes(monkeypatch)
+        assert np.array_equal(_exact_topk(mag, k), expected)
+        assert sizes[-1] == n
+
+    @pytest.mark.parametrize("kind", [TOPK, REDSYNC])
+    @pytest.mark.parametrize("cf,largest", [(10, 10**6 // 8), (1000, 10**6 // 16)])
+    def test_no_partition_sees_the_whole_vector(self, monkeypatch, kind, cf, largest):
+        # at CF 10 the candidates alone hold more than k = n / 10 entries
+        g = random_vector(np.random.default_rng(13), 10**6)
+        sizes = partition_sizes(monkeypatch)
+        compress(kind, g, cf)
+        assert sizes and max(sizes) <= largest

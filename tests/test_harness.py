@@ -89,6 +89,12 @@ class TestParseConfig:
         with pytest.raises(ConfigError, match="cannot read"):
             parse_config("/nonexistent/run.cfg")
 
+    def test_file_that_is_not_utf8_rejected_naming_it(self, tmp_path):
+        path = tmp_path / "run.cfg"
+        path.write_bytes(b"iters = 2\n\xff = 3\n")
+        with pytest.raises(ConfigError, match=f"cannot read config file {path}: 'utf-8' codec"):
+            parse_config(str(path))
+
     def test_theta_ordering_cross_check(self):
         with pytest.raises(ConfigError, match="theta_max"):
             parse_config(overrides={"controller.theta_min": "100",
@@ -176,6 +182,34 @@ def test_any_override_parses_or_is_a_config_error(key, value, others):
     # print one before the error line
     try:
         parse_config(overrides={**others, key: value})
+    except ConfigError:
+        pass
+
+
+# config-file lines: key = value over the RunConfig keys, unknown and repeated
+# keys, comments, blank lines and lines without '=', in bytes that may hold
+# NUL or not be UTF-8
+_LINE = st.one_of(
+    st.builds("{} = {}".format, st.sampled_from(FUZZ_KEYS), FUZZ_VALUES),
+    st.builds("{}={}".format, st.text(max_size=8), st.text(max_size=8)),
+    st.builds("# {}".format, st.text(max_size=12)),
+    st.just(""), st.text(max_size=12))
+_CONFIG_BYTES = st.one_of(
+    st.lists(_LINE, max_size=6).map(lambda lines: "\n".join(lines).encode()),
+    st.lists(_LINE, max_size=6).map(lambda lines: "\n".join(lines).encode("utf-16")),
+    st.binary(max_size=40))
+
+
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@example(data=b"iters = 2\n\xff = 3\n")
+@example(data=b"mode = dense\x00\n")
+@given(data=_CONFIG_BYTES)
+def test_any_config_file_parses_or_is_a_config_error(tmp_path, data):
+    path = tmp_path / "fuzz.cfg"
+    path.write_bytes(data)
+    try:
+        parse_config(str(path))
     except ConfigError:
         pass
 
@@ -609,6 +643,14 @@ class TestCli:
         assert "out-of-range fields ['cf']" in err
         assert len(err.splitlines()) == 1
         assert not out_csv.exists()
+
+    def test_config_file_that_is_not_utf8_is_a_config_error(self, tmp_path, capsys):
+        path = tmp_path / "bad.cfg"
+        path.write_bytes(b"iters = 2\n\xff = 3\n")
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config file {path}: ")
+        assert len(err.splitlines()) == 1
 
     def test_flags_override_config_file(self, tmp_path, capsys):
         path = tmp_path / "base.cfg"
