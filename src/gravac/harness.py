@@ -268,9 +268,9 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> dict:
         "mode": cfg.mode,
         "iterations": len(trace),
         "seed": cfg.seed,
-        "initial_loss": result.initial_loss,
-        "final_loss": result.final_loss,
-        "metric_name": result.metric_name,
+        "initial_loss": trace.records[0].loss,
+        "final_loss": trace.records[-1].loss,
+        "metric_name": task.metric_name,
         "metric_value": result.metric_value,
         "floats_sent_total": int(trace.total("floats_sent")),
         "words_sent_total": int(trace.total("words_sent")),

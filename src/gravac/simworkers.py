@@ -186,9 +186,6 @@ class RunTrace:
 class TrainingResult:
     trace: RunTrace
     weights: np.ndarray
-    initial_loss: float
-    final_loss: float
-    metric_name: str
     metric_value: float
 
 
@@ -300,9 +297,5 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
     update = losses = None
     residuals.clear()
     metrics = task.evaluate(opt.weights, root.split(_RNG_EVAL), eval_samples)
-    metric_name = task.metric_name
     return TrainingResult(trace=trace, weights=opt.weights,
-                          initial_loss=initial_loss,
-                          final_loss=trace.records[-1].loss,
-                          metric_name=metric_name,
-                          metric_value=float(metrics[metric_name]))
+                          metric_value=float(metrics[task.metric_name]))
