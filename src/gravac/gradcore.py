@@ -2,10 +2,10 @@
 
 Everything downstream (compressors, feedback, metrics, simulator) consumes
 the types defined here. Gradients are stored as 32-bit floats -- the wire
-format -- while reductions upcast to 64-bit internally so results are
-reproducible across platforms. Random draws come from SFC64, seeded per
-(seed, stream) through ``SeedSequence``; it draws float32 normals in about
-two thirds of the time Philox takes for float64 ones.
+format -- while ``dot64`` reduces them in 64-bit, block by block, so a
+norm has the same bits at any BLAS thread count. Random draws come from
+SFC64, seeded per (seed, stream) through ``SeedSequence``; it draws float32
+normals in about two thirds of the time Philox takes for float64 ones.
 """
 
 from __future__ import annotations
@@ -16,6 +16,9 @@ _MASK64 = (1 << 64) - 1
 # seeds lie in [0, SEED_LIMIT): a seed is written to summary.json, and a JSON
 # reader that parses numbers as float64 keeps every such integer exact
 SEED_LIMIT = 1 << 53
+# dot64 reduces its inputs in blocks of this many entries, so a float32 input
+# is upcast through one block-sized float64 scratch, never a full-length copy
+REDUCE_BLOCK = 1 << 16
 
 
 class GradientVector:
@@ -39,12 +42,49 @@ class GradientVector:
         return f"GradientVector(length={self.length})"
 
 
+def _blocks64(values: np.ndarray):
+    """``values`` as contiguous float64 blocks of REDUCE_BLOCK entries.
+
+    A contiguous float64 block is used as it is; any other block is cast
+    into one block-sized float64 scratch, reused for every block.
+    """
+    scratch = None
+    for start in range(0, values.size, REDUCE_BLOCK):
+        block = values[start:start + REDUCE_BLOCK]
+        if block.dtype != np.float64 or not block.flags.c_contiguous:
+            if scratch is None:
+                scratch = np.empty(block.size, dtype=np.float64)
+            cast = scratch[:block.size]
+            cast[...] = block
+            block = cast
+        yield block
+
+
+def dot64(a: np.ndarray, b: np.ndarray) -> float:
+    """Dot product of two equal-length 1-D arrays, accumulated in float64.
+
+    Each block of REDUCE_BLOCK entries is reduced by ``einsum``, which makes
+    no BLAS call, and the block sums are added left to right. So the bits
+    depend on the values only: not on the BLAS thread count, nor on whether
+    an input is strided.
+    """
+    if a.ndim != 1 or a.shape != b.shape:
+        raise ValueError(f"dot64 needs two equal-length 1-D arrays, got {a.shape} and {b.shape}")
+    total = 0.0
+    if b is a:
+        for x in _blocks64(a):
+            total += float(np.einsum("i,i->", x, x))
+    else:
+        for x, y in zip(_blocks64(a), _blocks64(b)):
+            total += float(np.einsum("i,i->", x, y))
+    return total
+
+
 def squared_l2_norm(values: np.ndarray) -> float:
     """Sum of squared entries of a 1-D array, accumulated in 64-bit."""
     if values.size == 0:
         raise ValueError("squared_l2_norm of empty vector")
-    v = values.astype(np.float64, copy=False)
-    return float(np.dot(v, v))
+    return dot64(values, values)
 
 
 def ewma_lambda_from_workers(n_workers: int) -> float:

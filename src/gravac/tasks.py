@@ -22,7 +22,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .gradcore import SEED_LIMIT, GradientVector, SeededRng
+from .gradcore import SEED_LIMIT, GradientVector, SeededRng, dot64
 
 QUADRATIC = "quadratic"
 SYNTHETIC_MLP = "synthetic_mlp"
@@ -89,8 +89,7 @@ class QuadraticBowl:
         return self.w_star + self.init_offset
 
     def loss(self, w: np.ndarray) -> float:
-        d = np.asarray(w, dtype=np.float64) - self.w_star
-        return float(0.5 * np.dot(self.curvature * d, d))
+        return self._noiseless(w)[1]
 
     def _noiseless(self, w: np.ndarray) -> tuple[np.ndarray, float]:
         d = np.asarray(w, dtype=np.float64) - self.w_star
@@ -99,7 +98,7 @@ class QuadraticBowl:
         # loop rejects as a divergence
         with np.errstate(over="ignore"):
             grad32 = grad.astype(np.float32)
-        return grad32, float(0.5 * np.dot(grad, d))
+        return grad32, 0.5 * dot64(grad, d)
 
     def gradient(self, w: np.ndarray, worker: int, iteration: int, rng: SeededRng,
                  noiseless: tuple[np.ndarray, float] | None = None

@@ -38,8 +38,14 @@ from gravac.gradcore import GradientVector, SeededRng
 
 
 def _norm_sq(values: np.ndarray) -> float:
+    """Sum of squares in float64: each block of 2**16 entries is summed by
+    einsum, and the block sums are added left to right."""
     v = values.astype(np.float64)
-    return float(np.dot(v, v))
+    total = 0.0
+    for start in range(0, v.size, 1 << 16):
+        block = v[start:start + (1 << 16)]
+        total += float(np.einsum("i,i->", block, block))
+    return total
 
 
 def _latency(cost, kind, n_input: int, kept: int) -> float:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gravac.gradcore import GradientVector, SeededRng, ewma_lambda_from_workers, squared_l2_norm
+from gravac.gradcore import (REDUCE_BLOCK, GradientVector, SeededRng, dot64,
+                             ewma_lambda_from_workers, squared_l2_norm)
 from gravac.metrics import GainTracker
 
 
@@ -46,6 +47,54 @@ class TestSquaredL2Norm:
             whole = squared_l2_norm(np.concatenate([a, b]))
             parts = squared_l2_norm(a) + squared_l2_norm(b)
             np.testing.assert_allclose(whole, parts, rtol=1e-12)
+
+
+def _vector(seed: int, size: int, dtype) -> np.ndarray:
+    """Normals whose magnitudes spread over six decades."""
+    gen = np.random.default_rng(seed)
+    return (gen.standard_normal(size) * 10.0 ** gen.uniform(-3, 3, size)).astype(dtype)
+
+
+def _strided(values: np.ndarray) -> np.ndarray:
+    """The same values, every other entry of a twice-as-long array."""
+    wide = np.zeros(2 * values.size, dtype=values.dtype)
+    wide[::2] = values
+    return wide[::2]
+
+
+class TestDot64:
+    """The blocked float64 reduction behind every norm and the quadratic's loss."""
+
+    SIZES = (1, REDUCE_BLOCK, REDUCE_BLOCK + 1, 3 * REDUCE_BLOCK - 1)
+    inputs = given(st.sampled_from(SIZES), st.sampled_from((np.float32, np.float64)),
+                   st.integers(0, 2**32 - 1))
+
+    @inputs
+    @settings(max_examples=12, deadline=None)
+    def test_matches_exact_summation_of_the_products(self, size, dtype, seed):
+        a, b = _vector(seed, size, dtype), _vector(seed + 1, size, dtype)
+        for x, y in ((a, a), (a, b)):
+            products = x.astype(np.float64) * y.astype(np.float64)
+            scale = math.fsum(np.abs(products))
+            assert abs(dot64(x, y) - math.fsum(products)) <= 1e-12 * scale
+
+    @inputs
+    @settings(max_examples=12, deadline=None)
+    def test_strided_input_gives_the_same_bits(self, size, dtype, seed):
+        a, b = _vector(seed, size, dtype), _vector(seed + 1, size, dtype)
+        assert dot64(_strided(a), _strided(a)) == dot64(a, a)
+        assert dot64(_strided(a), b) == dot64(a, b) == dot64(a, _strided(b))
+
+    @inputs
+    @settings(max_examples=12, deadline=None)
+    def test_squared_norm_is_the_dot_with_itself(self, size, dtype, seed):
+        v = _vector(seed, size, dtype)
+        assert dot64(v, v.copy()) == squared_l2_norm(v)
+
+    def test_mismatched_or_2d_inputs_rejected(self):
+        for a, b in ((np.ones(3), np.ones(4)), (np.ones((2, 2)), np.ones((2, 2)))):
+            with pytest.raises(ValueError):
+                dot64(a, b)
 
 
 class TestEwma:
