@@ -40,8 +40,9 @@ _RNG_EVAL = 4
 
 
 class DivergenceError(RuntimeError):
-    """Raised when the training loss blows past the divergence guard or a
-    worker's gradient has a non-finite entry."""
+    """Raised when the training loss blows past the divergence guard, a
+    worker's gradient has a non-finite entry, or the run's float arithmetic
+    overflows or turns invalid."""
 
 
 @dataclass
@@ -255,47 +256,58 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
     initial_loss = None
     decay_points = set(opt.lr_decay_iters)
 
-    for i in range(1, iterations + 1):
-        if i in decay_points:
-            opt.lr = opt.lr / opt.lr_decay_factor
+    # diverging weights can overflow float64 before a gradient or the loss
+    # turns non-finite: such arithmetic raises and is reported as a divergence
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            for i in range(1, iterations + 1):
+                stage = f"iteration {i}"
+                if i in decay_points:
+                    opt.lr = opt.lr / opt.lr_decay_factor
 
-        # each gradient is folded into its residual as it is drawn, so at
-        # most one raw gradient is alive beside the workers' buffers
-        grads, losses, finite = [], [], True
-        for worker, (g, worker_loss) in enumerate(
-                task.gradients(opt.weights, n_workers, i, data_rng)):
-            finite = finite and bool(np.isfinite(g.values).all())
-            grads.append(apply_feedback(g, residuals[worker]) if residuals else g)
-            losses.append(worker_loss)
-        loss = float(np.mean(losses))
-        if initial_loss is None:
-            initial_loss = loss
-        if not np.isfinite(loss) or (initial_loss > 0 and loss > DIVERGENCE_FACTOR * initial_loss):
-            raise DivergenceError(
-                f"iteration {i}: loss {loss:.6g} exceeded {DIVERGENCE_FACTOR:.0e} x "
-                f"initial loss {initial_loss:.6g}")
-        if not finite:
-            raise DivergenceError(f"iteration {i}: a worker's gradient has non-finite entries")
+                # each gradient is folded into its residual as it is drawn, so
+                # at most one raw gradient is alive beside the workers' buffers
+                grads, losses, finite = [], [], True
+                for worker, (g, worker_loss) in enumerate(
+                        task.gradients(opt.weights, n_workers, i, data_rng)):
+                    finite = finite and bool(np.isfinite(g.values).all())
+                    grads.append(apply_feedback(g, residuals[worker]) if residuals else g)
+                    losses.append(worker_loss)
+                loss = float(np.mean(losses))
+                if initial_loss is None:
+                    initial_loss = loss
+                if not np.isfinite(loss) or (
+                        initial_loss > 0 and loss > DIVERGENCE_FACTOR * initial_loss):
+                    raise DivergenceError(
+                        f"iteration {i}: loss {loss:.6g} exceeded {DIVERGENCE_FACTOR:.0e} x "
+                        f"initial loss {initial_loss:.6g}")
+                if not finite:
+                    raise DivergenceError(
+                        f"iteration {i}: a worker's gradient has non-finite entries")
 
-        result = step(grads, i)
-        grads = None  # only a dense send's result still holds them
-        d = result.decision
-        # the update stays live until the next one replaces it: freed with the
-        # sends, it let the allocator hand the gradients' heap back to the OS
-        # and fault it in again on every quad_1m iteration
-        update = aggregate_dense(result.sent) if d.choice == DENSE else aggregate(result.sent)
-        trace.append(IterationRecord(
-            iter=i, cf=float(d.cf), gain_min=d.delta_min, gain_c=d.delta_c,
-            t_o=cost.t_compute, t_compress=result.t_compress, t_s=result.t_sync,
-            t_iter=result.t_iter, tsys=result.tsys, tcomp=result.tcomp,
-            loss=loss, floats_sent=result.floats_sent, words_sent=result.words_sent,
-            choice=d.choice, theta_min=result.theta_min))
-        result = None  # the sends are aggregated: free them before the update allocates
-        sgd_update(opt, update)
+                result = step(grads, i)
+                grads = None  # only a dense send's result still holds them
+                d = result.decision
+                # the update stays live until the next one replaces it: freed
+                # with the sends, it let the allocator hand the gradients' heap
+                # back to the OS and fault it in again on every quad_1m iteration
+                update = (aggregate_dense(result.sent) if d.choice == DENSE
+                          else aggregate(result.sent))
+                trace.append(IterationRecord(
+                    iter=i, cf=float(d.cf), gain_min=d.delta_min, gain_c=d.delta_c,
+                    t_o=cost.t_compute, t_compress=result.t_compress, t_s=result.t_sync,
+                    t_iter=result.t_iter, tsys=result.tsys, tcomp=result.tcomp,
+                    loss=loss, floats_sent=result.floats_sent, words_sent=result.words_sent,
+                    choice=d.choice, theta_min=result.theta_min))
+                result = None  # the sends are aggregated: free them before the update
+                sgd_update(opt, update)
 
-    # the last iteration's arrays are dead; free them before the evaluation allocates
-    update = losses = None
-    residuals.clear()
-    metrics = task.evaluate(opt.weights, root.split(_RNG_EVAL), eval_samples)
+            # the last iteration's arrays are dead; free them before the evaluation
+            update = losses = None
+            residuals.clear()
+            stage = "evaluation"
+            metrics = task.evaluate(opt.weights, root.split(_RNG_EVAL), eval_samples)
+    except FloatingPointError as exc:
+        raise DivergenceError(f"{stage}: {exc}") from None
     return TrainingResult(trace=trace, weights=opt.weights,
                           metric_value=float(metrics[task.metric_name]))

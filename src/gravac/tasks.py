@@ -116,8 +116,12 @@ class QuadraticBowl:
         if self.noise_std > 0.0:
             gen = rng.split(_BATCH, worker, iteration).generator
             noise = gen.standard_normal(self.size, dtype=np.float32)
-            noise *= np.float32(self.noise_std / np.sqrt(self.batch_size))
-            noise += grad
+            # noise beyond the float32 range becomes inf, and nan where it
+            # meets an inf gradient of the other sign; the training loop
+            # rejects either as a divergence
+            with np.errstate(over="ignore", invalid="ignore"):
+                noise *= np.float32(self.noise_std / np.sqrt(self.batch_size))
+                noise += grad
             return GradientVector(noise), loss
         return GradientVector(grad.copy()), loss
 
@@ -191,6 +195,10 @@ class SyntheticMlp:
         with np.errstate(over="ignore"):
             direction = self._sigma * gen.standard_normal(d)
             norm = np.linalg.norm(direction)
+            if np.isinf(norm) and np.isfinite(direction).all():
+                # the squares overflowed, not the norm: take it at unit scale
+                largest = np.abs(direction).max()
+                norm = largest * np.linalg.norm(direction / largest)
             if not (np.isfinite(norm) and norm > 0):
                 raise ValueError(f"blob_spread {self.blob_spread} gives a separation direction "
                                  f"of norm {norm}, not finite and positive")

@@ -12,9 +12,10 @@ from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from gravac.cli import main
+from gravac.compressors import KIND_NAMES
 from gravac.harness import (ConfigError, compare_runs, parse_config,
                             run_experiment, serialize_config)
-from gravac.simworkers import IterationRecord, RunTrace
+from gravac.simworkers import MODES, IterationRecord, RunTrace
 from gravac.tasks import TASK_CLASSES, TASK_KINDS
 
 QUAD_BASE = {
@@ -214,6 +215,68 @@ def test_any_config_file_parses_or_is_a_config_error(tmp_path, data):
         pass
 
 
+# small whole runs over both tasks, every mode and compressor, with learning
+# rates, noise and scales over decades up to 1e300, so that some diverge
+_DECADE = st.builds("{}e{}".format, st.integers(1, 9), st.integers(-4, 300))
+_WHOLE_RUN = st.fixed_dictionaries({
+    "task.kind": st.sampled_from(TASK_KINDS),
+    "mode": st.sampled_from(MODES),
+    "compressor.kind": st.sampled_from(KIND_NAMES),
+    "task.size": st.integers(1, 64).map(str),
+    "task.widths": st.lists(st.integers(1, 8), min_size=1, max_size=3).map(
+        lambda hidden: ",".join(map(str, [*hidden, 2]))),
+    "task.batch_size": st.integers(1, 4).map(str),
+    "task.noise_std": st.one_of(st.just("0"), _DECADE),
+    "task.init_offset": _DECADE,
+    "task.blob_spread": _DECADE,
+    "opt.lr": _DECADE,
+    "opt.momentum": st.sampled_from(["0", "0.9"]),
+    "static_cf": st.builds("{}e{}".format, st.integers(1, 9), st.integers(0, 3)),
+    "controller.theta_min": st.sampled_from(["1", "2", "10"]),
+    "controller.epsilon": st.sampled_from(["0.1", "0.5", "0.9"]),
+    "controller.window": st.integers(1, 3).map(str),
+    "cost.workers": st.integers(1, 8).map(str),
+    "iters": st.integers(1, 4).map(str),
+    "eval_samples": st.integers(1, 64).map(str),
+    "seed": st.integers(0, 1000).map(str),
+})
+
+
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+# each example printed a numpy warning: noise beyond the float32 range,
+@example(overrides={"task.kind": "quadratic", "task.size": "16", "task.noise_std": "1e300",
+                    "iters": "3"})
+# inf noise meeting an inf gradient of the other sign,
+@example(overrides={"task.kind": "quadratic", "task.size": "16", "task.batch_size": "1",
+                    "task.noise_std": "1e39", "task.init_offset": "1e39", "iters": "1"})
+# an MLP gradient beyond the float32 range,
+@example(overrides={"task.kind": "synthetic_mlp", "task.widths": "1,2",
+                    "task.blob_spread": "1e39", "iters": "1", "eval_samples": "1"})
+# diverging weights overflowing the MLP's backward pass, the SGD step and the
+# evaluation's forward pass
+@example(overrides={"task.kind": "synthetic_mlp", "task.widths": "1,1,1,2",
+                    "task.batch_size": "1", "task.blob_spread": "1e2", "opt.lr": "1e155",
+                    "opt.momentum": "0", "controller.theta_min": "1", "cost.workers": "1",
+                    "iters": "2", "seed": "3"})
+@example(overrides={"task.kind": "quadratic", "task.size": "16", "task.noise_std": "1e30",
+                    "opt.lr": "1e300", "iters": "2"})
+@example(overrides={"task.kind": "synthetic_mlp", "task.widths": "8,8,2", "opt.lr": "1e308",
+                    "opt.momentum": "0", "iters": "1", "eval_samples": "64"})
+@given(overrides=_WHOLE_RUN)
+def test_any_small_run_exits_cleanly(tmp_path, overrides):
+    # numpy warnings are errors here: a run ends with exit 0, a rejected
+    # config (2) or a divergence (3), in at most one line of stderr
+    args = ["run", "--out", str(tmp_path / "run")]
+    for key, value in overrides.items():
+        args += ["--set", f"{key}={value}"]
+    err = io.StringIO()
+    with redirect_stderr(err), redirect_stdout(io.StringIO()):
+        code = main(args)
+    assert code in (0, 2, 3)
+    assert len(err.getvalue().splitlines()) <= 1
+
+
 def test_rejected_config_prints_one_line():
     err = io.StringIO()
     with redirect_stderr(err), redirect_stdout(io.StringIO()):
@@ -409,14 +472,19 @@ class TestCli:
 
     # a gradient beyond the float32 range exited 2 in the compressed modes,
     # where compress rejected it, and 3 in dense mode, a step later, when the
-    # loss overflowed
-    @pytest.mark.parametrize("mode", ["gravac", "static-cf", "dense"])
-    def test_overflowing_gradient_exits_three(self, tmp_path, capsys, mode):
+    # loss overflowed. Noise beyond it printed numpy's overflow warning first:
+    # at 1e300 the noise scale overflows its cast, at 4e38 (a scale of 2.8e38
+    # at batch size 2) the noise overflows the multiply
+    @pytest.mark.parametrize("mode,override", [
+        *(pytest.param(mode, "task.init_offset=1e39", id=mode)
+          for mode in ("dense", "gravac", "static-cf")),
+        ("gravac", "task.noise_std=1e300"), ("gravac", "task.noise_std=4e38")])
+    def test_overflowing_gradient_exits_three(self, tmp_path, capsys, mode, override):
         code = main(self.run_args(tmp_path, "run", "--mode", mode, "--iters", "3",
-                                  "--set", "task.init_offset=1e39"))
+                                  "--set", override))
         assert code == 3
-        assert "iteration 1: a worker's gradient has non-finite entries" in \
-            capsys.readouterr().err
+        assert capsys.readouterr().err.splitlines() == [
+            "divergence abort: iteration 1: a worker's gradient has non-finite entries"]
 
     @pytest.mark.parametrize("below", [(), ("sub", "run")])
     def test_out_that_cannot_be_a_directory_exits_two(self, tmp_path, capsys, below):

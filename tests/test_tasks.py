@@ -186,10 +186,14 @@ class TestSyntheticMlp:
         np.testing.assert_allclose(sigma[0] / sigma[-1], 1000.0, rtol=1e-9)
 
     def test_separation_is_distance_in_noise_units(self):
-        for decades in (0.0, 4.0):
-            task = SyntheticMlp(blob_distance=3.0, feature_decades=decades)
-            gap = (task._means[1] - task._means[0]) / task._sigma
-            np.testing.assert_allclose(np.linalg.norm(gap), 3.0, rtol=1e-9)
+        # at a spread of 1e160 the squares of the direction's entries
+        # overflow, though the entries and their norm are finite
+        for settings in ({}, {"widths": (8, 4, 2), "blob_spread": 1e160}):
+            for decades in (0.0, 4.0):
+                task = SyntheticMlp(blob_distance=3.0, feature_decades=decades, **settings)
+                assert np.isfinite(task._means).all()
+                gap = (task._means[1] - task._means[0]) / task._sigma
+                np.testing.assert_allclose(np.linalg.norm(gap), 3.0, rtol=1e-9)
 
     def test_evaluate_reports_accuracy(self):
         task = SyntheticMlp(blob_distance=8.0)
