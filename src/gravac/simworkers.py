@@ -309,5 +309,7 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
             metrics = task.evaluate(opt.weights, root.split(_RNG_EVAL), eval_samples)
     except FloatingPointError as exc:
         raise DivergenceError(f"{stage}: {exc}") from None
-    return TrainingResult(trace=trace, weights=opt.weights,
-                          metric_value=float(metrics[task.metric_name]))
+    metric_value = float(metrics[task.metric_name])
+    if not np.isfinite(metric_value):
+        raise DivergenceError(f"evaluation: {task.metric_name} {metric_value:.6g} is not finite")
+    return TrainingResult(trace=trace, weights=opt.weights, metric_value=metric_value)

@@ -242,6 +242,10 @@ _WHOLE_RUN = st.fixed_dictionaries({
 })
 
 
+def _reject_constant(name):
+    raise ValueError(f"summary.json holds {name}")
+
+
 @settings(max_examples=60, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 # each example printed a numpy warning: noise beyond the float32 range,
@@ -263,11 +267,16 @@ _WHOLE_RUN = st.fixed_dictionaries({
                     "opt.lr": "1e300", "iters": "2"})
 @example(overrides={"task.kind": "synthetic_mlp", "task.widths": "8,8,2", "opt.lr": "1e308",
                     "opt.momentum": "0", "iters": "1", "eval_samples": "64"})
+# a final quadratic loss that overflows float64
+@example(overrides={"task.kind": "quadratic", "task.size": "4", "opt.lr": "1e300",
+                    "opt.momentum": "0", "iters": "1"})
 @given(overrides=_WHOLE_RUN)
 def test_any_small_run_exits_cleanly(tmp_path, overrides):
     # numpy warnings are errors here: a run ends with exit 0, a rejected
-    # config (2) or a divergence (3), in at most one line of stderr
-    args = ["run", "--out", str(tmp_path / "run")]
+    # config (2) or a divergence (3), in at most one line of stderr, and a
+    # finished run's summary is standard JSON
+    out = tmp_path / "run"
+    args = ["run", "--out", str(out)]
     for key, value in overrides.items():
         args += ["--set", f"{key}={value}"]
     err = io.StringIO()
@@ -275,6 +284,8 @@ def test_any_small_run_exits_cleanly(tmp_path, overrides):
         code = main(args)
     assert code in (0, 2, 3)
     assert len(err.getvalue().splitlines()) <= 1
+    if code == 0:
+        json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
 
 
 def test_rejected_config_prints_one_line():
