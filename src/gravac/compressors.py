@@ -101,29 +101,43 @@ def keep_count(length: int, cf: float) -> int:
     return max(1, math.floor(length / cf))
 
 
-def _exact_topk(mag: np.ndarray, k: int) -> np.ndarray:
+def _exact_topk(v: np.ndarray, k: int, signed: bool = False) -> np.ndarray:
     """Positions of the k largest magnitudes; ties go to the lower index.
 
-    Returned positions are ascending. From ``TOPK_BOUND_MIN`` entries on,
-    only the entries at or above a bound taken from a strided sample are
-    partitioned: when at least k entries reach the bound, they hold every
-    entry at or above the k-th magnitude, so the picks equal one full
-    partition's. Otherwise the whole of ``mag`` is partitioned. Ties on the
-    k-th magnitude are cut only when more than k entries reach it. NaN
-    magnitudes never reach the bounded path: ``compress`` rejects
-    non-finite gradients.
+    The magnitudes are ``v`` itself, where -1 marks a position that is never
+    picked (the top-up's), or |v| when ``signed``. Returned positions are
+    ascending. From ``TOPK_BOUND_MIN`` entries on, only the candidates, the
+    entries whose magnitude reaches a bound taken from a strided sample
+    (``_sample_bound``), are partitioned: when at least k of them do, they
+    hold every entry at or above the k-th magnitude, so the picks equal one
+    full partition's. Otherwise every magnitude is partitioned. Signed
+    values have their magnitudes taken of the sample and the candidates
+    only, which are found as ``(v >= lo) | (v <= -lo)``: that is
+    ``|v| >= lo`` on the finite values that ``compress`` admits. NaN never
+    reaches the bounded path: ``compress`` rejects non-finite gradients.
     """
-    n = mag.size
+    n = v.size
     if k >= n:
         return np.arange(n)
-    cand = _above_sample_bound(mag, k)
-    if cand is None:
-        kth = np.partition(mag, n - k)[n - k]
-        picked = np.flatnonzero(mag >= kth)
-    else:
-        sub = mag[cand]
-        kth = np.partition(sub, sub.size - k)[sub.size - k]
-        picked = cand[sub >= kth]
+    lo = _sample_bound(v, k, signed)
+    if lo is not None:
+        hit = v >= lo
+        if signed:
+            hit |= v <= -lo
+        cand = np.flatnonzero(hit)
+        if cand.size >= k:
+            sub = v[cand]
+            return cand[_partition_topk(np.abs(sub, out=sub) if signed else sub, k)]
+    return _partition_topk(np.abs(v) if signed else v, k)
+
+
+def _partition_topk(mag: np.ndarray, k: int) -> np.ndarray:
+    """Ascending positions of the k largest of ``mag`` (k <= mag.size) by one
+    partition of all of it; ties on the k-th magnitude are cut, to the lower
+    index, only when more than k entries reach it."""
+    n = mag.size
+    kth = np.partition(mag, n - k)[n - k]
+    picked = np.flatnonzero(mag >= kth)
     if picked.size > k:
         # drop the highest-index ties
         ties = np.flatnonzero(mag[picked] == kth)
@@ -131,21 +145,21 @@ def _exact_topk(mag: np.ndarray, k: int) -> np.ndarray:
     return picked
 
 
-def _above_sample_bound(mag: np.ndarray, k: int) -> np.ndarray | None:
-    """Ascending positions of the magnitudes at or above the r-th largest of
-    ``mag[::TOPK_BOUND_STRIDE]``, r = floor(1.1 k / stride) + 16; None below
-    ``TOPK_BOUND_MIN`` entries, when the sample is shorter than r, or when
-    fewer than k positions reach it. The margin over k / stride makes the
-    last case rare unless the large magnitudes sit on the sampled stride."""
-    if mag.size < TOPK_BOUND_MIN:
+def _sample_bound(v: np.ndarray, k: int, signed: bool) -> np.floating | None:
+    """The r-th largest magnitude of ``v[::TOPK_BOUND_STRIDE]``,
+    r = floor(1.1 k / stride) + 16, as ``_exact_topk`` reads ``v``; None
+    below ``TOPK_BOUND_MIN`` entries or when the sample is shorter than r.
+    The margin over k / stride makes fewer than k entries reach it rare,
+    unless the large magnitudes sit on the sampled stride."""
+    if v.size < TOPK_BOUND_MIN:
         return None
-    sample = mag[::TOPK_BOUND_STRIDE]
+    sample = v[::TOPK_BOUND_STRIDE]
     r = 11 * k // (10 * TOPK_BOUND_STRIDE) + 16
     if r > sample.size:
         return None
-    lo = np.partition(sample, sample.size - r)[sample.size - r]
-    cand = np.flatnonzero(mag >= lo)
-    return cand if cand.size >= k else None
+    if signed:
+        sample = np.abs(sample)
+    return np.partition(sample, sample.size - r)[sample.size - r]
 
 
 def _global_topup(mag: np.ndarray, chosen: np.ndarray, short: int) -> np.ndarray:
@@ -206,15 +220,14 @@ def _select(kind: CompressorKind, values: np.ndarray, k: int, rng: SeededRng | N
     if k >= n:
         return np.arange(n), values.copy(), None if source is None else source.copy()
     own = values if source is None else source
-    mag = np.abs(own)
     if kind.name in (TOPK, REDSYNC):
-        picked = _exact_topk(mag, k)  # ascending already
+        picked = _exact_topk(own, k, signed=True)  # ascending already
     elif kind.name == RANDOMK:
         if rng is None:
             raise ValueError("randomk compression requires an rng")
         picked = np.sort(rng.generator.choice(n, size=k, replace=False))
     else:
-        picked = _dgc_pick(mag, k, kind, rng)
+        picked = _dgc_pick(np.abs(own), k, kind, rng)
     kept = own[picked]
     if kind.name != REDSYNC:
         return picked, kept, None
@@ -249,14 +262,17 @@ def compress_further(kind: CompressorKind, s: SparseGradient, step: float,
     Keeps max(1, floor(k1 / step)) of the k1 retained values; indices stay
     positions in the original dense space, so the result is as if the dense
     vector had been compressed to roughly step * achieved_cf directly (for
-    top-k and Redsync, exactly so).
+    top-k and Redsync, exactly so). A step that keeps every entry returns
+    ``s`` itself.
     """
     if step < 1.0:
         raise ValueError(f"step factor must be >= 1, got {step}")
     k1 = s.kept
     k2 = keep_count(k1, step)
-    local, vals, source = _select(kind, s.vals, k2, rng, s.source_vals)
     seconds = latency(kind, k1, k2) if latency is not None else 0.0
+    if k2 == k1:
+        return s, seconds
+    local, vals, source = _select(kind, s.vals, k2, rng, s.source_vals)
     return SparseGradient(s.indices[local], vals, s.original_length, source), seconds
 
 

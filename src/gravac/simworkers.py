@@ -51,7 +51,8 @@ class OptimizerState:
 
     buffer <- momentum*buffer + (grad + weight_decay*w); w <- w - lr*buffer.
     ``sgd_update`` updates both arrays in place. With momentum 0 the step is
-    w <- w - lr*(grad + weight_decay*w) and the buffer is never used.
+    w <- w - lr*(grad + weight_decay*w) and the buffer is a read-only zero
+    view that owns no memory.
     """
 
     weights: np.ndarray
@@ -72,10 +73,11 @@ class OptimizerState:
             raise ValueError(f"weight decay must be >= 0, got {self.weight_decay}")
         if not self.lr_decay_factor > 0:
             raise ValueError(f"lr_decay_factor must be > 0, got {self.lr_decay_factor}")
-        # np.zeros, unlike zeros_like, leaves the pages unwritten until
-        # used, so a settings-only state (run_training trains a copy)
-        # holds no resident memory
-        self.buffer = np.zeros(self.weights.shape)
+        # without momentum the buffer is never read, so a read-only stride-0
+        # view of one zero stands in and owns no memory. np.zeros is not free:
+        # served from reused heap, its pages are cleared and so resident
+        self.buffer = (np.zeros(self.weights.shape) if self.momentum
+                       else np.broadcast_to(np.float64(0), self.weights.shape))
 
 
 def sgd_update(opt: OptimizerState, grad: GradientVector) -> OptimizerState:

@@ -12,7 +12,8 @@ blocks of ``EVAL_BLOCK`` rows: it draws every label first, then each
 block's features from the same generator, so the stream and the logits
 equal one full-batch draw and forward. A quadratic built without
 ``curvature`` or ``w_star`` stores them as read-only stride-0 views that
-own no buffer.
+own no buffer, and computes its noiseless gradient and loss through
+block-sized float64 scratch.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .gradcore import SEED_LIMIT, GradientVector, SeededRng, dot64
+from .gradcore import REDUCE_BLOCK, SEED_LIMIT, GradientVector, SeededRng, dot64
 
 QUADRATIC = "quadratic"
 SYNTHETIC_MLP = "synthetic_mlp"
@@ -92,13 +93,28 @@ class QuadraticBowl:
         return self._noiseless(w)[1]
 
     def _noiseless(self, w: np.ndarray) -> tuple[np.ndarray, float]:
-        d = np.asarray(w, dtype=np.float64) - self.w_star
-        grad = self.curvature * d
-        # a gradient beyond the float32 range becomes inf, which the training
-        # loop rejects as a divergence
-        with np.errstate(over="ignore"):
-            grad32 = grad.astype(np.float32)
-        return grad32, 0.5 * dot64(grad, d)
+        """float32(curvature * (w - w_star)) and the loss, taken in the blocks
+        of ``REDUCE_BLOCK`` entries that ``dot64`` reduces in: one float64
+        scratch holds a block's d and gradient, and the blocks' ``dot64``
+        sums are added left to right, so the loss has the bits of
+        ``0.5 * dot64(grad, d)`` over whole-length arrays."""
+        w = np.asarray(w, dtype=np.float64)
+        if w.shape != (self.size,):
+            raise ValueError(f"weights must have shape ({self.size},), got {w.shape}")
+        grad32 = np.empty(self.size, dtype=np.float32)
+        scratch = np.empty((2, min(REDUCE_BLOCK, self.size)))
+        total = 0.0
+        for start in range(0, self.size, REDUCE_BLOCK):
+            stop = min(start + REDUCE_BLOCK, self.size)
+            d, grad = scratch[:, :stop - start]
+            np.subtract(w[start:stop], self.w_star[start:stop], out=d)
+            np.multiply(self.curvature[start:stop], d, out=grad)
+            # a gradient beyond the float32 range becomes inf, which the
+            # training loop rejects as a divergence
+            with np.errstate(over="ignore"):
+                grad32[start:stop] = grad
+            total += dot64(grad, d)
+        return grad32, 0.5 * total
 
     def gradient(self, w: np.ndarray, worker: int, iteration: int, rng: SeededRng,
                  noiseless: tuple[np.ndarray, float] | None = None

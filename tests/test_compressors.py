@@ -3,8 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gravac.compressors import (AGGREGATE_BLOCK, TOPK_BOUND_MIN, CompressorKind, SparseGradient,
-                                _dgc_pick, _exact_topk, _global_topup, _select, aggregate,
+from gravac.compressors import (AGGREGATE_BLOCK, KIND_NAMES, TOPK_BOUND_MIN, TOPK_BOUND_STRIDE,
+                                CompressorKind, SparseGradient, _dgc_pick, _exact_topk,
+                                _global_topup, _sample_bound, _select, aggregate,
                                 aggregate_dense, compress, compress_further, decompress,
                                 keep_count)
 from gravac.feedback import apply_feedback, update_residual
@@ -169,12 +170,17 @@ class TestCompressFurther:
         np.testing.assert_allclose(nested.achieved_cf, 1000.0)
 
     def test_step_one_identity(self):
+        # a step that keeps every entry returns its input, not a copy, and
+        # charges the stage for keeping all k of k entries
+        def latency(kind, n, kept):
+            return 1e-6 * n + 1e-3 * kept + 0.1 * KIND_NAMES.index(kind.name)
+
         for kind in ALL_KINDS:
             g = random_vector(np.random.default_rng(7), 200)
             s, _ = compress(kind, g, 5, SeededRng(2))
-            out, _ = compress_further(kind, s, 1.0, SeededRng(3))
-            assert np.array_equal(out.indices, s.indices)
-            assert np.array_equal(out.vals, s.vals)
+            out, seconds = compress_further(kind, s, 1.0, SeededRng(3), latency)
+            assert out is s
+            assert seconds == latency(kind, s.kept, s.kept)
 
     def test_randomk_nested_size(self):
         g = random_vector(np.random.default_rng(8), 100_000)
@@ -511,25 +517,31 @@ class TestStageProperties:
 # partitioned --------------------------------------------------------------
 
 @st.composite
-def large_magnitudes(draw):
-    """Magnitudes of TOPK_BOUND_MIN to 2 * TOPK_BOUND_MIN entries: a tied
-    normal, a constant or zeros, with infinities and the top-up's -1
-    sentinels at drawn positions."""
+def large_values(draw):
+    """Signed values of TOPK_BOUND_MIN to 2 * TOPK_BOUND_MIN entries (a tied
+    normal, a constant or zeros, with drawn signs, so -0.0 too) with
+    infinities and -1 at drawn positions, and the positions that the
+    top-up's magnitudes mark with -1: some drawn ones, and perhaps a run,
+    as a top-up marks its chosen block."""
     n = draw(st.integers(TOPK_BOUND_MIN, 2 * TOPK_BOUND_MIN))
     base = draw(st.sampled_from(["normal", "constant", "zeros"]))
+    seed = draw(st.integers(0, 2**32 - 1))
     if base == "normal":
-        values = tied_normal(draw(st.integers(0, 2**32 - 1)), n, draw(st.sampled_from([0, 1, 4])))
+        values = tied_normal(seed, n, draw(st.sampled_from([0, 1, 4])))
     else:
         values = np.full(n, draw(_FINITE32) if base == "constant" else 0.0)
-    mag = np.abs(values).astype(np.float32)
+    values = np.copysign(values, np.random.default_rng(seed).choice([-1.0, 1.0], n))
+    values = values.astype(np.float32)
     positions = st.integers(0, n - 1)
-    for at, value in draw(st.lists(st.tuples(positions, st.sampled_from([np.inf, -1.0])),
+    for at, value in draw(st.lists(st.tuples(positions, st.sampled_from([np.inf, -np.inf, -1.0])),
                                    max_size=64)):
-        mag[at] = value
-    if draw(st.booleans()):  # a run of sentinels, as a top-up marks its chosen block
+        values[at] = value
+    marked = np.zeros(n, dtype=bool)
+    marked[draw(st.lists(positions, max_size=64))] = True
+    if draw(st.booleans()):
         start = draw(positions)
-        mag[start:start + draw(st.integers(1, n))] = -1.0
-    return mag
+        marked[start:start + draw(st.integers(1, n))] = True
+    return values, marked
 
 
 def partition_sizes(monkeypatch):
@@ -547,10 +559,29 @@ def partition_sizes(monkeypatch):
 
 class TestBoundedTopk:
     @settings(max_examples=60, deadline=None)
-    @given(large_magnitudes())
-    def test_equals_the_full_partition_oracle(self, mag):
-        n = mag.size
+    @given(large_values(), st.data())
+    def test_equals_the_full_partition_oracle(self, drawn, data):
+        # signed values are ranked by |v| and their candidates found as
+        # (v >= lo) | (v <= -lo); entries exactly at +-lo, off the sampled
+        # stride, must be candidates. Magnitudes, as DGC and its top-up
+        # pass them, never pick a position marked -1
+        values, marked = drawn
+        n = values.size
+        off_stride = st.integers(0, n - 1).filter(lambda p: p % TOPK_BOUND_STRIDE)
+        at_bound = data.draw(st.lists(off_stride, min_size=2, max_size=16))
         for k in (1, 2, n // 1000, n // 10, n // 2, n - 1):
+            v = values.copy()
+            lo = _sample_bound(v, k, signed=True)
+            if lo is not None:
+                v[at_bound] = np.where(np.arange(len(at_bound)) % 2, lo, -lo)
+                if k == n // 10:  # the candidate path runs
+                    assert np.count_nonzero(np.abs(v) >= lo) >= k
+            else:
+                assert k == n - 1
+            picked = _exact_topk(v, k, signed=True)
+            assert np.array_equal(picked, np.sort(oracle_exact_topk(np.abs(v), k))), k
+            mag = np.abs(v)
+            mag[marked] = -1.0
             picked = _exact_topk(mag, k)
             assert np.array_equal(picked, np.sort(oracle_exact_topk(mag, k))), k
 

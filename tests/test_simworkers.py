@@ -8,7 +8,7 @@ import pytest
 from gravac.compressors import CompressorKind
 from gravac.controller import ControllerConfig
 from gravac.costmodel import CostModelParams
-from gravac.gradcore import GradientVector
+from gravac.gradcore import REDUCE_BLOCK, GradientVector
 from gravac.simworkers import (DivergenceError, IterationRecord, OptimizerState,
                                RunTrace, run_training, sgd_update)
 from gravac.tasks import QuadraticBowl, SyntheticMlp
@@ -43,6 +43,21 @@ class TestSgdUpdate:
         opt = OptimizerState(weights=np.array([2.0, -4.0]), lr=0.1, weight_decay=0.5)
         sgd_update(opt, GradientVector([0.0, 0.0]))
         np.testing.assert_allclose(opt.weights, np.array([2.0, -4.0]) * (1 - 0.1 * 0.5))
+
+    def test_momentum_free_state_allocates_no_buffer(self):
+        # the buffer is never read without momentum; it was an np.zeros
+        # array of the weights' size, resident once it landed in reused heap
+        weights = np.zeros(1 << 16)
+        tracemalloc.start()
+        try:
+            opt = OptimizerState(weights=weights, lr=0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < weights.nbytes // 8
+        assert opt.buffer.strides == (0,) and not opt.buffer.flags.writeable
+        sgd_update(opt, GradientVector(np.ones(weights.size)))
+        assert (opt.weights == -0.5).all() and not opt.buffer.any()
 
     def test_length_mismatch_rejected(self):
         opt = OptimizerState(weights=np.zeros(3), lr=0.1)
@@ -247,36 +262,44 @@ class TestGravacTraining:
 class TestMemory:
     def test_dense_sends_hold_no_dead_vectors(self):
         # incompressible noise under Redsync at eps 0.5: every send is dense,
-        # so both compression stages run, every residual is cleared and the
-        # sent views are the raw gradients. In gradient sizes (4M bytes) the
-        # peak is 12.9: the weights and the optimizer buffer (2 each), the
-        # gradients (4), the float64 sum (2), the new and the previous update
-        # (1 each). While zero residuals still owned buffers it was 20.9
-        size, workers = 200_000, 4
+        # yet both compression stages run, each worker's stage-1 view is
+        # kept for its gain, and the step factor is 1 (window > iters). The
+        # budget is that live set, in gradient sizes (4M bytes): the weights
+        # (2), the gradients (4), the new and the previous update (2), the
+        # views at CF 10 (indices, sent and own values: 3 * 0.1 per worker)
+        # and two float64 blocks of REDUCE_BLOCK entries. The peak is 9.7,
+        # inside the aggregation. It was 12.3 while the optimizer kept an
+        # unused momentum buffer (2), the quadratic's gradient took two
+        # float64 temporaries (4), compression a full-length |v| (1) and
+        # the identity step a copy of every view
+        size, workers, iters = 1 << 18, 4, 3
         task = QuadraticBowl(size=size, noise_std=0.1)
         opt = OptimizerState(weights=np.zeros(1), lr=0.1)
         tracemalloc.start()
         try:
-            result = run_training(task, opt, CostModelParams(workers=workers), "gravac", 5,
-                                  seed=1, controller_config=ControllerConfig(epsilon=0.5),
+            result = run_training(task, opt, CostModelParams(workers=workers), "gravac", iters,
+                                  seed=1,
+                                  controller_config=ControllerConfig(epsilon=0.5,
+                                                                     window=iters + 1),
                                   compressor=CompressorKind("redsync"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert set(result.trace.column("choice")) == {"dense"}
-        assert peak <= 13 * 4 * size
+        live = 4 * size * (2 + workers + 2 + workers * 3 * 0.1) + 2 * 8 * REDUCE_BLOCK
+        assert peak <= live
 
     @pytest.mark.parametrize("kind", ["topk", "dgc", "redsync"])
     def test_compressed_sends_keep_one_buffer_per_worker(self, kind):
         # an MLP the controller compresses at eps 0.5. Each worker's gradient
         # is folded into its residual as it is drawn, and the residual keeps
         # that buffer after the send. In gradient sizes (4M bytes) the peak
-        # is 13.6 to 14.0, inside aggregate: the weights and the optimizer
-        # buffer (2 each), one buffer per worker (4), the sent parts at CF 10
-        # (0.8), the new and the previous update (1 each), the float64 block
-        # sum (2: M is below one block) and the upcast indices and values.
-        # While feedback added into a fresh array and the residual copied it,
-        # raw gradients, sums and copies were alive together: 20.0 to 23.0
+        # is 11.6 to 12.0, inside aggregate: the weights (2), one buffer per
+        # worker (4), the sent parts at CF 10 (0.8), the new and the previous
+        # update (1 each), the float64 block sum (2: M is below one block)
+        # and the upcast indices and values. An unused momentum buffer added
+        # 2; while feedback added into a fresh array and the residual copied
+        # it, raw gradients, sums and copies were alive together: 20.0 to 23.0
         task = SyntheticMlp(widths=(256, 128, 64, 2))
         size, workers = task.parameter_count, 4
         assert size == 41_282
@@ -291,7 +314,7 @@ class TestMemory:
         finally:
             tracemalloc.stop()
         assert {"minimum", "candidate"} <= set(result.trace.column("choice"))
-        assert peak <= 15 * 4 * size
+        assert peak <= 13 * 4 * size
 
 
 class TestRunTraceIo:

@@ -4,7 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from gravac.gradcore import GradientVector, SeededRng
+from gravac.gradcore import REDUCE_BLOCK, GradientVector, SeededRng, dot64
 from gravac.tasks import _EVAL, QuadraticBowl, SyntheticMlp, _cross_entropy
 
 
@@ -133,6 +133,32 @@ class TestQuadraticBowl:
         ref_grads, ref_losses = zip(*explicit.gradients(w, 2, 5, SeededRng(7)))
         assert [g.values.tobytes() for g in grads] == [g.values.tobytes() for g in ref_grads]
         assert losses == ref_losses
+
+    @pytest.mark.parametrize("size", [1, REDUCE_BLOCK, 2 * REDUCE_BLOCK + 3])
+    def test_blocked_noiseless_part_equals_the_whole_vector_formula(self, size):
+        # d and the gradient pass through block-sized float64 scratch, and
+        # the loss adds dot64's block sums in dot64's order: same bits, and
+        # no float64 array of the task's size (there were two)
+        rng = np.random.default_rng(size)
+        curvature, w_star = rng.uniform(0.5, 2.0, size), rng.standard_normal(size)
+        task = QuadraticBowl(size=size, curvature=curvature, w_star=w_star)
+        w = rng.standard_normal(size)
+        d = w - w_star
+        grad = curvature * d
+        g, loss = task.gradient(w, 0, 1, SeededRng(0))
+        assert g.values.tobytes() == grad.astype(np.float32).tobytes()
+        assert loss == 0.5 * dot64(grad, d)
+        tracemalloc.start()
+        try:
+            task.loss(w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * size + 2 * 8 * REDUCE_BLOCK + 4096
+
+    def test_rejects_weights_of_another_shape(self):
+        with pytest.raises(ValueError, match="shape"):
+            QuadraticBowl(size=4).loss(np.zeros(5))
 
     @pytest.mark.parametrize("noise_std", [-0.1, np.nan])
     def test_rejects_negative_or_nan_noise(self, noise_std):
