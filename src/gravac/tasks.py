@@ -5,7 +5,9 @@ known optimum, and a small tanh MLP classifying two Gaussian blobs. Both
 produce analytic gradients (no autodiff) and are fully deterministic given
 the rng streams they are handed. ``gradients`` yields every worker's
 gradient and loss for one iteration, each drawn only when the caller asks
-for it; ``gradient`` draws one worker's.
+for it; ``gradient`` draws one worker's. The MLP computes a worker's
+gradient in float32, the precision it is sent in, from a float32 copy of
+the float64 master weights; its evaluation runs in float64.
 
 Memory follows the training working set. The MLP evaluates its samples in
 blocks of ``EVAL_BLOCK`` rows: it draws every label first, then each
@@ -255,9 +257,13 @@ class SyntheticMlp:
         return x
 
     def _forward(self, w: np.ndarray, x: np.ndarray):
-        layers = self._unpack(np.asarray(w, dtype=np.float64))
-        activations = [x]
-        h = x
+        """Logits, activations and layers in the dtype of ``w``: float32
+        weights run in float32, the wire format, and any other in float64."""
+        w = np.asarray(w)
+        dtype = np.float32 if w.dtype == np.float32 else np.float64
+        layers = self._unpack(w.astype(dtype, copy=False))
+        h = np.asarray(x, dtype=dtype)
+        activations = [h]
         for weight, bias in layers[:-1]:
             h = np.tanh(h @ weight + bias)
             activations.append(h)
@@ -282,7 +288,8 @@ class SyntheticMlp:
         delta[np.arange(n), labels] -= 1.0
         delta /= n
 
-        flat = np.empty(self._total, dtype=np.float64)
+        # a float32 backward writes into the buffer GradientVector wraps
+        flat = np.empty(self._total, dtype=logits.dtype)
         for layer_idx in range(len(layers) - 1, -1, -1):
             weight, _ = layers[layer_idx]
             weight_at, shape, bias_at = self._layout[layer_idx]
@@ -294,14 +301,17 @@ class SyntheticMlp:
 
     def gradient(self, w: np.ndarray, worker: int, iteration: int,
                  rng: SeededRng) -> tuple[GradientVector, float]:
+        """One worker's gradient and loss, computed in float32 on its batch."""
         gen = rng.split(_BATCH, worker, iteration).generator
         x, labels = self.sample_batch(gen, self.batch_size)
-        return self.gradient_on(w, x, labels)
+        return self.gradient_on(np.asarray(w, dtype=np.float32), x, labels)
 
     def gradients(self, w: np.ndarray, workers: int, iteration: int,
                   rng: SeededRng) -> Iterator[tuple[GradientVector, float]]:
-        """Each worker's gradient and loss on its own batch, in worker order."""
-        return (self.gradient(w, worker, iteration, rng) for worker in range(workers))
+        """Each worker's gradient and loss on its own batch, in worker order;
+        the weights are cast to float32 once."""
+        w32 = np.asarray(w, dtype=np.float32)
+        return (self.gradient(w32, worker, iteration, rng) for worker in range(workers))
 
     def evaluate(self, w: np.ndarray, rng: SeededRng, n_samples: int) -> dict:
         gen = rng.split(_EVAL).generator

@@ -4,10 +4,12 @@ Each case runs ``run_experiment`` on a small config and hashes the
 ``trace.jsonl`` and ``summary.json`` it writes together with the final
 weights. A refactor that changes any of them changed behaviour. A change
 that alters traces on purpose updates the digests and says why. They were
-last taken when squared norms and the quadratic's loss began to reduce
-through ``gradcore.dot64``, whose bits do not depend on the BLAS thread
-count; every decision, volume and modeled time stayed as it was, and only
-the vanished-gradient case, which takes no norm, kept its digest.
+taken when squared norms and the quadratic's loss began to reduce through
+``gradcore.dot64``, whose bits do not depend on the BLAS thread count;
+every decision, volume and modeled time stayed as it was, and only the
+vanished-gradient case, which takes no norm, kept its digest. The two MLP
+digests were taken again when the MLP's worker gradients began to be
+computed in float32 from a float32 copy of the weights.
 """
 
 import hashlib
@@ -82,9 +84,9 @@ GOLDEN = {
     "quad-n8-static-cf-dgc": "628596eb89fbfc5c0c2ef14435389abf1266663d5571546be8a897299071ab00",
     "quad-n8-static-cf-redsync": "4c2953eb1425a4831cd5938ec99637a50da0293a35c8bd1be270cacc6fc72e58",
     "quad-n8-static-cf-randomk": "97541a916ced683399998b3a53dda83a65636c1cd91cdd8116eedb00f85f82f4",
-    "mlp-n4-gravac-topk": "b428dbbfe817778ec093d01ebfa9e1991b43da762da0694e9d680185d2f74f3c",
+    "mlp-n4-gravac-topk": "3efa2310b71297809866dc53f561c3ce1e30d6e1a70b0b8556348f574cc12a1c",
     "mlp-n4-gravac-topk-eval300":
-        "07ade0a8e91e9fb78cbc87cc7f65928d13a5be371c9d3e265781eb2b9908bad9",
+        "ea44d949e14674bd7de22e5e900dc52f1a1535aa9cced608b7ec71500b9e7caf",
     "quad-n4-gravac-vanished": "ae1f9f56d44a7efd4db5edf0e8125d25edf109df3a25f2629f34be20a37b56cd",
     "quad-m20k-b1-gravac-dgc": "4bee39897337a8dfe8c74c4f518f7ac01072399321a612cba095b38b0ebded98",
     "quad-m20k-b1-gravac-redsync": "0c0fb12b8ca9cef39c9dba5c03d9d8f418b26d62bf078df821ad29eaa91683bc",
@@ -153,6 +155,9 @@ THREAD_CASES = {
     # M = 16,482; at widths 256,64,8,2 (M = 16,986) the first 5 iterations
     # happened to round alike at 1 and 2 threads under np.dot
     "mlp-m16k-gravac-topk": dict(MLP, **{"task.widths": "512,32,2", "iters": "5"}),
+    # the mlp_wide benchmark's GEMM shapes through the float32 worker
+    # gradient (sgemm) and the float64 evaluation (dgemm)
+    "mlp-m279k-gravac-topk": dict(MLP, **{"task.widths": "1024,256,64,2", "iters": "5"}),
 }
 
 

@@ -497,6 +497,16 @@ class TestCli:
         assert capsys.readouterr().err.splitlines() == [
             "divergence abort: iteration 1: a worker's gradient has non-finite entries"]
 
+    def test_mlp_weights_beyond_float32_exit_three(self, tmp_path, capsys):
+        # the first step leaves float64 master weights that the float32 copy
+        # a worker's gradient is computed from cannot hold
+        config = os.path.join(os.path.dirname(__file__), "..", "configs", "mlp_adaptive.cfg")
+        code = main(["run", "--config", config, "--iters", "3", "--out", str(tmp_path / "run"),
+                     "--set", "opt.lr=1e45", "--set", "opt.momentum=0"])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "divergence abort: iteration 2: overflow encountered in cast"]
+
     @pytest.mark.parametrize("below", [(), ("sub", "run")])
     def test_out_that_cannot_be_a_directory_exits_two(self, tmp_path, capsys, below):
         (tmp_path / "file").write_text("")

@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from gravac import tasks
 from gravac.gradcore import REDUCE_BLOCK, GradientVector, SeededRng, dot64
 from gravac.tasks import _EVAL, QuadraticBowl, SyntheticMlp, _cross_entropy
 
@@ -16,6 +17,26 @@ def per_worker_quadratic_gradient(task, w, worker, iteration, rng):
         scale = np.float32(task.noise_std / np.sqrt(task.batch_size))
         grad = gen.standard_normal(task.size, dtype=np.float32) * scale + grad
     return GradientVector(grad), task.loss(w)
+
+
+def reference_mlp_gradient(task, w, x, labels, dtype):
+    """The MLP's gradient and loss on one batch with every array in ``dtype``."""
+    layers = [(w[weight].reshape(shape).astype(dtype), w[bias].astype(dtype))
+              for weight, shape, bias in task._layout]
+    activations = [x.astype(dtype)]
+    for weight, bias in layers[:-1]:
+        activations.append(np.tanh(activations[-1] @ weight + bias))
+    logits = activations[-1] @ layers[-1][0] + layers[-1][1]
+    exp = np.exp(logits - logits.max(axis=1, keepdims=True))
+    delta = exp / exp.sum(axis=1, keepdims=True)
+    delta[np.arange(len(labels)), labels] -= 1.0
+    delta /= len(labels)
+    parts = []
+    for layer_idx in range(len(layers) - 1, -1, -1):
+        parts[:0] = [(activations[layer_idx].T @ delta).ravel(), delta.sum(axis=0)]
+        if layer_idx > 0:
+            delta = (delta @ layers[layer_idx][0].T) * (1.0 - activations[layer_idx] ** 2)
+    return np.concatenate(parts).astype(np.float32), _cross_entropy(logits, labels)
 
 
 def full_batch_evaluation(task, w, rng, n_samples):
@@ -205,6 +226,55 @@ class TestSyntheticMlp:
         for worker, (g, loss) in enumerate(zip(grads, losses)):
             ref, ref_loss = task.gradient(w, worker, 4, SeededRng(8))
             assert g.values.tobytes() == ref.values.tobytes() and loss == ref_loss
+
+    def test_worker_gradients_are_computed_in_float32(self, monkeypatch):
+        # float64 master weights, float32 forward and backward: the flat
+        # gradient the backward fills is the one sent, with no cast copy
+        task = SyntheticMlp(widths=(16, 12, 6, 2), batch_size=8, feature_decades=2.0)
+        w = task.initial_weights(SeededRng(0))
+        wrapped = []
+
+        def spy(values):
+            wrapped.append(values)
+            return GradientVector(values)
+
+        monkeypatch.setattr(tasks, "GradientVector", spy)
+        grads = [task.gradient(w, 0, 3, SeededRng(4)), *task.gradients(w, 2, 3, SeededRng(4))]
+        x, labels = task.sample_batch(SeededRng(4).split(0, 0, 3).generator, 8)
+        ref, ref_loss = reference_mlp_gradient(task, w, x, labels, np.float32)
+        assert len(wrapped) == len(grads) == 3
+        for (g, _), raw in zip(grads, wrapped):
+            assert raw.dtype == np.float32 and np.shares_memory(raw, g.values)
+        for g, loss in grads[:2]:
+            assert g.values.tobytes() == ref.tobytes() and loss == ref_loss
+
+    def test_gradients_cast_the_weights_once_per_iteration(self):
+        task = SyntheticMlp(widths=(8, 6, 2), batch_size=4)
+        w = task.initial_weights(SeededRng(0))
+        given = []
+        gradient = task.gradient
+
+        def spy(w32, *args):
+            given.append(w32)
+            return gradient(w32, *args)
+
+        task.gradient = spy
+        list(task.gradients(w, 3, 1, SeededRng(2)))
+        assert len(given) == 3 and given[0].dtype == np.float32
+        assert all(w32 is given[0] for w32 in given)
+
+    def test_float64_weights_keep_the_float64_gradient(self):
+        task = SyntheticMlp(widths=(16, 12, 6, 2), batch_size=8, feature_decades=2.0)
+        w = task.initial_weights(SeededRng(0))
+        x, labels = task.sample_batch(SeededRng(9).generator, 8)
+        g64, loss64 = task.gradient_on(w, x, labels)
+        ref, ref_loss = reference_mlp_gradient(task, w, x, labels, np.float64)
+        assert g64.values.tobytes() == ref.tobytes() and loss64 == ref_loss
+        g32, loss32 = task.gradient_on(w.astype(np.float32), x, labels)
+        assert g32.values.tobytes() != g64.values.tobytes()
+        scale = np.abs(g64.values).max()
+        np.testing.assert_allclose(g32.values, g64.values, rtol=1e-4, atol=1e-5 * scale)
+        assert loss32 == pytest.approx(loss64, rel=1e-5)
 
     def test_feature_spectrum_spans_decades(self):
         task = SyntheticMlp(widths=(16, 8, 2), blob_spread=2.0, feature_decades=3.0)
