@@ -293,9 +293,14 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> dict:
 def _write_outputs(out: str, texts: Mapping[str, str]) -> None:
     """Write each file into a temp dir next to ``out``, then move them all in.
 
-    A write that fails leaves ``out`` as it was, so it never holds a new
-    trace without its summary. The files move in dict order; the caller
-    lists the summary last.
+    A write that fails leaves ``out`` as it was. The files then move in dict
+    order, one ``os.replace`` each, and the caller lists the summary last.
+    Each move is atomic but the set is not: a process killed between two
+    moves leaves the files moved so far beside the previous run's, e.g. a
+    new ``trace.jsonl`` beside an old ``summary.json``, and leaves its
+    ``.staging-*`` dir next to ``out``. Every file is written before the
+    first move, so in a set from one run ``summary.json`` is no older than
+    ``trace.jsonl``.
     """
     os.makedirs(out, exist_ok=True)
     staging = tempfile.mkdtemp(prefix=".staging-", dir=os.path.dirname(os.path.abspath(out)))

@@ -25,7 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .gradcore import REDUCE_BLOCK, SEED_LIMIT, GradientVector, SeededRng, dot64
+from .gradcore import REDUCE_BLOCK, SEED_LIMIT, GradientVector, SeededRng, dot64, normal32
 
 QUADRATIC = "quadratic"
 SYNTHETIC_MLP = "synthetic_mlp"
@@ -47,8 +47,9 @@ class QuadraticBowl:
 
     Per-sample gradients are curvature*(w - w_star) + noise with i.i.d.
     N(0, noise_std^2) noise, averaged over the batch. The batch mean of the
-    noise is drawn directly: one float32 standard normal per coordinate,
-    scaled by noise_std / sqrt(batch_size), which has the same distribution.
+    noise is drawn directly: one float32 standard normal per coordinate
+    (``gradcore.normal32``), scaled by noise_std / sqrt(batch_size), which
+    has the same distribution.
     The reported loss is the noiseless objective.
     """
 
@@ -123,7 +124,8 @@ class QuadraticBowl:
                  ) -> tuple[GradientVector, float]:
         """One worker's noisy gradient and the noiseless loss at ``w``.
 
-        The noise is ``standard_normal(size, float32)`` from the substream
+        The noise is ``normal32(gen, size)``, the float32 Box–Muller draw,
+        from the generator of the substream
         ``rng.split(_BATCH, worker, iteration)``, times
         ``float32(noise_std / sqrt(batch_size))``, added to the float32
         noiseless gradient. ``noiseless`` is ``(float32(curvature * (w -
@@ -133,7 +135,7 @@ class QuadraticBowl:
         grad, loss = self._noiseless(w) if noiseless is None else noiseless
         if self.noise_std > 0.0:
             gen = rng.split(_BATCH, worker, iteration).generator
-            noise = gen.standard_normal(self.size, dtype=np.float32)
+            noise = normal32(gen, self.size)
             # noise beyond the float32 range becomes inf, and nan where it
             # meets an inf gradient of the other sign; the training loop
             # rejects either as a divergence

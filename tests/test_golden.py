@@ -9,7 +9,11 @@ taken when squared norms and the quadratic's loss began to reduce through
 every decision, volume and modeled time stayed as it was, and only the
 vanished-gradient case, which takes no norm, kept its digest. The two MLP
 digests were taken again when the MLP's worker gradients began to be
-computed in float32 from a float32 copy of the weights.
+computed in float32 from a float32 copy of the weights. Every quadratic
+case with gradient noise was taken again when the noise began to be drawn
+by ``gradcore.normal32``'s float32 Box–Muller transform instead of numpy's
+ziggurat; the noise-free vanished-gradient case and the MLP cases kept
+theirs.
 """
 
 import hashlib
@@ -67,35 +71,35 @@ CASES = {
 }
 
 GOLDEN = {
-    "quad-n4-gravac-topk": "a2f460ccbb69476bf15bf13ab1b5e075b0d719c7abc3524cb27c304931090773",
-    "quad-n4-gravac-dgc": "598d418977a49ec0ca1e692659324f77e6a6e6f1547400812c66addace4e7d48",
-    "quad-n4-gravac-redsync": "71a035d1281d767102c13c11e7291d7b34b44e41394d00002a11bbc12dd07a79",
-    "quad-n4-gravac-randomk": "671ff8e79618d9450e705c16b832e1ded98a5f7df4a33d021f096c61035a17ca",
-    "quad-n4-gravac-topk-eps0.7": "2506126e3644480c6b99dea59598bc256bfc15afea99a20933a4e1b0b1071cbf",
-    "quad-n4-static-cf-topk": "ad4fc5d1dca78191ff88af3b114d512bcfc4236843d12b9e770309631cd02655",
-    "quad-n4-static-cf-dgc": "e2137fd1cf8daa935781e49b07eb7403b2ccf92f77b7e05487644dcf312c7520",
-    "quad-n4-static-cf-redsync": "342f4fefdde436db4510cb51444b9d10aff6e761927a5e438eaf640d557dfb7b",
-    "quad-n4-static-cf-randomk": "9c1b72d9729e4e7d54d98a2962988deff55738bde25eb99e734b872655e2e130",
-    "quad-n4-dense-topk": "96d708918312b5ad022860b00bf0ea87c17135dc65fdbf348366a21bf2561f8d",
-    "quad-n4-dense-dgc": "96d708918312b5ad022860b00bf0ea87c17135dc65fdbf348366a21bf2561f8d",
-    "quad-n4-dense-redsync": "96d708918312b5ad022860b00bf0ea87c17135dc65fdbf348366a21bf2561f8d",
-    "quad-n4-dense-randomk": "96d708918312b5ad022860b00bf0ea87c17135dc65fdbf348366a21bf2561f8d",
-    "quad-n8-static-cf-topk": "be25cf369fd9f2a1e81f7f72b7100948b42dcb808a1cb8994b79acbba8b56d2b",
-    "quad-n8-static-cf-dgc": "628596eb89fbfc5c0c2ef14435389abf1266663d5571546be8a897299071ab00",
-    "quad-n8-static-cf-redsync": "4c2953eb1425a4831cd5938ec99637a50da0293a35c8bd1be270cacc6fc72e58",
-    "quad-n8-static-cf-randomk": "97541a916ced683399998b3a53dda83a65636c1cd91cdd8116eedb00f85f82f4",
+    "quad-n4-gravac-topk": "8e90844dce158e112c3fa695b98ff719988fa4beb0b636424b1f7d66aff5330f",
+    "quad-n4-gravac-dgc": "40f9d520458d7ecdfafe64f5183de6a22168ddae70b7403fdf5087e35ae51cb5",
+    "quad-n4-gravac-redsync": "fb5b9c2f0cb47ed4f0ac1a53dfcdb897f4897895a2bda950a05ed91be7986185",
+    "quad-n4-gravac-randomk": "cc8a44de7879982a1e9b440a35ef5ec7431a1cfb16c92e4db607da00e4a96471",
+    "quad-n4-gravac-topk-eps0.7": "2007a3580bc6ba149e25e5767e318d84f6312d1afdf36d88ced65b1d73878d31",
+    "quad-n4-static-cf-topk": "310aad39f202ef9a02ad84bdb86b30b9420112c435a92cf1b4552b4744f66a8e",
+    "quad-n4-static-cf-dgc": "762bab859a2278074b9fcdc398ad63470a2fff89b9963437014c7f9a86a3502f",
+    "quad-n4-static-cf-redsync": "adef20515d666f0ab8ff9dce13ccda1e95ed4a287d279d963fa18cd5002f2dbc",
+    "quad-n4-static-cf-randomk": "8b0a73a80a96038a9da9f327b642a1e41cf20c791a0f70d622b1d811a1667f7b",
+    "quad-n4-dense-topk": "2d292fac16ce6cfad7d37fd91ee7f78fda3a486cf1c68de637b0df87457dc6cd",
+    "quad-n4-dense-dgc": "2d292fac16ce6cfad7d37fd91ee7f78fda3a486cf1c68de637b0df87457dc6cd",
+    "quad-n4-dense-redsync": "2d292fac16ce6cfad7d37fd91ee7f78fda3a486cf1c68de637b0df87457dc6cd",
+    "quad-n4-dense-randomk": "2d292fac16ce6cfad7d37fd91ee7f78fda3a486cf1c68de637b0df87457dc6cd",
+    "quad-n8-static-cf-topk": "3c5456c81191641d31de3432773ed22c6c8aa245d32106c125d2696dd465d7d2",
+    "quad-n8-static-cf-dgc": "eabc7bb5a4bdd9033ea658834548de02ba5deaa9f7582bebb2572a3ceaf0f95a",
+    "quad-n8-static-cf-redsync": "962b4e232313f68f68d6fef49612ee93026bc054efb25540f957a7be1b30c8cd",
+    "quad-n8-static-cf-randomk": "7a47438c011886a515e000740bf59a540be9d019a246646d812ed28163b8def9",
     "mlp-n4-gravac-topk": "3efa2310b71297809866dc53f561c3ce1e30d6e1a70b0b8556348f574cc12a1c",
     "mlp-n4-gravac-topk-eval300":
         "ea44d949e14674bd7de22e5e900dc52f1a1535aa9cced608b7ec71500b9e7caf",
     "quad-n4-gravac-vanished": "ae1f9f56d44a7efd4db5edf0e8125d25edf109df3a25f2629f34be20a37b56cd",
-    "quad-m20k-b1-gravac-dgc": "4bee39897337a8dfe8c74c4f518f7ac01072399321a612cba095b38b0ebded98",
-    "quad-m20k-b1-gravac-redsync": "0c0fb12b8ca9cef39c9dba5c03d9d8f418b26d62bf078df821ad29eaa91683bc",
-    "quad-m20k-b1-gravac-topk": "055dcb77cb4fdd5b3f2a867e09229bf608d67bcabced34dcf0f21775a8dfd2a1",
-    "quad-m20k-b1-static-cf-redsync": "b6f22e192571004c572557ff4deb0f98e6a6cf10437bc2b156467be70f1241d3",
-    "quad-m20k-b3-gravac-dgc": "8798e25813a8ff3a6960dcedd1a66a96d29265da346a3b71948cbf0c9de6149a",
-    "quad-m20k-b3-gravac-redsync": "e8712c1ca6a5abacb5ff74295553e1ac6fc70b678fcffa25237a21981d6146eb",
-    "quad-m20k-b3-gravac-topk": "2f109b3732714de6e82163bb789172090e419b4b5854ff9299c7ccb50eaa224b",
-    "quad-m20k-b3-static-cf-redsync": "fc2a5dd0211a0eb43edf444ffdd8f2b3cd4930572444de5faf02f45b3c6b0d6a",
+    "quad-m20k-b1-gravac-dgc": "4c655a4414701d6f6d86dba9daef08bd113e7eb1193dd5d73e6ab9de806d742c",
+    "quad-m20k-b1-gravac-redsync": "b10aa1bd1848dfab963e52d55c825c8247496afbc7ad10e0e8f30a618ab4a1ed",
+    "quad-m20k-b1-gravac-topk": "6325e8943cafd68b5538fbba4cb3d889e806b009ebb131f1b53f2730be833523",
+    "quad-m20k-b1-static-cf-redsync": "2b831b8d2fb9d0611c0cb48fcc2d46fa2b74bd28d24575b51dea5b1022a83223",
+    "quad-m20k-b3-gravac-dgc": "a1f54800663934a9e871d1d046ddd74468eea225382ed9ffe44b8c208f8f7428",
+    "quad-m20k-b3-gravac-redsync": "854714abf3faf1cef82a15bffa302ac25d7812bf3b0a2361fdf06732188bcb87",
+    "quad-m20k-b3-gravac-topk": "d825eba24b3c46f50a0624f771f15720a486a4dfd51b7c9443eb6d6b1975c70c",
+    "quad-m20k-b3-static-cf-redsync": "1d94cd5ef2a0dc130e4fc7cfc217f0c87097f9710b5a909a3bccd2919517d9a9",
 }
 
 # the numpy the digests were taken under: numpy does not promise that a

@@ -1,12 +1,17 @@
+import json
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gravac
 from gravac.gradcore import (REDUCE_BLOCK, GradientVector, SeededRng, dot64,
-                             ewma_lambda_from_workers, squared_l2_norm)
+                             ewma_lambda_from_workers, normal32, squared_l2_norm)
 from gravac.metrics import GainTracker
 
 
@@ -206,3 +211,91 @@ class TestSeededRng:
         b = root.split(4, 3).generator.random(100)
         assert np.array_equal(a1, a2)
         assert not np.array_equal(a1, b)
+
+
+# Prints the float32 log/sin/cos targets numpy dispatched to and the digest
+# of one normal32 draw that spans several blocks and ends in an odd tail
+_NORMAL32_DIGEST_SCRIPT = """
+import hashlib, json
+from numpy.lib.introspect import opt_func_info
+from gravac.gradcore import SeededRng, normal32
+info = opt_func_info(func_name="^(log|sin|cos)$", signature="float32")
+targets = sorted({kinds["ff"]["current"] for kinds in info.values()})
+z = normal32(SeededRng(3, 5).generator, 3 * (1 << 16) + 1)
+print(json.dumps([targets, hashlib.sha256(z.tobytes()).hexdigest()]))
+"""
+
+
+def _normal32_digest(disabled: str) -> tuple[list[str], str]:
+    env = dict(os.environ, NPY_DISABLE_CPU_FEATURES=disabled,
+               PYTHONPATH=os.path.dirname(os.path.dirname(gravac.__file__)))
+    proc = subprocess.run([sys.executable, "-c", _NORMAL32_DIGEST_SCRIPT],
+                          capture_output=True, text=True, env=env, timeout=60)
+    proc.check_returncode()
+    return tuple(json.loads(proc.stdout))
+
+
+def _x86_v4_dispatched() -> bool:
+    """Whether numpy runs its float32 log, sin and cos on X86_V4 kernels here."""
+    try:
+        from numpy.lib.introspect import opt_func_info
+    except ImportError:  # numpy < 2.0
+        return False
+    info = opt_func_info(func_name="^(log|sin|cos)$", signature="float32")
+    return len(info) == 3 and all(kinds["ff"]["current"] == "X86_V4" for kinds in info.values())
+
+
+class TestNormal32:
+    """The float32 Box–Muller draw behind the quadratic's gradient noise."""
+
+    @pytest.mark.parametrize("size", [1, 2, REDUCE_BLOCK - 1, REDUCE_BLOCK, REDUCE_BLOCK + 1,
+                                      3 * REDUCE_BLOCK + 1])
+    def test_exact_length_float32_and_finite(self, size):
+        z = normal32(SeededRng(1).generator, size)
+        assert z.shape == (size,) and z.dtype == np.float32
+        assert np.isfinite(z).all()
+
+    def test_a_zero_uniform_gives_a_zero_not_an_infinity(self):
+        class ZeroUniforms:
+            def random(self, out, dtype):
+                out[...] = 0
+
+        z = normal32(ZeroUniforms(), 5)
+        assert np.array_equal(z, np.zeros(5, dtype=np.float32))
+
+    def test_repeatable_per_seed_and_stream(self):
+        size = 2 * REDUCE_BLOCK + 3
+        a = normal32(SeededRng(5, stream=9).generator, size)
+        b = normal32(SeededRng(5, stream=9).generator, size)
+        assert a.tobytes() == b.tobytes()
+        for other in (SeededRng(5, stream=10), SeededRng(6, stream=9)):
+            assert not np.array_equal(a, normal32(other.generator, size))
+
+    def test_distribution_is_standard_normal(self):
+        n = 10**6
+        z = np.sort(normal32(SeededRng(2).generator, n).astype(np.float64))
+        cdf = 0.5 * (1.0 + np.frompyfunc(math.erf, 1, 1)(z / math.sqrt(2.0)).astype(np.float64))
+        ks = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+        # sqrt(n)·KS is below 1.95 with probability 0.999 under the null
+        assert ks < 5 / math.sqrt(n)
+        for k in (2, 3, 4):
+            p = math.erfc(k / math.sqrt(2.0))
+            freq = np.count_nonzero(np.abs(z) > k) / n
+            assert abs(freq - p) < 5 * math.sqrt(p * (1 - p) / n), k
+
+    def test_cos_and_sin_halves_are_uncorrelated(self):
+        # each pair (r·cos t, r·sin t) is two independent normals, so neither
+        # the halves nor their squares (which share r²) may correlate
+        z = normal32(SeededRng(4).generator, 4 * REDUCE_BLOCK).astype(np.float64)
+        h = REDUCE_BLOCK // 2
+        for block in z.reshape(4, REDUCE_BLOCK):
+            cos_half, sin_half = block[:h], block[h:]
+            for x, y in ((cos_half, sin_half), (cos_half ** 2, sin_half ** 2)):
+                assert abs(np.corrcoef(x, y)[0, 1]) < 5 / math.sqrt(h)
+
+    @pytest.mark.skipif(not _x86_v4_dispatched(),
+                        reason="numpy's float32 log/sin/cos do not run on X86_V4 kernels here")
+    def test_bytes_equal_on_x86_v4_and_x86_v3_kernels(self):
+        default, no_v4 = _normal32_digest(""), _normal32_digest("X86_V4")
+        assert default[0] == ["X86_V4"] and no_v4[0] == ["X86_V3"]
+        assert default[1] == no_v4[1]

@@ -10,12 +10,26 @@ from gravac.tasks import _EVAL, QuadraticBowl, SyntheticMlp, _cross_entropy
 
 
 def per_worker_quadratic_gradient(task, w, worker, iteration, rng):
-    """One worker's gradient as ``QuadraticBowl.gradient``'s docstring states it."""
+    """One worker's gradient as ``QuadraticBowl.gradient``'s docstring states it.
+
+    The noise is float32 Box–Muller normals, 2**16 at a time: a block of n
+    takes 2h uniforms (h = ceil(n / 2)), u1 then u2, and holds the h values
+    r·cos(2π·u2) followed by the first n - h values r·sin(2π·u2), where
+    r = sqrt(-2·log(1 - u1)).
+    """
     grad = (task.curvature * (np.asarray(w, dtype=np.float64) - task.w_star)).astype(np.float32)
     if task.noise_std > 0.0:
         gen = rng.split(0, worker, iteration).generator
+        noise = []
+        for start in range(0, task.size, 1 << 16):
+            n = min(1 << 16, task.size - start)
+            h = (n + 1) // 2
+            u = gen.random(2 * h, dtype=np.float32)
+            r = np.sqrt(np.float32(-2) * np.log(np.float32(1) - u[:h]))
+            t = np.float32(2 * np.pi) * u[h:]
+            noise += [r * np.cos(t), (r * np.sin(t))[:n - h]]
         scale = np.float32(task.noise_std / np.sqrt(task.batch_size))
-        grad = gen.standard_normal(task.size, dtype=np.float32) * scale + grad
+        grad = np.concatenate(noise) * scale + grad
     return GradientVector(grad), task.loss(w)
 
 
@@ -111,6 +125,15 @@ class TestQuadraticBowl:
             single, single_loss = task.gradient(w, worker, 9, SeededRng(6))
             assert single.values.tobytes() == ref.values.tobytes() and single_loss == ref_loss
         assert np.array_equal(w, w_before)
+
+    def test_noise_follows_the_formula_across_blocks(self):
+        # three full blocks, then a one-entry block whose sin half is empty
+        size = 3 * REDUCE_BLOCK + 1
+        task = QuadraticBowl(size=size, noise_std=0.3, batch_size=2)
+        w = np.ones(size)
+        g, _ = task.gradient(w, 1, 4, SeededRng(8))
+        ref, _ = per_worker_quadratic_gradient(task, w, 1, 4, SeededRng(8))
+        assert g.values.tobytes() == ref.values.tobytes()
 
     @pytest.mark.parametrize("batch_size", [1, 3])
     def test_noise_rows_have_the_batch_mean_distribution(self, batch_size):
