@@ -6,9 +6,12 @@ format -- while ``dot64`` reduces them in 64-bit, block by block, so a
 norm has the same bits at any BLAS thread count. Random draws come from
 SFC64, seeded per (seed, stream) through ``SeedSequence``. ``normal32``
 draws float32 standard normals by the Box–Muller transform over float32
-uniforms, in about 6 ms per 10^6 against the 15 ms of numpy's float32
-ziggurat (one core of a 2-core x86-64 VM with AVX-512); its bits depend on
-numpy's float32 ``log``, ``sin`` and ``cos`` kernels.
+uniforms cut from SFC64's raw 64-bit words. With a scale and shift
+applied it takes about 5.5 ms per 10^6, against 7.3-8.2 ms over
+``gen.random``'s uniforms with two more full-length passes and about 15 ms
+for numpy's float32 ziggurat (one core of a 2-core x86-64 VM with
+AVX-512). Its bits depend on numpy's float32 ``log``, ``sin`` and ``cos``
+kernels.
 """
 
 from __future__ import annotations
@@ -22,6 +25,9 @@ SEED_LIMIT = 1 << 53
 # dot64 reduces its inputs in blocks of this many entries, so a float32 input
 # is upcast through one block-sized float64 scratch, never a full-length copy
 REDUCE_BLOCK = 1 << 16
+# normal32's uniforms: a 24-bit integer times 2**-24, and 2π folded into it
+_ULP24 = np.float32(2.0 ** -24)
+_TWO_PI_ULP24 = np.float32(2 * np.pi) * _ULP24
 
 
 class GradientVector:
@@ -90,33 +96,49 @@ def squared_l2_norm(values: np.ndarray) -> float:
     return dot64(values, values)
 
 
-def normal32(gen: np.random.Generator, size: int) -> np.ndarray:
-    """``size`` float32 standard normals by the Box–Muller transform.
+def normal32(gen: np.random.Generator, size: int, scale: np.float32 | None = None,
+             shift: np.ndarray | None = None) -> np.ndarray:
+    """``size`` float32 standard normals z by the Box–Muller transform, or
+    ``z * scale + shift`` in float32 when those are given.
 
     Each block of REDUCE_BLOCK outputs (the last may be shorter), with
-    h = ceil(n / 2) for a block of n, takes 2h float32 uniforms from
-    ``gen.random``: u1 is the first h, u2 the next h. With
-    r = sqrt(-2 log(1 - u1)) and t = 2π u2, the block's first h entries are
-    r cos t and its other n - h are r sin t. 1 - u1 lies in [2**-24, 1], so
-    the log is finite and |z| <= sqrt(48 ln 2) ≈ 5.77.
+    h = ceil(n / 2) for a block of n, takes 2h float32 uniforms
+    u = (k >> 8) * 2**-24 from the 32-bit halves k of h raw SFC64 words,
+    low half first (as a little-endian machine lays them out): u1 is the
+    first h, u2 the next h. numpy's ``gen.random``
+    serves SFC64's float32 uniforms the same way, so these are its uniforms
+    on a generator that holds no buffered 32-bit half (a fresh one), at half
+    the generator calls. With r = sqrt(-2 log(1 - u1)) and t = 2π u2, the
+    block's first h entries are r cos t and its other n - h are r sin t.
+    1 - u1 lies in [2**-24, 1], so the log is finite and
+    |z| <= sqrt(48 ln 2) ≈ 5.77. ``scale`` and ``shift`` (length ``size``)
+    are applied to each block while it is in cache.
     """
     out = np.empty(size, dtype=np.float32)
-    scratch = np.empty(2 * ((min(REDUCE_BLOCK, size) + 1) // 2), dtype=np.float32)
     for start in range(0, size, REDUCE_BLOCK):
         block = out[start:start + REDUCE_BLOCK]
         h = (block.size + 1) // 2
-        u = scratch[:2 * h]
-        gen.random(out=u, dtype=np.float32)
+        k = gen.bit_generator.random_raw(h).view(np.uint32)
+        k >>= 8
+        # the uniforms overwrite their integers in place: one buffer a block
+        u = k.view(np.float32)
+        u[...] = k
         r, t = u[:h], u[h:]
+        r *= _ULP24
         np.subtract(np.float32(1), r, out=r)
         np.log(r, out=r)
         r *= np.float32(-2)
         np.sqrt(r, out=r)
-        t *= np.float32(2 * np.pi)
+        # 2π u2 in one rounding: a power-of-two factor commutes with it
+        t *= _TWO_PI_ULP24
         np.cos(t, out=block[:h])
         block[:h] *= r
         np.sin(t[:block.size - h], out=block[h:])
         block[h:] *= r[:block.size - h]
+        if scale is not None:
+            block *= scale
+        if shift is not None:
+            block += shift[start:start + block.size]
     return out
 
 

@@ -124,25 +124,23 @@ class QuadraticBowl:
                  ) -> tuple[GradientVector, float]:
         """One worker's noisy gradient and the noiseless loss at ``w``.
 
-        The noise is ``normal32(gen, size)``, the float32 Box–Muller draw,
-        from the generator of the substream
-        ``rng.split(_BATCH, worker, iteration)``, times
-        ``float32(noise_std / sqrt(batch_size))``, added to the float32
-        noiseless gradient. ``noiseless`` is ``(float32(curvature * (w -
-        w_star)), loss(w))`` when the caller has computed it already; it is
-        not modified.
+        The noise is ``normal32``'s float32 Box–Muller draw from the
+        generator of the substream ``rng.split(_BATCH, worker, iteration)``,
+        times ``float32(noise_std / sqrt(batch_size))``, added to the float32
+        noiseless gradient; ``normal32`` scales and adds each block of
+        ``REDUCE_BLOCK`` entries as soon as it is drawn. ``noiseless`` is
+        ``(float32(curvature * (w - w_star)), loss(w))`` when the caller has
+        computed it already; it is not modified.
         """
         grad, loss = self._noiseless(w) if noiseless is None else noiseless
         if self.noise_std > 0.0:
             gen = rng.split(_BATCH, worker, iteration).generator
-            noise = normal32(gen, self.size)
-            # noise beyond the float32 range becomes inf, and nan where it
-            # meets an inf gradient of the other sign; the training loop
-            # rejects either as a divergence
+            # a scale or noise beyond the float32 range becomes inf, and nan
+            # where it meets a zero normal or an inf gradient of the other
+            # sign; the training loop rejects either as a divergence
             with np.errstate(over="ignore", invalid="ignore"):
-                noise *= np.float32(self.noise_std / np.sqrt(self.batch_size))
-                noise += grad
-            return GradientVector(noise), loss
+                scale = np.float32(self.noise_std / np.sqrt(self.batch_size))
+                return GradientVector(normal32(gen, self.size, scale, grad)), loss
         return GradientVector(grad.copy()), loss
 
     def gradients(self, w: np.ndarray, workers: int, iteration: int,

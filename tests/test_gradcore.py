@@ -245,8 +245,67 @@ def _x86_v4_dispatched() -> bool:
     return len(info) == 3 and all(kinds["ff"]["current"] == "X86_V4" for kinds in info.values())
 
 
+def _box_muller(u: np.ndarray, n: int) -> np.ndarray:
+    """One block of n normals from its 2h float32 uniforms, h = ceil(n / 2)."""
+    h = (n + 1) // 2
+    r = np.sqrt(np.float32(-2) * np.log(np.float32(1) - u[:h]))
+    t = np.float32(2 * np.pi) * u[h:]
+    return np.concatenate([r * np.cos(t), (r * np.sin(t))[:n - h]])
+
+
+def _normal32_oracle(gen: np.random.Generator, size: int) -> np.ndarray:
+    """normal32 written out over ``gen.random``'s float32 uniforms."""
+    blocks = []
+    for start in range(0, size, REDUCE_BLOCK):
+        n = min(REDUCE_BLOCK, size - start)
+        blocks.append(_box_muller(gen.random(2 * ((n + 1) // 2), dtype=np.float32), n))
+    return np.concatenate(blocks)
+
+
+class _RawWords:
+    """A generator stand-in whose bit generator serves one 64-bit word."""
+
+    def __init__(self, word: int):
+        self.bit_generator = self
+        self.word = word
+
+    def random_raw(self, size):
+        return np.full(size, self.word, dtype=np.uint64)
+
+
 class TestNormal32:
     """The float32 Box–Muller draw behind the quadratic's gradient noise."""
+
+    @pytest.mark.parametrize("size", [1, 2, 3, REDUCE_BLOCK - 1, REDUCE_BLOCK, REDUCE_BLOCK + 1,
+                                      3 * REDUCE_BLOCK + 1])
+    def test_bytes_equal_box_muller_over_generator_random(self, size):
+        # the raw SFC64 words, low half first, are gen.random's uniforms
+        z = normal32(SeededRng(7, stream=size).generator, size)
+        ref = _normal32_oracle(SeededRng(7, stream=size).generator, size)
+        assert z.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("size", [1, 2, 3, REDUCE_BLOCK + 1])
+    def test_leaves_the_generator_where_generator_random_leaves_it(self, size):
+        gen, ref = SeededRng(8, stream=size).generator, SeededRng(8, stream=size).generator
+        normal32(gen, size)
+        _normal32_oracle(ref, size)
+        state, ref_state = gen.bit_generator.state, ref.bit_generator.state
+        assert np.array_equal(state["state"]["state"], ref_state["state"]["state"])
+        # an even count of 32-bit draws leaves no buffered half; "uinteger"
+        # is read only while "has_uint32" is 1
+        assert state["has_uint32"] == ref_state["has_uint32"] == 0
+        assert gen.random(3, dtype=np.float32).tobytes() == ref.random(3, dtype=np.float32).tobytes()
+        assert gen.random(3).tobytes() == ref.random(3).tobytes()
+
+    def test_scale_and_shift_equal_whole_length_passes(self):
+        size = 3 * REDUCE_BLOCK + 1
+        shift = np.random.default_rng(0).standard_normal(size).astype(np.float32)
+        scale = np.float32(0.3)
+        z = normal32(SeededRng(9).generator, size, scale, shift)
+        ref = normal32(SeededRng(9).generator, size)
+        ref *= scale
+        ref += shift
+        assert z.tobytes() == ref.tobytes()
 
     @pytest.mark.parametrize("size", [1, 2, REDUCE_BLOCK - 1, REDUCE_BLOCK, REDUCE_BLOCK + 1,
                                       3 * REDUCE_BLOCK + 1])
@@ -256,12 +315,15 @@ class TestNormal32:
         assert np.isfinite(z).all()
 
     def test_a_zero_uniform_gives_a_zero_not_an_infinity(self):
-        class ZeroUniforms:
-            def random(self, out, dtype):
-                out[...] = 0
-
-        z = normal32(ZeroUniforms(), 5)
+        z = normal32(_RawWords(0), 5)
         assert np.array_equal(z, np.zeros(5, dtype=np.float32))
+
+    def test_the_largest_uniform_gives_a_finite_bounded_normal(self):
+        # all-ones words give u = 1 - 2**-24, the largest uniform, in both halves
+        z = normal32(_RawWords(2**64 - 1), 5)
+        u = np.full(6, 1 - 2.0 ** -24, dtype=np.float32)
+        assert z.tobytes() == _box_muller(u, 5).tobytes()
+        assert np.isfinite(z).all() and np.abs(z).max() <= math.sqrt(48 * math.log(2))
 
     def test_repeatable_per_seed_and_stream(self):
         size = 2 * REDUCE_BLOCK + 3

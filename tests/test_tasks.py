@@ -1,4 +1,5 @@
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -134,6 +135,16 @@ class TestQuadraticBowl:
         g, _ = task.gradient(w, 1, 4, SeededRng(8))
         ref, _ = per_worker_quadratic_gradient(task, w, 1, 4, SeededRng(8))
         assert g.values.tobytes() == ref.values.tobytes()
+
+    # at 1e300 the float32 cast of the noise scale overflows; at 4e38 the
+    # scale (2.8e38 at batch size 2) is finite and its product overflows
+    @pytest.mark.parametrize("noise_std", [1e300, 4e38])
+    def test_overflowing_noise_is_non_finite_and_raises_nothing(self, noise_std):
+        size = REDUCE_BLOCK + 3
+        task = QuadraticBowl(size=size, noise_std=noise_std, batch_size=2)
+        with np.errstate(over="raise", invalid="raise"):
+            g, loss = task.gradient(np.ones(size), 0, 1, SeededRng(3))
+        assert not np.isfinite(g.values).all() and math.isfinite(loss)
 
     @pytest.mark.parametrize("batch_size", [1, 3])
     def test_noise_rows_have_the_batch_mean_distribution(self, batch_size):
