@@ -20,7 +20,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .gradcore import GradientVector, SeededRng
+from .gradcore import REDUCE_BLOCK, GradientVector, SeededRng
 
 TOPK = "topk"
 DGC = "dgc"
@@ -30,9 +30,6 @@ KIND_NAMES = (TOPK, DGC, REDSYNC, RANDOMK)
 
 # (kind, input_length, kept) -> modeled seconds; cost model supplies this
 LatencyFn = Callable[["CompressorKind", int, int], float]
-
-# entries per float64 accumulator block in aggregation
-AGGREGATE_BLOCK = 1 << 16
 
 # exact top-k of at least this many entries partitions only the entries at or
 # above a bound taken from every TOPK_BOUND_STRIDE-th magnitude
@@ -96,7 +93,7 @@ class SparseGradient:
 
 def keep_count(length: int, cf: float) -> int:
     """Entries kept at compression factor cf: max(1, floor(length / cf))."""
-    if cf < 1.0:
+    if not cf >= 1.0:
         raise ValueError(f"compression factor must be >= 1, got {cf}")
     return max(1, math.floor(length / cf))
 
@@ -265,7 +262,7 @@ def compress_further(kind: CompressorKind, s: SparseGradient, step: float,
     top-k and Redsync, exactly so). A step that keeps every entry returns
     ``s`` itself.
     """
-    if step < 1.0:
+    if not step >= 1.0:
         raise ValueError(f"step factor must be >= 1, got {step}")
     k1 = s.kept
     k2 = keep_count(k1, step)
@@ -290,8 +287,8 @@ def _blocked_mean(m: int, n_parts: int, add_parts) -> GradientVector:
     alive, and each entry sees the same additions as a whole-vector sum.
     """
     out = np.empty(m, dtype=np.float32)
-    for start in range(0, m, AGGREGATE_BLOCK):
-        acc = np.zeros(min(AGGREGATE_BLOCK, m - start), dtype=np.float64)
+    for start in range(0, m, REDUCE_BLOCK):
+        acc = np.zeros(min(REDUCE_BLOCK, m - start), dtype=np.float64)
         add_parts(acc, start)
         acc /= n_parts
         out[start:start + acc.size] = acc
@@ -310,12 +307,12 @@ def aggregate(parts: Sequence[SparseGradient]) -> GradientVector:
     for p in parts:
         if p.original_length != m:
             raise ValueError(f"length mismatch in aggregate: {p.original_length} != {m}")
-    starts = np.arange(0, m + AGGREGATE_BLOCK, AGGREGATE_BLOCK)
+    starts = np.arange(0, m + REDUCE_BLOCK, REDUCE_BLOCK)
     # each part's index range per block: its indices ascend
     bounds = [np.searchsorted(p.indices, starts) for p in parts]
 
     def add_parts(acc, start):
-        b = start // AGGREGATE_BLOCK
+        b = start // REDUCE_BLOCK
         for p, at in zip(parts, bounds):
             kept = slice(at[b], at[b + 1])
             acc[p.indices[kept].astype(np.int64) - start] += p.vals[kept].astype(np.float64)

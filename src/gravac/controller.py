@@ -8,8 +8,9 @@ boundary the step factor advances along a scaling policy, the minimum CF
 escalates when both gains agree within tolerance, and the search freezes on
 an ideal CF once the top two compression throughputs saturate.
 
-``send`` -- error feedback, volume, modeled-time and throughput
-accounting -- ends every training step, adaptive, static-CF and dense alike.
+``send`` -- error feedback, the exchange itself (the mean of the sent views,
+dense or index/value) and volume, modeled-time and throughput accounting --
+ends every training step, adaptive, static-CF and dense alike.
 """
 
 from __future__ import annotations
@@ -18,9 +19,10 @@ import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .compressors import CompressorKind, SparseGradient, compress, compress_further
+from .compressors import (CompressorKind, SparseGradient, aggregate, aggregate_dense,
+                          compress, compress_further)
 from .costmodel import (CostModelParams, allreduce_time, dense_message_words,
-                        iteration_time, sparse_message_words)
+                        sparse_message_words)
 from .feedback import clear_residual, update_residual
 from .gradcore import (GradientVector, SeededRng, ewma_lambda_from_workers,
                        squared_l2_norm)
@@ -166,9 +168,10 @@ def check_gravac(state: ControllerState, iteration: int,
 
 @dataclass
 class IterationResult:
-    """Everything one training step produced, ready for aggregation and tracing."""
+    """Everything one training step produced: the mean update every worker
+    applies, the decision behind it and its accounting for the trace."""
 
-    sent: Sequence[SparseGradient] | Sequence[GradientVector]
+    update: GradientVector
     decision: CfDecision
     t_compress: float
     t_sync: float
@@ -184,34 +187,35 @@ class IterationResult:
 def send(decision: CfDecision, gradients, parts, residuals, t_compress: float,
          cost: CostModelParams, batch_size: int,
          theta_min: float, candidate_cf: float) -> IterationResult:
-    """Communicate one view of the per-worker gradients and account for it.
+    """Exchange one view of the per-worker gradients and account for it.
 
     ``parts`` are the compressed views sent instead of ``gradients``, or
     None for a dense send of ``gradients`` themselves. A compressed send
     leaves its dropped mass in the residuals, which take the gradients'
-    buffers over; a dense send clears them.
+    buffers over; a dense send clears them. The result's ``update`` is the
+    mean of what was sent, the allreduce's output.
     Charges modeled sync and iteration time; ``tsys`` = N*b/t_iter and
     ``tcomp`` = tsys * gain. Volume counters are per worker.
     """
     if parts is None:
+        update, floats = aggregate_dense(gradients), gradients[0].length
         for residual in residuals:
             clear_residual(residual)
-        sent, floats = gradients, gradients[0].length
         words = dense_message_words(floats)
         t_compress = 0.0
     else:
+        update, floats = aggregate(parts), parts[0].kept
         for g_ef, part, residual in zip(gradients, parts, residuals):
             update_residual(g_ef, part, residual)
-        sent, floats = parts, parts[0].kept
         words = sparse_message_words(parts[0])
     t_sync = allreduce_time(words, cost)
-    t_iter = iteration_time(cost.t_compute, t_compress, t_sync)
+    t_iter = cost.t_compute + t_compress + t_sync
     if not (0.0 < t_iter < math.inf):
         raise ValueError(f"iteration time must be positive, got {t_iter}")
     if not (0.0 < decision.gain <= 1.0):
         raise ValueError(f"gain must be in (0, 1], got {decision.gain}")
     tsys = cost.workers * batch_size / t_iter
-    return IterationResult(sent, decision, t_compress, t_sync, t_iter, tsys,
+    return IterationResult(update, decision, t_compress, t_sync, t_iter, tsys,
                            tsys * decision.gain, floats, words, candidate_cf, theta_min)
 
 
@@ -267,6 +271,7 @@ def run_iteration(state: ControllerState, i: int, compressor: CompressorKind,
         decision = select_cf(delta_c, delta_min, cfg.epsilon,
                              candidate_cf=candidate_cf, minimum_cf=theta_min)
         parts = {CANDIDATE: g_cs, MINIMUM: g_mins}.get(decision.choice)
+        g_mins = g_cs = None  # only the sent views stay alive through the exchange
 
     result = send(decision, g_efs, parts, residuals, t_compress, cost, batch_size,
                   theta_min, candidate_cf)

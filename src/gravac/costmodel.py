@@ -110,10 +110,3 @@ def sparse_message_words(s: SparseGradient) -> int:
 def dense_message_words(length: int) -> int:
     """Wire size of an uncompressed gradient: one word per entry."""
     return int(length)
-
-
-def iteration_time(t_compute: float, t_compress: float, t_sync: float) -> float:
-    """Total modeled iteration seconds: compute, compression and sync."""
-    if t_compute < 0 or t_compress < 0 or t_sync < 0:
-        raise ValueError("time components must be >= 0")
-    return t_compute + t_compress + t_sync

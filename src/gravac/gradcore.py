@@ -22,8 +22,9 @@ _MASK64 = (1 << 64) - 1
 # seeds lie in [0, SEED_LIMIT): a seed is written to summary.json, and a JSON
 # reader that parses numbers as float64 keeps every such integer exact
 SEED_LIMIT = 1 << 53
-# dot64 reduces its inputs in blocks of this many entries, so a float32 input
-# is upcast through one block-sized float64 scratch, never a full-length copy
+# float64 reductions (dot64, the gradient means) run in blocks of this many
+# entries, so a float32 input is upcast through one block-sized float64
+# scratch, never a full-length copy
 REDUCE_BLOCK = 1 << 16
 # normal32's uniforms: a 24-bit integer times 2**-24, and 2π folded into it
 _ULP24 = np.float32(2.0 ** -24)

@@ -15,7 +15,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .compressors import CompressorKind, aggregate, aggregate_dense, compress
+from .compressors import CompressorKind, compress
 from .controller import (DENSE, CfDecision, ControllerConfig, ControllerState,
                          compress_workers, run_iteration, send)
 from .costmodel import CostModelParams
@@ -207,7 +207,7 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
     """
     if mode not in MODES:
         raise ValueError(f"unknown mode {mode!r}, expected one of {MODES}")
-    if mode == STATIC and (static_cf is None or static_cf < 1.0):
+    if mode == STATIC and (static_cf is None or not static_cf >= 1.0):
         raise ValueError("static-cf mode requires a compression factor >= 1")
     if mode != DENSE_MODE and compressor is None:
         raise ValueError(f"{mode} mode requires a compressor kind")
@@ -229,9 +229,10 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
     opt = replace(optimizer, weights=np.array(
         task.initial_weights(root.split(_RNG_INIT)), dtype=np.float64))
 
-    # each mode is one step policy: per-worker gradients in (with their
-    # residuals folded in, outside dense mode), IterationResult out
-    residuals = [zero_residual(length) for _ in range(n_workers)] if mode != DENSE_MODE else []
+    # each mode is one step policy: per-worker gradients in, with their
+    # residuals folded in, IterationResult out. Dense mode's residuals stay
+    # zero views, which own no buffer
+    residuals = [zero_residual(length) for _ in range(n_workers)]
     if mode == GRAVAC:
         state = ControllerState.fresh(controller_config, n_workers)
 
@@ -273,7 +274,7 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
                 for worker, (g, worker_loss) in enumerate(
                         task.gradients(opt.weights, n_workers, i, data_rng)):
                     finite = finite and bool(np.isfinite(g.values).all())
-                    grads.append(apply_feedback(g, residuals[worker]) if residuals else g)
+                    grads.append(apply_feedback(g, residuals[worker]))
                     losses.append(worker_loss)
                 loss = float(np.mean(losses))
                 if initial_loss is None:
@@ -287,25 +288,23 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
                     raise DivergenceError(
                         f"iteration {i}: a worker's gradient has non-finite entries")
 
+                # the result, and with it the update, stays live until the
+                # next step replaces it: freed earlier, it let the allocator
+                # hand the gradients' heap back to the OS and fault it in
+                # again on every quad_1m iteration
                 result = step(grads, i)
-                grads = None  # only a dense send's result still holds them
+                grads = None  # a dense send's gradients are spent
                 d = result.decision
-                # the update stays live until the next one replaces it: freed
-                # with the sends, it let the allocator hand the gradients' heap
-                # back to the OS and fault it in again on every quad_1m iteration
-                update = (aggregate_dense(result.sent) if d.choice == DENSE
-                          else aggregate(result.sent))
                 trace.append(IterationRecord(
                     iter=i, cf=float(d.cf), gain_min=d.delta_min, gain_c=d.delta_c,
                     t_o=cost.t_compute, t_compress=result.t_compress, t_s=result.t_sync,
                     t_iter=result.t_iter, tsys=result.tsys, tcomp=result.tcomp,
                     loss=loss, floats_sent=result.floats_sent, words_sent=result.words_sent,
                     choice=d.choice, theta_min=result.theta_min))
-                result = None  # the sends are aggregated: free them before the update
-                sgd_update(opt, update)
+                sgd_update(opt, result.update)
 
             # the last iteration's arrays are dead; free them before the evaluation
-            update = losses = None
+            result = losses = None
             residuals.clear()
             stage = "evaluation"
             metrics = task.evaluate(opt.weights, root.split(_RNG_EVAL), eval_samples)

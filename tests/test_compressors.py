@@ -3,13 +3,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gravac.compressors import (AGGREGATE_BLOCK, KIND_NAMES, TOPK_BOUND_MIN, TOPK_BOUND_STRIDE,
+from gravac.compressors import (KIND_NAMES, TOPK_BOUND_MIN, TOPK_BOUND_STRIDE,
                                 CompressorKind, SparseGradient, _dgc_pick, _exact_topk,
                                 _global_topup, _sample_bound, _select, aggregate,
                                 aggregate_dense, compress, compress_further, decompress,
                                 keep_count)
 from gravac.feedback import apply_feedback, update_residual
-from gravac.gradcore import GradientVector, SeededRng, squared_l2_norm
+from gravac.gradcore import REDUCE_BLOCK, GradientVector, SeededRng, squared_l2_norm
 from gravac.metrics import compression_gain
 
 TOPK = CompressorKind("topk")
@@ -42,6 +42,10 @@ class TestKeepCount:
     def test_cf_below_one_rejected(self):
         with pytest.raises(ValueError):
             keep_count(10, 0.5)
+
+    def test_nan_cf_rejected(self):
+        with pytest.raises(ValueError, match="compression factor must be >= 1"):
+            keep_count(10, float("nan"))
 
 
 class TestTopK:
@@ -194,6 +198,11 @@ class TestCompressFurther:
         with pytest.raises(ValueError):
             compress_further(TOPK, s, 0.5)
 
+    def test_nan_step_rejected(self):
+        s, _ = compress(TOPK, random_vector(np.random.default_rng(9), 10), 2)
+        with pytest.raises(ValueError, match="step factor must be >= 1"):
+            compress_further(TOPK, s, float("nan"))
+
     def test_indices_stay_in_original_space(self):
         g = random_vector(np.random.default_rng(10), 500)
         first, _ = compress(TOPK, g, 5)
@@ -235,7 +244,7 @@ class TestAggregate:
         parts = [GradientVector([1.0, 2.0]), GradientVector([3.0, 6.0])]
         assert aggregate_dense(parts).values.tolist() == [2.0, 4.0]
 
-    @pytest.mark.parametrize("m", [1, AGGREGATE_BLOCK, 2 * AGGREGATE_BLOCK + 3])
+    @pytest.mark.parametrize("m", [1, REDUCE_BLOCK, 2 * REDUCE_BLOCK + 3])
     def test_blocks_give_the_bits_of_one_float64_sum(self, m):
         # entries on both sides of each block edge, and a last partial block
         rng = np.random.default_rng(m)
@@ -294,6 +303,10 @@ class TestSharedInvariants:
         g = GradientVector([1.0, 2.0])
         with pytest.raises(ValueError):
             compress(TOPK, g, 0.9)
+
+    def test_nan_cf_rejected(self):
+        with pytest.raises(ValueError, match="compression factor must be >= 1"):
+            compress(TOPK, GradientVector([1.0, 2.0]), float("nan"))
 
     @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.name)
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

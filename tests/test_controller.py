@@ -4,7 +4,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
-from gravac.compressors import CompressorKind, aggregate_dense, compress
+from gravac.compressors import CompressorKind, aggregate, aggregate_dense, compress
 from gravac.controller import (CANDIDATE, DENSE, MINIMUM, POLICIES, CfDecision,
                                ControllerConfig, ControllerState, check_gravac,
                                run_iteration, scaling_policy, select_cf, send)
@@ -199,6 +199,8 @@ class TestRunIteration:
             expected_floats = max(1, int(128 // r.decision.cf))
             assert r.floats_sent == expected_floats
             assert r.words_sent == 2 * expected_floats
+            assert r.t_compress > 0.0
+            assert r.t_iter == pytest.approx(cost.t_compute + r.t_compress + r.t_sync)
 
     def test_unreachable_epsilon_stays_dense(self):
         state = make_state(epsilon=1.0 - 1e-9, window=5, theta_min=4.0, theta_max=64.0)
@@ -221,9 +223,8 @@ class TestRunIteration:
                  for w in range(4)]
         result = run_iteration(state, 1, TOPK, grads, stores, cost, rng)
         assert result.decision.choice == DENSE
-        agg = aggregate_dense(result.sent)
         oracle = np.mean([g.values.astype(np.float64) for g in grads], axis=0)
-        np.testing.assert_allclose(agg.values, oracle.astype(np.float32), rtol=1e-6)
+        np.testing.assert_allclose(result.update.values, oracle.astype(np.float32), rtol=1e-6)
         for store in stores:
             assert not store.values.any()
 
@@ -327,6 +328,20 @@ class TestSend:
                             workers=4, cf=float(rng.uniform(1, 32)))
             assert r.tsys == pytest.approx(4 * 32 / r.t_iter)
             assert r.tcomp <= r.tsys + 1e-12
+
+    @pytest.mark.parametrize("dense", [False, True])
+    def test_update_is_the_mean_of_what_was_sent(self, dense):
+        grads = [GradientVector(np.random.default_rng(w).standard_normal(100)
+                                .astype(np.float32)) for w in range(3)]
+        if dense:
+            decision, parts = CfDecision(DENSE, 1.0, 1.0, 1.0, 1.0), None
+            want = aggregate_dense([GradientVector(g.values.copy()) for g in grads])
+        else:
+            parts = [compress(TOPK, g, 7.0)[0] for g in grads]
+            decision, want = CfDecision(MINIMUM, 7.0, 0.9, 0.9, 0.9), aggregate(parts)
+        r = send(decision, grads, parts, [zero_residual(100) for _ in range(3)], 0.0,
+                 CostModelParams(workers=3), 1, decision.cf, decision.cf)
+        assert r.update.values.tobytes() == want.values.tobytes()
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError, match="iteration time must be positive, got 0.0"):

@@ -6,7 +6,7 @@ import pytest
 from gravac.compressors import CompressorKind, SparseGradient
 from gravac.costmodel import (RING, TREE, CostModelParams, LatencyCoeffs,
                               allreduce_time, dense_message_words,
-                              iteration_time, sparse_message_words)
+                              sparse_message_words)
 
 
 def hand_allreduce(words, alpha, beta, workers, topology):
@@ -85,15 +85,6 @@ class TestMessageWords:
         assert words == 200_000
         assert dense_message_words(10**6) / words == 5.0
         assert dense_message_words(10**6) / s.kept == 10.0
-
-
-class TestIterationTime:
-    def test_compressed_includes_both_stages(self):
-        assert iteration_time(0.1, 0.05, 0.2) == pytest.approx(0.35)
-
-    def test_negative_components_rejected(self):
-        with pytest.raises(ValueError):
-            iteration_time(-0.1, 0.0, 0.0)
 
 
 class TestCompressionLatency:

@@ -182,6 +182,13 @@ class TestStaticCfTraining:
         with pytest.raises(ValueError):
             run_training(task, opt, cost, "static-cf", 5, seed=0, static_cf=4.0)
 
+    def test_nan_cf_rejected(self):
+        task, opt, cost = quadratic_setup()
+        with pytest.raises(ValueError,
+                           match="static-cf mode requires a compression factor >= 1"):
+            run_training(task, opt, cost, "static-cf", 5, seed=0, compressor=TOPK,
+                         static_cf=float("nan"))
+
 
 class TestGravacTraining:
     def test_trace_schema_complete(self):
@@ -268,10 +275,11 @@ class TestMemory:
         # (2), the gradients (4), the new and the previous update (2), the
         # views at CF 10 (indices, sent and own values: 3 * 0.1 per worker)
         # and two float64 blocks of REDUCE_BLOCK entries. The peak is 9.7,
-        # inside the aggregation. It was 12.3 while the optimizer kept an
-        # unused momentum buffer (2), the quadratic's gradient took two
-        # float64 temporaries (4), compression a full-length |v| (1) and
-        # the identity step a copy of every view
+        # inside send's aggregation, which runs after run_iteration frees
+        # the views; with them alive there it was 10.9. It was 12.3 while
+        # the optimizer kept an unused momentum buffer (2), the quadratic's
+        # gradient took two float64 temporaries (4), compression a
+        # full-length |v| (1) and the identity step a copy of every view
         size, workers, iters = 1 << 18, 4, 3
         task = QuadraticBowl(size=size, noise_std=0.1)
         opt = OptimizerState(weights=np.zeros(1), lr=0.1)
@@ -288,6 +296,28 @@ class TestMemory:
         assert set(result.trace.column("choice")) == {"dense"}
         live = 4 * size * (2 + workers + 2 + workers * 3 * 0.1) + 2 * 8 * REDUCE_BLOCK
         assert peak <= live
+
+    def test_dense_mode_residuals_own_no_buffer(self):
+        # dense mode folds its gradients into residuals that stay zero views.
+        # The budget is the live set inside the aggregation, in gradient
+        # sizes (4M bytes): the weights (2), the gradients (4), the new and
+        # the previous update (2) and two float64 blocks of REDUCE_BLOCK
+        # entries, plus 0.1 for Python objects. A residual that owned a
+        # buffer would add one gradient size per worker. A first small run
+        # imports numpy.random, which would add 0.7 on its own
+        size, workers = 1 << 18, 4
+        opt = OptimizerState(weights=np.zeros(1), lr=0.1)
+        run_training(QuadraticBowl(size=8, noise_std=0.1), opt, CostModelParams(workers=workers),
+                     "dense", 1, seed=1)
+        task = QuadraticBowl(size=size, noise_std=0.1)
+        tracemalloc.start()
+        try:
+            run_training(task, opt, CostModelParams(workers=workers), "dense", 3, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        live = 4 * size * (2 + workers + 2 + 0.1) + 2 * 8 * REDUCE_BLOCK
+        assert peak <= live, peak / (4 * size)
 
     @pytest.mark.parametrize("kind", ["topk", "dgc", "redsync"])
     def test_compressed_sends_keep_one_buffer_per_worker(self, kind):
