@@ -35,6 +35,29 @@ POLICIES = (EXPONENTIAL, GEOMETRIC)
 CANDIDATE = "candidate"
 MINIMUM = "minimum"
 DENSE = "dense"
+STATIC_CHOICE = "static"  # the trace's choice for a static-cf send
+
+
+@dataclass
+class IterationRecord:
+    """One trace row; field order is the wire order."""
+
+    iter: int
+    cf: float
+    gain_min: float
+    gain_c: float
+    t_o: float
+    t_compress: float
+    t_s: float
+    t_iter: float
+    tsys: float
+    tcomp: float
+    loss: float
+    floats_sent: int
+    words_sent: int
+    choice: str
+    theta_min: float
+
 
 # rng substream tags for the two compression stages
 _STAGE_MIN = 0
@@ -65,25 +88,14 @@ class ControllerConfig:
             raise ValueError(f"unknown policy {self.policy!r}, expected one of {POLICIES}")
 
 
-@dataclass
-class CfDecision:
-    """Which gradient view was communicated and the gains behind the choice."""
-
-    choice: str
-    cf: float
-    gain: float
-    delta_min: float
-    delta_c: float
-
-
 def select_cf(delta_c: float, delta_min: float, epsilon: float,
-              candidate_cf: float, minimum_cf: float) -> CfDecision:
+              candidate_cf: float, minimum_cf: float) -> tuple[str, float]:
     """Gate the candidate CF, then the minimum CF, then fall back to dense."""
     if delta_c >= epsilon:
-        return CfDecision(CANDIDATE, candidate_cf, delta_c, delta_min, delta_c)
+        return CANDIDATE, candidate_cf
     if delta_min >= epsilon:
-        return CfDecision(MINIMUM, minimum_cf, delta_min, delta_min, delta_c)
-    return CfDecision(DENSE, 1.0, 1.0, delta_min, delta_c)
+        return MINIMUM, minimum_cf
+    return DENSE, 1.0
 
 
 def scaling_policy(policy: str, step: int, theta_min: float, theta_max: float) -> float:
@@ -166,36 +178,19 @@ def check_gravac(state: ControllerState, iteration: int,
     return state
 
 
-@dataclass
-class IterationResult:
-    """Everything one training step produced: the mean update every worker
-    applies, the decision behind it and its accounting for the trace."""
-
-    update: GradientVector
-    decision: CfDecision
-    t_compress: float
-    t_sync: float
-    t_iter: float
-    tsys: float
-    tcomp: float
-    floats_sent: int
-    words_sent: int
-    candidate_cf: float
-    theta_min: float
-
-
-def send(decision: CfDecision, gradients, parts, residuals, t_compress: float,
-         cost: CostModelParams, batch_size: int,
-         theta_min: float, candidate_cf: float) -> IterationResult:
+def send(gradients, parts, residuals, t_compress: float, cost: CostModelParams, batch_size: int,
+         *, iter: int, loss: float, choice: str, cf: float, gain_min: float, gain_c: float,
+         theta_min: float) -> tuple[GradientVector, IterationRecord]:
     """Exchange one view of the per-worker gradients and account for it.
 
     ``parts`` are the compressed views sent instead of ``gradients``, or
     None for a dense send of ``gradients`` themselves. A compressed send
     leaves its dropped mass in the residuals, which take the gradients'
-    buffers over; a dense send clears them. The result's ``update`` is the
-    mean of what was sent, the allreduce's output.
-    Charges modeled sync and iteration time; ``tsys`` = N*b/t_iter and
-    ``tcomp`` = tsys * gain. Volume counters are per worker.
+    buffers over; a dense send clears them. Returns the mean of what was
+    sent, the allreduce's output, and the trace row. Charges modeled sync
+    and iteration time; ``tsys`` = N*b/t_iter and ``tcomp`` = tsys * the
+    sent view's gain: ``gain_c`` for a candidate send, ``gain_min`` for a
+    minimum or static one, 1 for a dense one. Volume counters are per worker.
     """
     if parts is None:
         update, floats = aggregate_dense(gradients), gradients[0].length
@@ -212,11 +207,13 @@ def send(decision: CfDecision, gradients, parts, residuals, t_compress: float,
     t_iter = cost.t_compute + t_compress + t_sync
     if not (0.0 < t_iter < math.inf):
         raise ValueError(f"iteration time must be positive, got {t_iter}")
-    if not (0.0 < decision.gain <= 1.0):
-        raise ValueError(f"gain must be in (0, 1], got {decision.gain}")
+    gain = {CANDIDATE: gain_c, DENSE: 1.0}.get(choice, gain_min)
+    if not (0.0 < gain <= 1.0):
+        raise ValueError(f"gain must be in (0, 1], got {gain}")
     tsys = cost.workers * batch_size / t_iter
-    return IterationResult(update, decision, t_compress, t_sync, t_iter, tsys,
-                           tsys * decision.gain, floats, words, candidate_cf, theta_min)
+    return update, IterationRecord(iter, float(cf), gain_min, gain_c, cost.t_compute,
+                                   t_compress, t_sync, t_iter, tsys, tsys * gain, loss,
+                                   floats, words, choice, theta_min)
 
 
 def compress_workers(stage, compressor: CompressorKind, views: Sequence, cf: float,
@@ -234,19 +231,18 @@ def compress_workers(stage, compressor: CompressorKind, views: Sequence, cf: flo
     return parts, max(seconds)
 
 
-def run_iteration(state: ControllerState, i: int, compressor: CompressorKind,
+def run_iteration(state: ControllerState, i: int, loss: float, compressor: CompressorKind,
                   g_efs: list[GradientVector], residuals: list[GradientVector],
                   cost: CostModelParams, rng: SeededRng,
-                  batch_size: int = 1) -> IterationResult:
+                  batch_size: int = 1) -> tuple[GradientVector, IterationRecord]:
     """Adaptive step ``i`` (1-based) over per-worker error-feedback gradients.
 
     ``g_efs`` are the gradients with their residuals already folded in
     (``apply_feedback``); ``g_efs`` and ``residuals`` are equal-length
     worker-ascending lists. Mutates the controller state and the residuals
     in place; a compressed send hands each residual its ``g_efs`` buffer.
-    Volume counters are per worker.
+    Returns ``send``'s mean update and trace row, which records ``loss``.
     """
-    cfg = state.config
     if len(g_efs) != len(residuals):
         raise ValueError(f"{len(g_efs)} gradients for {len(residuals)} residuals")
 
@@ -258,7 +254,7 @@ def run_iteration(state: ControllerState, i: int, compressor: CompressorKind,
     if all(n == 0.0 for n in ef_norms):
         # vanished gradient: dense no-op, no compression work or gain update
         delta_min, delta_c = state.gains.get(theta_min), state.gains.get(candidate_cf)
-        decision, parts, t_compress = CfDecision(DENSE, 1.0, 1.0, 1.0, 1.0), None, 0.0
+        choice, cf, parts, t_compress, gain_min, gain_c = DENSE, 1.0, None, 0.0, 1.0, 1.0
     else:
         g_mins, t_min = compress_workers(compress, compressor, g_efs, theta_min,
                                          rng, cost, i, _STAGE_MIN)
@@ -268,13 +264,15 @@ def run_iteration(state: ControllerState, i: int, compressor: CompressorKind,
         delta_c = state.gains.observe(candidate_cf, mean_gain(g_cs, ef_norms))
         t_compress = t_min + t_step
 
-        decision = select_cf(delta_c, delta_min, cfg.epsilon,
-                             candidate_cf=candidate_cf, minimum_cf=theta_min)
-        parts = {CANDIDATE: g_cs, MINIMUM: g_mins}.get(decision.choice)
+        choice, cf = select_cf(delta_c, delta_min, state.config.epsilon,
+                               candidate_cf=candidate_cf, minimum_cf=theta_min)
+        parts = {CANDIDATE: g_cs, MINIMUM: g_mins}.get(choice)
         g_mins = g_cs = None  # only the sent views stay alive through the exchange
+        gain_min, gain_c = delta_min, delta_c
 
-    result = send(decision, g_efs, parts, residuals, t_compress, cost, batch_size,
-                  theta_min, candidate_cf)
-    state.throughput[decision.cf] = result.tcomp
+    update, row = send(g_efs, parts, residuals, t_compress, cost, batch_size, iter=i,
+                       loss=loss, choice=choice, cf=cf, gain_min=gain_min, gain_c=gain_c,
+                       theta_min=theta_min)
+    state.throughput[cf] = row.tcomp
     check_gravac(state, i, delta_min, delta_c)
-    return result
+    return update, row

@@ -14,6 +14,7 @@ import json
 import math
 import os
 import shutil
+import sys
 import tempfile
 from dataclasses import astuple, dataclass, fields
 from typing import Callable, Mapping
@@ -280,6 +281,9 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> dict:
     if baseline is not None:
         summary.update({ratio: baseline[key] / summary[key]
                         for key, ratio in _BASELINE_RATIOS.items() if summary[key] > 0})
+        bad = [r for r in _BASELINE_RATIOS.values() if not math.isfinite(summary.get(r, 0))]
+        if bad:
+            raise ConfigError(f"baseline: ratios overflow: {', '.join(bad)} not finite")
     _write_outputs(out, {
         "trace.jsonl": trace.to_jsonl(),
         "kde.csv": kde_csv(trace, KDE_BANDWIDTH, high),
@@ -338,12 +342,13 @@ def _load_baseline(path: str) -> dict:
             base = json.load(fh)
     except OSError as exc:
         raise ConfigError(f"baseline: cannot read {path}: {exc}") from exc
-    except ValueError as exc:
+    except (ValueError, RecursionError) as exc:
         raise ConfigError(f"baseline: {path} is not JSON: {exc}") from exc
     if not isinstance(base, dict):
         raise ConfigError(f"baseline: {path} is not a summary object")
-    bad = [key for key in _BASELINE_RATIOS
-           if type(base.get(key)) not in (int, float) or not math.isfinite(base[key])]
+    # compared exactly, an int total past the float range fails, as NaN does
+    bad = [key for key in _BASELINE_RATIOS if type(base.get(key)) not in (int, float)
+           or not abs(base[key]) <= sys.float_info.max]
     if bad:
         raise ConfigError(f"baseline: {path} lacks finite numbers for {', '.join(bad)}")
     return base

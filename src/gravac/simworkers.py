@@ -16,8 +16,8 @@ from typing import Iterator
 import numpy as np
 
 from .compressors import CompressorKind, compress
-from .controller import (DENSE, CfDecision, ControllerConfig, ControllerState,
-                         compress_workers, run_iteration, send)
+from .controller import (DENSE, STATIC_CHOICE, ControllerConfig, ControllerState,
+                         IterationRecord, compress_workers, run_iteration, send)
 from .costmodel import CostModelParams
 from .feedback import apply_feedback, zero_residual
 from .gradcore import GradientVector, SeededRng, ewma_lambda_from_workers, squared_l2_norm
@@ -27,7 +27,6 @@ GRAVAC = "gravac"
 STATIC = "static-cf"
 DENSE_MODE = "dense"
 MODES = (GRAVAC, STATIC, DENSE_MODE)
-STATIC_CHOICE = "static"  # the trace's choice for a static-cf send
 
 DIVERGENCE_FACTOR = 1e6
 EVAL_SAMPLES = 2048
@@ -97,27 +96,6 @@ def sgd_update(opt: OptimizerState, grad: GradientVector) -> OptimizerState:
     return opt
 
 
-@dataclass
-class IterationRecord:
-    """One trace row; field order is the wire order."""
-
-    iter: int
-    cf: float
-    gain_min: float
-    gain_c: float
-    t_o: float
-    t_compress: float
-    t_s: float
-    t_iter: float
-    tsys: float
-    tcomp: float
-    loss: float
-    floats_sent: int
-    words_sent: int
-    choice: str
-    theta_min: float
-
-
 # trace field -> the JSON value types it accepts (bool is not a number here)
 _TRACE_TYPES = {f.name: {"int": (int,), "float": (int, float), "str": (str,)}[f.type]
                 for f in fields(IterationRecord)}
@@ -167,7 +145,10 @@ class RunTrace:
                 line = line.strip()
                 if not line:
                     continue
-                row = json.loads(line)
+                try:
+                    row = json.loads(line)
+                except (ValueError, RecursionError) as exc:  # nesting too deep recurses
+                    raise ValueError(f"{path}: trace record is not JSON: {exc}") from None
                 if not isinstance(row, dict):
                     raise ValueError(f"{path}: trace record is not a JSON object")
                 missing = sorted(_TRACE_TYPES.keys() - row.keys())
@@ -230,30 +211,31 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
         task.initial_weights(root.split(_RNG_INIT)), dtype=np.float64))
 
     # each mode is one step policy: per-worker gradients in, with their
-    # residuals folded in, IterationResult out. Dense mode's residuals stay
-    # zero views, which own no buffer
+    # residuals folded in, the mean update and the trace row out. Dense
+    # mode's residuals stay zero views, which own no buffer
     residuals = [zero_residual(length) for _ in range(n_workers)]
     if mode == GRAVAC:
         state = ControllerState.fresh(controller_config, n_workers)
 
-        def step(grads, i):
-            return run_iteration(state, i, compressor, grads, residuals, cost, control_rng,
-                                 batch_size)
+        def step(grads, i, loss):
+            return run_iteration(state, i, loss, compressor, grads, residuals, cost,
+                                 control_rng, batch_size)
     elif mode == STATIC:
         gains = GainTracker(ewma_lambda_from_workers(n_workers))
         cf = float(static_cf)
 
-        def step(g_efs, i):
+        def step(g_efs, i, loss):
             parts, t_compress = compress_workers(compress, compressor, g_efs, static_cf,
                                                  control_rng, cost, i)
             ef_norms = [squared_l2_norm(g.values) for g in g_efs]
             delta = gains.observe(cf, mean_gain(parts, ef_norms)) if any(ef_norms) else 1.0
-            return send(CfDecision(STATIC_CHOICE, cf, delta, delta, delta), g_efs, parts,
-                        residuals, t_compress, cost, batch_size, cf, cf)
+            return send(g_efs, parts, residuals, t_compress, cost, batch_size, iter=i,
+                        loss=loss, choice=STATIC_CHOICE, cf=cf, gain_min=delta, gain_c=delta,
+                        theta_min=cf)
     else:
-        def step(grads, i):
-            return send(CfDecision(DENSE, 1.0, 1.0, 1.0, 1.0), grads, None, residuals, 0.0,
-                        cost, batch_size, 1.0, 1.0)
+        def step(grads, i, loss):
+            return send(grads, None, residuals, 0.0, cost, batch_size, iter=i, loss=loss,
+                        choice=DENSE, cf=1.0, gain_min=1.0, gain_c=1.0, theta_min=1.0)
 
     trace = RunTrace()
     initial_loss = None
@@ -288,23 +270,16 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
                     raise DivergenceError(
                         f"iteration {i}: a worker's gradient has non-finite entries")
 
-                # the result, and with it the update, stays live until the
-                # next step replaces it: freed earlier, it let the allocator
-                # hand the gradients' heap back to the OS and fault it in
-                # again on every quad_1m iteration
-                result = step(grads, i)
+                # the update stays live until the next step replaces it: freed
+                # earlier, it let the allocator hand the gradients' heap back
+                # to the OS and fault it in again on every quad_1m iteration
+                update, row = step(grads, i, loss)
                 grads = None  # a dense send's gradients are spent
-                d = result.decision
-                trace.append(IterationRecord(
-                    iter=i, cf=float(d.cf), gain_min=d.delta_min, gain_c=d.delta_c,
-                    t_o=cost.t_compute, t_compress=result.t_compress, t_s=result.t_sync,
-                    t_iter=result.t_iter, tsys=result.tsys, tcomp=result.tcomp,
-                    loss=loss, floats_sent=result.floats_sent, words_sent=result.words_sent,
-                    choice=d.choice, theta_min=result.theta_min))
-                sgd_update(opt, result.update)
+                trace.append(row)
+                sgd_update(opt, update)
 
             # the last iteration's arrays are dead; free them before the evaluation
-            result = losses = None
+            update = losses = None
             residuals.clear()
             stage = "evaluation"
             metrics = task.evaluate(opt.weights, root.split(_RNG_EVAL), eval_samples)

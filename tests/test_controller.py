@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from gravac.compressors import CompressorKind, aggregate, aggregate_dense, compress
-from gravac.controller import (CANDIDATE, DENSE, MINIMUM, POLICIES, CfDecision,
+from gravac.controller import (CANDIDATE, DENSE, MINIMUM, POLICIES, STATIC_CHOICE,
                                ControllerConfig, ControllerState, check_gravac,
                                run_iteration, scaling_policy, select_cf, send)
 from gravac.costmodel import CostModelParams
@@ -24,22 +24,13 @@ def make_state(theta_min=10.0, theta_max=1000.0, epsilon=0.7, omega=0.01,
 
 class TestSelectCf:
     def test_candidate_when_gain_meets_threshold(self):
-        decision = select_cf(0.95, 0.99, 0.9, candidate_cf=20.0, minimum_cf=10.0)
-        assert decision.choice == CANDIDATE
-        assert decision.cf == 20.0
-        assert decision.gain == 0.95
+        assert select_cf(0.95, 0.99, 0.9, candidate_cf=20.0, minimum_cf=10.0) == (CANDIDATE, 20.0)
 
     def test_minimum_fallback(self):
-        decision = select_cf(0.6, 0.8, 0.7, candidate_cf=20.0, minimum_cf=10.0)
-        assert decision.choice == MINIMUM
-        assert decision.cf == 10.0
-        assert decision.gain == 0.8
+        assert select_cf(0.6, 0.8, 0.7, candidate_cf=20.0, minimum_cf=10.0) == (MINIMUM, 10.0)
 
     def test_dense_last_resort(self):
-        decision = select_cf(0.5, 0.6, 0.7, candidate_cf=20.0, minimum_cf=10.0)
-        assert decision.choice == DENSE
-        assert decision.cf == 1.0
-        assert decision.gain == 1.0
+        assert select_cf(0.5, 0.6, 0.7, candidate_cf=20.0, minimum_cf=10.0) == (DENSE, 1.0)
 
 
 class TestScalingPolicy:
@@ -174,8 +165,10 @@ class TestCheckGravac:
         assert state.step == 2
 
 
-def run_n(state, n, cost, length=64, seed=0, scale=1.0, workers=1, batch_size=1):
-    """Drive run_iteration with i.i.d. gradients; returns per-iteration results."""
+def run_n(state, n, cost, length=64, seed=0, scale=1.0, workers=1, batch_size=1,
+          candidates=None):
+    """Drive run_iteration with i.i.d. gradients; returns per-iteration trace
+    rows and appends each step's candidate CF to ``candidates`` if given."""
     rng = SeededRng(seed)
     data = SeededRng(seed ^ 0x5EED)
     stores = [GradientVector(np.zeros(length)) for _ in range(workers)]
@@ -184,7 +177,10 @@ def run_n(state, n, cost, length=64, seed=0, scale=1.0, workers=1, batch_size=1)
         grads = [apply_feedback(GradientVector(
                      scale * data.split(w, i).generator.standard_normal(length)), stores[w])
                  for w in range(workers)]
-        results.append(run_iteration(state, i, TOPK, grads, stores, cost, rng, batch_size))
+        if candidates is not None:
+            candidates.append(state.candidate_cf)
+        results.append(run_iteration(state, i, 0.0, TOPK, grads, stores, cost, rng,
+                                     batch_size)[1])
     return results
 
 
@@ -194,24 +190,24 @@ class TestRunIteration:
         cost = CostModelParams(workers=1)
         results = run_n(state, 20, cost, length=128)
         for r in results:
-            assert r.decision.choice == CANDIDATE
+            assert r.choice == CANDIDATE
             # per-iteration volume matches the analytic keep count
-            expected_floats = max(1, int(128 // r.decision.cf))
+            expected_floats = max(1, int(128 // r.cf))
             assert r.floats_sent == expected_floats
             assert r.words_sent == 2 * expected_floats
             assert r.t_compress > 0.0
-            assert r.t_iter == pytest.approx(cost.t_compute + r.t_compress + r.t_sync)
+            assert r.t_iter == pytest.approx(cost.t_compute + r.t_compress + r.t_s)
 
     def test_unreachable_epsilon_stays_dense(self):
         state = make_state(epsilon=1.0 - 1e-9, window=5, theta_min=4.0, theta_max=64.0)
         cost = CostModelParams(workers=1)
         results = run_n(state, 12, cost, length=128)
         for r in results:
-            assert r.decision.choice == DENSE
-            assert r.decision.cf == 1.0
+            assert r.choice == DENSE
+            assert r.cf == 1.0
             assert r.floats_sent == 128
             # dense iteration time excludes compression
-            assert r.t_iter == pytest.approx(cost.t_compute + r.t_sync)
+            assert r.t_iter == pytest.approx(cost.t_compute + r.t_s)
             assert r.t_compress == 0.0
 
     def test_dense_path_matches_plain_averaging(self):
@@ -221,10 +217,10 @@ class TestRunIteration:
         stores = [GradientVector(np.zeros(32)) for _ in range(4)]
         grads = [GradientVector(SeededRng(50 + w).generator.standard_normal(32))
                  for w in range(4)]
-        result = run_iteration(state, 1, TOPK, grads, stores, cost, rng)
-        assert result.decision.choice == DENSE
+        update, row = run_iteration(state, 1, 0.0, TOPK, grads, stores, cost, rng)
+        assert row.choice == DENSE
         oracle = np.mean([g.values.astype(np.float64) for g in grads], axis=0)
-        np.testing.assert_allclose(result.update.values, oracle.astype(np.float32), rtol=1e-6)
+        np.testing.assert_allclose(update.values, oracle.astype(np.float32), rtol=1e-6)
         for store in stores:
             assert not store.values.any()
 
@@ -237,8 +233,8 @@ class TestRunIteration:
         gen = SeededRng(2)
         for i in range(1, 9):
             g = apply_feedback(GradientVector(gen.split(i).generator.standard_normal(64)), store)
-            r = run_iteration(state, i, TOPK, [g], [store], cost, rng)
-            seen.append(r.candidate_cf)
+            seen.append(state.candidate_cf)
+            run_iteration(state, i, 0.0, TOPK, [g], [store], cost, rng)
         # candidate advances at iterations 2, 4, 6, ... per the policy
         assert seen[:2] == [2.0, 2.0]
         assert seen[2:4] == [4.0, 4.0]
@@ -247,10 +243,11 @@ class TestRunIteration:
     def test_sent_cf_always_in_allowed_set(self):
         state = make_state(epsilon=0.6, window=3, theta_min=2.0, theta_max=64.0)
         cost = CostModelParams(workers=2)
-        results = run_n(state, 30, cost, length=256, workers=2)
-        for r in results:
-            assert r.decision.cf in (1.0, r.theta_min, r.candidate_cf)
-            assert r.decision.cf <= 64.0
+        candidates = []
+        results = run_n(state, 30, cost, length=256, workers=2, candidates=candidates)
+        for r, candidate_cf in zip(results, candidates):
+            assert r.cf in (1.0, r.theta_min, candidate_cf)
+            assert r.cf <= 64.0
 
     def test_theta_min_never_decreases(self):
         state = make_state(epsilon=1e-9, omega=0.2, window=2, theta_min=2.0, theta_max=64.0)
@@ -265,18 +262,19 @@ class TestRunIteration:
         # seed the throughputs so the top two sit within omega and far above
         # anything the run itself will record; the first boundary must freeze
         state.throughput = {4.0: 1 / 1e-9 * 0.9, 8.0: 1 / 1e-9 * (0.9 * 1.005)}
-        results = run_n(state, 20, cost, length=64)
+        candidates = []
+        run_n(state, 20, cost, length=64, candidates=candidates)
         assert state.theta_ideal is not None
         assert state.theta_ideal == 4.0
-        assert {r.candidate_cf for r in results[2:]} == {4.0}
+        assert set(candidates[2:]) == {4.0}
 
     def test_zero_gradient_is_dense_noop(self):
         state = make_state(epsilon=0.5, window=10)
         cost = CostModelParams(workers=1)
         store = GradientVector(np.zeros(16))
         g = GradientVector(np.zeros(16, dtype=np.float32))
-        r = run_iteration(state, 1, TOPK, [g], [store], cost, SeededRng(0))
-        assert r.decision.choice == DENSE
+        _, r = run_iteration(state, 1, 0.0, TOPK, [g], [store], cost, SeededRng(0))
+        assert r.choice == DENSE
         assert r.t_compress == 0.0
         assert not store.values.any()
 
@@ -285,7 +283,7 @@ class TestRunIteration:
         cost = CostModelParams(workers=2)
         grads = [GradientVector(np.ones(8)), GradientVector(np.ones(8))]
         with pytest.raises(ValueError):
-            run_iteration(state, 1, TOPK, grads, [GradientVector(np.zeros(8))], cost,
+            run_iteration(state, 1, 0.0, TOPK, grads, [GradientVector(np.zeros(8))], cost,
                           SeededRng(0))
 
     def test_throughput_keeps_each_cfs_latest_send(self):
@@ -293,7 +291,7 @@ class TestRunIteration:
         results = run_n(state, 30, CostModelParams(workers=2), length=256, workers=2)
         latest = {}  # replay oracle: each CF's compression throughput at its last send
         for r in results:
-            latest[r.decision.cf] = r.tcomp
+            latest[r.cf] = r.tcomp
         assert state.throughput == latest
         # some CF was sent at several throughputs, so overwriting is exercised
         assert len({r.tcomp for r in results}) > len(latest) >= 2
@@ -301,12 +299,13 @@ class TestRunIteration:
 
 def sparse_send(gain, t_compute=1.0, workers=32, batch_size=32, cf=10.0):
     """One send of top-k views at zero sync and compression time, so that
-    t_iter equals t_compute."""
+    t_iter equals t_compute; returns the trace row."""
     cost = CostModelParams(alpha=0.0, beta=0.0, workers=workers, t_compute=t_compute)
     g = GradientVector(np.arange(1.0, 65.0, dtype=np.float32))
     part, _ = compress(TOPK, g, cf)
-    return send(CfDecision(CANDIDATE, cf, gain, gain, gain), [g] * workers, [part] * workers,
-                [zero_residual(64) for _ in range(workers)], 0.0, cost, batch_size, cf, cf)
+    return send([g] * workers, [part] * workers, [zero_residual(64) for _ in range(workers)],
+                0.0, cost, batch_size, iter=1, loss=0.0, choice=CANDIDATE, cf=cf,
+                gain_min=gain, gain_c=gain, theta_min=cf)[1]
 
 
 class TestSend:
@@ -334,14 +333,29 @@ class TestSend:
         grads = [GradientVector(np.random.default_rng(w).standard_normal(100)
                                 .astype(np.float32)) for w in range(3)]
         if dense:
-            decision, parts = CfDecision(DENSE, 1.0, 1.0, 1.0, 1.0), None
+            (choice, cf, gain), parts = (DENSE, 1.0, 1.0), None
             want = aggregate_dense([GradientVector(g.values.copy()) for g in grads])
         else:
             parts = [compress(TOPK, g, 7.0)[0] for g in grads]
-            decision, want = CfDecision(MINIMUM, 7.0, 0.9, 0.9, 0.9), aggregate(parts)
-        r = send(decision, grads, parts, [zero_residual(100) for _ in range(3)], 0.0,
-                 CostModelParams(workers=3), 1, decision.cf, decision.cf)
-        assert r.update.values.tobytes() == want.values.tobytes()
+            (choice, cf, gain), want = (MINIMUM, 7.0, 0.9), aggregate(parts)
+        update, _ = send(grads, parts, [zero_residual(100) for _ in range(3)], 0.0,
+                         CostModelParams(workers=3), 1, iter=1, loss=0.0, choice=choice, cf=cf,
+                         gain_min=gain, gain_c=gain, theta_min=cf)
+        assert update.values.tobytes() == want.values.tobytes()
+
+    def test_row_gain_follows_the_choice(self):
+        # the row's compression throughput takes the gain of the view sent
+        cost = CostModelParams(workers=2, t_compute=0.5)
+        gain_min, gain_c = 0.6, 0.3
+        for choice, gain in ((CANDIDATE, gain_c), (MINIMUM, gain_min),
+                             (STATIC_CHOICE, gain_min), (DENSE, 1.0)):
+            grads = [GradientVector(np.arange(1.0, 33.0, dtype=np.float32)) for _ in range(2)]
+            parts = None if choice == DENSE else [compress(TOPK, g, 4.0)[0] for g in grads]
+            _, row = send(grads, parts, [zero_residual(32) for _ in range(2)], 0.25, cost, 8,
+                          iter=3, loss=2.0, choice=choice, cf=4.0, gain_min=gain_min,
+                          gain_c=gain_c, theta_min=4.0)
+            assert row.tcomp == row.tsys * gain, choice
+            assert (row.t_o, row.gain_min, row.gain_c) == (cost.t_compute, gain_min, gain_c)
 
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError, match="iteration time must be positive, got 0.0"):

@@ -601,6 +601,57 @@ class TestCli:
         assert len(err.splitlines()) == 1
         assert not (tmp_path / "run").exists()
 
+    def test_baseline_total_past_the_float_range_exits_two_before_running(self, tmp_path,
+                                                                          capsys):
+        # math.isfinite raised OverflowError on the int and the run exited 1
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps({"sim_time_total": 1.0, "floats_sent_total": 10**400,
+                                        "words_sent_total": 1}))
+        code = main(self.run_args(tmp_path, "run", "--mode", "dense",
+                                  "--set", f"baseline={baseline}"))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: baseline:") and "floats_sent_total" in err
+        assert len(err.splitlines()) == 1
+        assert not (tmp_path / "run").exists()
+
+    def test_baseline_ratio_that_overflows_exits_two_before_writing(self, tmp_path, capsys):
+        # the run exited 0 and wrote "speedup_vs_baseline": Infinity, which is not JSON
+        baseline = tmp_path / "baseline.json"
+        baseline.write_text(json.dumps({"sim_time_total": 1e308, "floats_sent_total": 1,
+                                        "words_sent_total": 1}))
+        code = main(self.run_args(tmp_path, "run", "--mode", "dense",
+                                  "--set", f"baseline={baseline}"))
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.err == ("config error: baseline: ratios overflow: "
+                                "speedup_vs_baseline not finite\n")
+        assert captured.out == ""
+        assert not (tmp_path / "run").exists()
+
+    # the JSON decoder raised RecursionError and the command exited 1 with a traceback
+    @pytest.mark.parametrize("command, text", [
+        pytest.param("kde", "[" * 200_000, id="kde"),
+        pytest.param("compare", '{"a": ' * 3000 + "1" + "}" * 3000, id="compare"),
+        pytest.param("run", "[" * 200_000, id="run")])
+    def test_deeply_nested_json_exits_two(self, tmp_path, capsys, command, text):
+        nested = tmp_path / "nested.json"
+        nested.write_text(text + "\n")
+        out = tmp_path / "out"
+        if command == "kde":
+            args = ["kde", "--trace", str(nested), "--out", str(out)]
+        elif command == "compare":
+            good, _ = self.rewritten_trace(tmp_path, capsys, dict)
+            args = ["compare", good, str(nested)]
+        else:
+            args = self.run_args(tmp_path, "out", "--mode", "dense",
+                                 "--set", f"baseline={nested}")
+        assert main(args) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert str(nested) in captured.err and len(captured.err.splitlines()) == 1
+        assert not out.exists()
+
     def test_non_finite_latency_coefficient_exits_two(self, tmp_path, capsys):
         with pytest.raises(ConfigError, match="cost.latency.topk"):
             parse_config(overrides={"cost.latency.topk": "nan,0,0"})
@@ -802,3 +853,56 @@ class TestTraceMutationFuzz:
                          ["kde", "--trace", bad, "--out", os.path.join(tmp, "kde.csv")]):
                 with redirect_stdout(io.StringIO()), redirect_stderr(io.StringIO()):
                     assert main(args) in (0, 2), args
+
+
+# the keys of a dense run's summary.json
+_SUMMARY_KEYS = ["cf_histogram", "final_loss", "floats_sent_total", "initial_loss",
+                 "iterations", "metric_name", "metric_value", "mode", "seed",
+                 "sim_time_total", "words_sent_total"]
+_TINY_RUN = [arg for pair in ({**QUAD_BASE, "iters": "3", "eval_samples": "8"}).items()
+             for arg in ("--set", "=".join(pair))] + ["--mode", "dense"]
+
+
+@pytest.fixture(scope="module")
+def dense_summary(tmp_path_factory):
+    out = tmp_path_factory.mktemp("baseline") / "run"
+    with redirect_stdout(io.StringIO()):
+        assert main(["run", "--out", str(out), *_TINY_RUN]) == 0
+    summary = json.loads((out / "summary.json").read_text())
+    assert sorted(summary) == _SUMMARY_KEYS
+    return summary
+
+
+class TestBaselineMutationFuzz:
+    """One mutated key of a real summary as the baseline: a run exits 0 or 2
+    in at most one stderr line, and a finished run's summary is standard JSON."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    # an int total past the float range raised OverflowError; a total whose
+    # ratio overflowed wrote Infinity into summary.json
+    @example(mutation=("set", "floats_sent_total", 10**400))
+    @example(mutation=("set", "sim_time_total", 1e308))
+    @given(mutation=st.one_of(
+               st.tuples(st.just("set"), st.sampled_from(_SUMMARY_KEYS), _JSON_VALUES),
+               st.tuples(st.just("delete"), st.sampled_from(_SUMMARY_KEYS), st.none()),
+               st.tuples(st.just("add"), st.text(max_size=6), _JSON_VALUES)))
+    def test_run_exits_zero_or_two(self, dense_summary, mutation):
+        action, key, value = mutation
+        baseline = dict(dense_summary)
+        if action == "delete":
+            del baseline[key]
+        else:
+            baseline[key] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            path, out = os.path.join(tmp, "baseline.json"), os.path.join(tmp, "run")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(baseline, fh)
+            err = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(err):
+                code = main(["run", "--out", out, "--set", f"baseline={path}", *_TINY_RUN])
+            assert code in (0, 2), err.getvalue()
+            assert len(err.getvalue().splitlines()) <= 1
+            if code == 0:
+                with open(os.path.join(out, "summary.json"), encoding="utf-8") as fh:
+                    json.load(fh, parse_constant=_reject_constant)

@@ -274,15 +274,19 @@ class TestMemory:
         # budget is that live set, in gradient sizes (4M bytes): the weights
         # (2), the gradients (4), the new and the previous update (2), the
         # views at CF 10 (indices, sent and own values: 3 * 0.1 per worker)
-        # and two float64 blocks of REDUCE_BLOCK entries. The peak is 9.7,
+        # and two float64 blocks of REDUCE_BLOCK entries. The peak is 9.0,
         # inside send's aggregation, which runs after run_iteration frees
         # the views; with them alive there it was 10.9. It was 12.3 while
         # the optimizer kept an unused momentum buffer (2), the quadratic's
         # gradient took two float64 temporaries (4), compression a
-        # full-length |v| (1) and the identity step a copy of every view
+        # full-length |v| (1) and the identity step a copy of every view.
+        # A first small run imports numpy.random, which would add 0.7 on its
+        # own when this test runs first
         size, workers, iters = 1 << 18, 4, 3
-        task = QuadraticBowl(size=size, noise_std=0.1)
         opt = OptimizerState(weights=np.zeros(1), lr=0.1)
+        run_training(QuadraticBowl(size=8, noise_std=0.1), opt, CostModelParams(workers=workers),
+                     "dense", 1, seed=1)
+        task = QuadraticBowl(size=size, noise_std=0.1)
         tracemalloc.start()
         try:
             result = run_training(task, opt, CostModelParams(workers=workers), "gravac", iters,
