@@ -14,7 +14,6 @@ import json
 import math
 import os
 import shutil
-import sys
 import tempfile
 from dataclasses import astuple, dataclass, fields
 from typing import Callable, Mapping
@@ -56,7 +55,6 @@ class RunConfig:
     seed: int = 0
     out: str = ""
     eval_samples: int = EVAL_SAMPLES
-    baseline: str = ""
     task_kind: str = SYNTHETIC_MLP
     task_size: int = QuadraticBowl.size
     task_batch_size: int = SyntheticMlp.batch_size
@@ -219,10 +217,11 @@ def validate_config(cfg: RunConfig) -> None:
 
 
 def _checked(section: str, build, *args, **kwargs):
-    """``build(*args, **kwargs)``, its ValueError raised as a ConfigError naming ``section``."""
+    """``build(*args, **kwargs)``, its ValueError or MemoryError (a size too large to
+    allocate) raised as a ConfigError naming ``section``."""
     try:
         return build(*args, **kwargs)
-    except ValueError as exc:
+    except (ValueError, MemoryError) as exc:
         raise ConfigError(f"{section}: {exc}") from exc
 
 
@@ -248,7 +247,6 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> dict:
         existing = os.path.dirname(existing)
     if not os.path.isdir(existing):
         raise ConfigError(f"out: {existing} is not a directory")
-    baseline = _load_baseline(cfg.baseline) if cfg.baseline else None
     task = cfg.build_task()
     result = run_training(
         task=task,
@@ -278,12 +276,6 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> dict:
         "sim_time_total": float(trace.total("t_iter")),
         "cf_histogram": {repr(cf): count for cf, count in histogram.items()},
     }
-    if baseline is not None:
-        summary.update({ratio: baseline[key] / summary[key]
-                        for key, ratio in _BASELINE_RATIOS.items() if summary[key] > 0})
-        bad = [r for r in _BASELINE_RATIOS.values() if not math.isfinite(summary.get(r, 0))]
-        if bad:
-            raise ConfigError(f"baseline: ratios overflow: {', '.join(bad)} not finite")
     _write_outputs(out, {
         "trace.jsonl": trace.to_jsonl(),
         "kde.csv": kde_csv(trace, KDE_BANDWIDTH, high),
@@ -321,37 +313,13 @@ def _write_outputs(out: str, texts: Mapping[str, str]) -> None:
 def kde_csv(trace: RunTrace, bandwidth: float, high: float | None = None) -> str:
     """CF-usage density on the log10 axis as ``log10_cf,density`` CSV text."""
     samples = cf_usage_samples(trace)
-    grid = default_grid(samples, bandwidth, num=512, low=0.0, high=high)
-    density = gaussian_kde(samples, bandwidth, grid)
+    with np.errstate(all="ignore"):  # a grid or density that is not finite is rejected below
+        grid = default_grid(samples, bandwidth, num=512, low=0.0, high=high)
+        density = gaussian_kde(samples, bandwidth, grid)
+    if not (np.isfinite(grid).all() and np.isfinite(density).all()):
+        raise ValueError(f"bandwidth {bandwidth!r} gives a KDE grid or density that is not finite")
     rows = "".join(f"{float(x)!r},{float(f)!r}\n" for x, f in zip(grid, density))
     return "log10_cf,density\n" + rows
-
-
-# baseline summary total -> the ratio of it over this run's total
-_BASELINE_RATIOS = {
-    "sim_time_total": "speedup_vs_baseline",
-    "floats_sent_total": "comm_reduction_floats",
-    "words_sent_total": "comm_reduction_words",
-}
-
-
-def _load_baseline(path: str) -> dict:
-    """The totals of a baseline summary.json, checked before a run starts."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            base = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"baseline: cannot read {path}: {exc}") from exc
-    except (ValueError, RecursionError) as exc:
-        raise ConfigError(f"baseline: {path} is not JSON: {exc}") from exc
-    if not isinstance(base, dict):
-        raise ConfigError(f"baseline: {path} is not a summary object")
-    # compared exactly, an int total past the float range fails, as NaN does
-    bad = [key for key in _BASELINE_RATIOS if type(base.get(key)) not in (int, float)
-           or not abs(base[key]) <= sys.float_info.max]
-    if bad:
-        raise ConfigError(f"baseline: {path} lacks finite numbers for {', '.join(bad)}")
-    return base
 
 
 def _load_trace(trace) -> RunTrace:

@@ -107,8 +107,9 @@ GOLDEN = {
 # holds per numpy version
 GOLDEN_NUMPY = "2.4.6"
 
-# changed once on purpose: the dead compressor.redsync_max_rounds key was removed
-DEFAULT_CONFIG_SHA256 = "dac0665ae9a93f189dc0e415f84ebadf8030f28c08c614f8600f683d90c0f438"
+# changed twice on purpose: the dead compressor.redsync_max_rounds key was removed,
+# then the baseline key
+DEFAULT_CONFIG_SHA256 = "798898b850efc06f663b587ddfdb91139e5212c52ec32fee4dd3c305c3489971"
 
 
 def run_digest(overrides, out_dir, monkeypatch) -> str:
