@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
-from .harness import (KDE_BANDWIDTH, SEED_ENV_VAR, ConfigError, compare_runs, kde_csv,
-                      parse_config, run_experiment, serialize_config)
+from .harness import (KDE_BANDWIDTH, ConfigError, compare_runs, kde_csv, parse_config,
+                      run_experiment, serialize_config)
 from .simworkers import DivergenceError, RunTrace
 
 EXIT_OK = 0
@@ -42,9 +41,6 @@ def _effective_config(args):
         overrides["iters"] = str(args.iters)
     if getattr(args, "out", None):
         overrides["out"] = args.out
-    env_seed = os.environ.get(SEED_ENV_VAR)
-    if env_seed is not None:
-        overrides["seed"] = env_seed
     return parse_config(args.config, overrides)
 
 
@@ -82,7 +78,7 @@ def _cmd_print_config(args) -> int:
 def _add_config_flags(parser):
     parser.add_argument("--config", help="key=value config file")
     parser.add_argument("--mode", help="gravac | static-cf | dense")
-    parser.add_argument("--seed", type=int, help="run seed (GRAVAC_SEED env wins)")
+    parser.add_argument("--seed", type=int, help="run seed")
     parser.add_argument("--iters", type=int, help="training iterations")
     parser.add_argument("--out", help="output directory")
     parser.add_argument("--set", action="append", metavar="KEY=VALUE",
@@ -130,7 +126,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"divergence abort: {exc}", file=sys.stderr)
         return EXIT_DIVERGED
-    except (OSError, ValueError) as exc:
+    except (OSError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

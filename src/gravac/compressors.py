@@ -28,6 +28,9 @@ REDSYNC = "redsync"
 RANDOMK = "randomk"
 KIND_NAMES = (TOPK, DGC, REDSYNC, RANDOMK)
 
+# DGC estimates its threshold from this share of the magnitudes (at least 256)
+DGC_SAMPLE_FRACTION = 0.01
+
 # (kind, input_length, kept) -> modeled seconds; cost model supplies this
 LatencyFn = Callable[["CompressorKind", int, int], float]
 
@@ -39,16 +42,13 @@ TOPK_BOUND_STRIDE = 32
 
 @dataclass(frozen=True)
 class CompressorKind:
-    """Compressor selector plus per-kind tuning knobs."""
+    """Compressor selector."""
 
     name: str
-    dgc_sample_fraction: float = 0.01
 
     def __post_init__(self):
         if self.name not in KIND_NAMES:
             raise ValueError(f"unknown compressor {self.name!r}, expected one of {KIND_NAMES}")
-        if not (0.0 < self.dgc_sample_fraction < 1.0):
-            raise ValueError(f"dgc_sample_fraction must be in (0, 1), got {self.dgc_sample_fraction}")
 
 
 @dataclass(eq=False)
@@ -171,11 +171,11 @@ def _global_topup(mag: np.ndarray, chosen: np.ndarray, short: int) -> np.ndarray
     return _exact_topk(rest, short)
 
 
-def _dgc_pick(mag: np.ndarray, k: int, kind: CompressorKind, rng: SeededRng | None) -> np.ndarray:
+def _dgc_pick(mag: np.ndarray, k: int, rng: SeededRng | None) -> np.ndarray:
     """k ascending positions at or above a threshold estimated from a sample
     of ``mag``; cut to the top k, or padded when the threshold overshot."""
     n = mag.size
-    sample_size = min(n, max(256, int(round(kind.dgc_sample_fraction * n))))
+    sample_size = min(n, max(256, int(round(DGC_SAMPLE_FRACTION * n))))
     if sample_size >= n:
         # full sample: threshold estimation degenerates to exact selection
         return _exact_topk(mag, k)
@@ -224,7 +224,7 @@ def _select(kind: CompressorKind, values: np.ndarray, k: int, rng: SeededRng | N
             raise ValueError("randomk compression requires an rng")
         picked = np.sort(rng.generator.choice(n, size=k, replace=False))
     else:
-        picked = _dgc_pick(np.abs(own), k, kind, rng)
+        picked = _dgc_pick(np.abs(own), k, rng)
     kept = own[picked]
     if kind.name != REDSYNC:
         return picked, kept, None

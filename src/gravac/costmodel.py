@@ -50,7 +50,7 @@ class LatencyCoeffs:
 
 
 # Desk-scale defaults; ordering (topk slowest, randomk cheapest) follows the
-# relative costs of the selection rules. Overridable via config.
+# selection rules' relative costs. Overridable via `CostModelParams(latency_coeffs=...)`.
 DEFAULT_LATENCY_COEFFS: dict[str, LatencyCoeffs] = {
     "topk": LatencyCoeffs(5e-6, 2.0e-9, 2.0e-9),
     "dgc": LatencyCoeffs(5e-6, 1.0e-9, 1.0e-9),

@@ -15,14 +15,14 @@ import math
 import os
 import shutil
 import tempfile
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Callable, Mapping
 
 import numpy as np
 
-from .compressors import KIND_NAMES, TOPK, CompressorKind
+from .compressors import TOPK, CompressorKind
 from .controller import ControllerConfig
-from .costmodel import DEFAULT_LATENCY_COEFFS, CostModelParams, LatencyCoeffs
+from .costmodel import CostModelParams
 from .gradcore import SeededRng
 from .kdestats import cf_histogram, cf_usage_samples, default_grid, gaussian_kde
 from .simworkers import (EVAL_SAMPLES, MODES, STATIC, GRAVAC, OptimizerState, RunTrace,
@@ -30,7 +30,6 @@ from .simworkers import (EVAL_SAMPLES, MODES, STATIC, GRAVAC, OptimizerState, Ru
 from .tasks import SYNTHETIC_MLP, TASK_CLASSES, TASK_KINDS, QuadraticBowl, SyntheticMlp
 
 KDE_BANDWIDTH = 0.1
-SEED_ENV_VAR = "GRAVAC_SEED"
 
 
 class ConfigError(Exception):
@@ -42,11 +41,11 @@ class RunConfig:
     """Flat run settings, one field per config key.
 
     A field's key is its name with the section prefix dotted
-    (``controller_theta_min`` is ``controller.theta_min``, ``cost_latency_dgc``
-    is ``cost.latency.dgc``), and its annotation picks the parser. A default
-    that a domain class also has is read from that class; the few literals
-    below either have no domain default or deliberately differ from it, as
-    their comments say. The domain classes check the values they use.
+    (``controller_theta_min`` is ``controller.theta_min``), and its
+    annotation picks the parser. A default that a domain class also has is
+    read from that class; the few literals below either have no domain
+    default or deliberately differ from it, as their comments say. The
+    domain classes check the values they use.
     """
 
     mode: str = GRAVAC
@@ -64,12 +63,8 @@ class RunConfig:
     task_blob_distance: float = SyntheticMlp.blob_distance
     task_blob_spread: float = SyntheticMlp.blob_spread
     task_feature_decades: float = SyntheticMlp.feature_decades
-    task_data_seed: int = SyntheticMlp.data_seed
     opt_lr: float = 0.05  # OptimizerState has no default learning rate
     opt_momentum: float = 0.9  # runs train with momentum; OptimizerState defaults to plain SGD
-    opt_weight_decay: float = OptimizerState.weight_decay
-    opt_lr_decay_iters: tuple[int, ...] = OptimizerState.lr_decay_iters
-    opt_lr_decay_factor: float = OptimizerState.lr_decay_factor
     controller_theta_min: float = ControllerConfig.theta_min
     controller_theta_max: float = ControllerConfig.theta_max
     controller_epsilon: float = ControllerConfig.epsilon
@@ -77,16 +72,11 @@ class RunConfig:
     controller_window: int = ControllerConfig.window
     controller_policy: str = ControllerConfig.policy
     compressor_kind: str = TOPK
-    compressor_dgc_sample_fraction: float = CompressorKind.dgc_sample_fraction
     cost_alpha: float = CostModelParams.alpha
     cost_beta: float = CostModelParams.beta
     cost_workers: int = 4  # a run simulates a cluster; CostModelParams defaults to one worker
     cost_topology: str = CostModelParams.topology
     cost_t_compute: float = CostModelParams.t_compute
-    cost_latency_topk: tuple[float, ...] = astuple(DEFAULT_LATENCY_COEFFS["topk"])
-    cost_latency_dgc: tuple[float, ...] = astuple(DEFAULT_LATENCY_COEFFS["dgc"])
-    cost_latency_redsync: tuple[float, ...] = astuple(DEFAULT_LATENCY_COEFFS["redsync"])
-    cost_latency_randomk: tuple[float, ...] = astuple(DEFAULT_LATENCY_COEFFS["randomk"])
 
     # ---- typed builders: each passes the fields of its section --------
 
@@ -100,16 +90,13 @@ class RunConfig:
         return cls(**self._section("task_", cls))
 
     def build_compressor(self) -> CompressorKind:
-        return CompressorKind(self.compressor_kind, **self._section("compressor_", CompressorKind))
+        return CompressorKind(self.compressor_kind)
 
     def build_controller(self) -> ControllerConfig:
         return ControllerConfig(**self._section("controller_", ControllerConfig))
 
     def build_cost(self) -> CostModelParams:
-        coeffs = {kind: LatencyCoeffs(*getattr(self, f"cost_latency_{kind}"))
-                  for kind in KIND_NAMES}
-        return CostModelParams(latency_coeffs=coeffs,
-                               **self._section("cost_", CostModelParams))
+        return CostModelParams(**self._section("cost_", CostModelParams))
 
     def build_optimizer(self, task) -> OptimizerState:
         return OptimizerState(weights=np.zeros(task.parameter_count),
@@ -118,11 +105,11 @@ class RunConfig:
 
 # ---- flat keys, derived from the RunConfig fields ------------------------
 
-_SECTION_PREFIXES = ("task_", "opt_", "controller_", "compressor_", "cost_latency_", "cost_")
+_SECTION_PREFIXES = ("task_", "opt_", "controller_", "compressor_", "cost_")
 
 
 def _key(name: str) -> str:
-    """The dotted config key of the RunConfig field ``name``; the first matching prefix wins."""
+    """The dotted config key of the RunConfig field ``name``; no two prefixes overlap."""
     prefix = next((p for p in _SECTION_PREFIXES if name.startswith(p)), "")
     return prefix.replace("_", ".") + name[len(prefix):]
 
@@ -143,8 +130,7 @@ def _parse_tuple(item: Callable[[str], object]) -> Callable[[str], tuple]:
 
 # a RunConfig field's annotation -> the parser of its value text
 _PARSERS = {"int": int, "float": _parse_float, "str": str,
-            "tuple[int, ...]": _parse_tuple(int),
-            "tuple[float, ...]": _parse_tuple(_parse_float)}
+            "tuple[int, ...]": _parse_tuple(int)}
 
 _FIELDS = {_key(f.name): f for f in fields(RunConfig)}
 
@@ -204,9 +190,6 @@ def validate_config(cfg: RunConfig) -> None:
     for key in ("static_cf", "iters", "eval_samples"):
         if not getattr(cfg, key) >= 1:
             raise ConfigError(f"{key}: must be >= 1")
-    for kind in KIND_NAMES:
-        if len(getattr(cfg, f"cost_latency_{kind}")) != 3:
-            raise ConfigError(f"cost.latency.{kind}: expected 3 comma-separated coefficients")
     _checked("seed", SeededRng, cfg.seed)
     tasks = {kind: _checked("task", cls, **cfg._section("task_", cls))
              for kind, cls in TASK_CLASSES.items()}

@@ -46,21 +46,18 @@ class DivergenceError(RuntimeError):
 
 @dataclass
 class OptimizerState:
-    """Momentum SGD with coupled weight decay.
+    """Momentum SGD.
 
-    buffer <- momentum*buffer + (grad + weight_decay*w); w <- w - lr*buffer.
-    ``sgd_update`` updates both arrays in place. With momentum 0 the step is
-    w <- w - lr*(grad + weight_decay*w) and the buffer is a read-only zero
-    view that owns no memory.
+    buffer <- momentum*buffer + grad; w <- w - lr*buffer. ``sgd_update``
+    updates both arrays in place. With momentum 0 the step is
+    w <- w - lr*grad and the buffer is a read-only zero view that owns no
+    memory.
     """
 
     weights: np.ndarray
     lr: float
     momentum: float = 0.0
-    weight_decay: float = 0.0
     buffer: np.ndarray = field(init=False)
-    lr_decay_iters: tuple[int, ...] = ()
-    lr_decay_factor: float = 10.0
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
@@ -68,10 +65,6 @@ class OptimizerState:
             raise ValueError(f"learning rate must be positive, got {self.lr}")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not self.weight_decay >= 0:
-            raise ValueError(f"weight decay must be >= 0, got {self.weight_decay}")
-        if not self.lr_decay_factor > 0:
-            raise ValueError(f"lr_decay_factor must be > 0, got {self.lr_decay_factor}")
         # without momentum the buffer is never read, so a read-only stride-0
         # view of one zero stands in and owns no memory. np.zeros is not free:
         # served from reused heap, its pages are cleared and so resident
@@ -84,8 +77,6 @@ def sgd_update(opt: OptimizerState, grad: GradientVector) -> OptimizerState:
     if grad.length != opt.weights.size:
         raise ValueError(f"gradient length {grad.length} != weights {opt.weights.size}")
     g = grad.values.astype(np.float64)
-    if opt.weight_decay:
-        g += opt.weight_decay * opt.weights
     if opt.momentum:
         opt.buffer *= opt.momentum
         opt.buffer += g
@@ -239,7 +230,6 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
 
     trace = RunTrace()
     initial_loss = None
-    decay_points = set(opt.lr_decay_iters)
 
     # diverging weights can overflow float64 before a gradient or the loss
     # turns non-finite: such arithmetic raises and is reported as a divergence
@@ -247,8 +237,6 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
         with np.errstate(over="raise", invalid="raise"):
             for i in range(1, iterations + 1):
                 stage = f"iteration {i}"
-                if i in decay_points:
-                    opt.lr = opt.lr / opt.lr_decay_factor
 
                 # each gradient is folded into its residual as it is drawn, so
                 # at most one raw gradient is alive beside the workers' buffers

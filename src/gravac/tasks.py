@@ -25,7 +25,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .gradcore import REDUCE_BLOCK, SEED_LIMIT, GradientVector, SeededRng, dot64, normal32
+from .gradcore import REDUCE_BLOCK, GradientVector, SeededRng, dot64, normal32
 
 QUADRATIC = "quadratic"
 SYNTHETIC_MLP = "synthetic_mlp"
@@ -174,7 +174,6 @@ class SyntheticMlp:
     blob_distance: float = 3.0
     blob_spread: float = 1.0
     feature_decades: float = 0.0
-    data_seed: int = 0
 
     def __post_init__(self):
         widths = tuple(int(w) for w in self.widths)
@@ -190,8 +189,6 @@ class SyntheticMlp:
             raise ValueError(f"blob_spread must be > 0, got {self.blob_spread}")
         if not self.feature_decades >= 0:
             raise ValueError(f"feature_decades must be >= 0, got {self.feature_decades}")
-        if not 0 <= self.data_seed < SEED_LIMIT:
-            raise ValueError(f"data_seed must be in [0, 2**53), got {self.data_seed}")
         self.widths = widths
         # the flat parameter layout: per layer (weight slice, shape, bias slice)
         self._layout, pos = [], 0
@@ -205,7 +202,7 @@ class SyntheticMlp:
         d = widths[0]
         exponents = np.arange(d) / max(d - 1, 1)
         self._sigma = self.blob_spread * 10.0 ** (-self.feature_decades * exponents)
-        gen = SeededRng(self.data_seed).split(_MEANS).generator
+        gen = SeededRng(0).split(_MEANS).generator
         # separation direction concentrated on the large-scale dimensions
         # (scale-weighted), unit length after whitening so the Bayes optimum
         # is Phi(blob_distance / 2) for any spectrum. Settings that overflow

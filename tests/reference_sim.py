@@ -108,8 +108,6 @@ def reference_run(task, optimizer, cost, mode, iterations, seed,
         return sum(gains) / len(gains)
 
     for i in range(1, iterations + 1):
-        if i in optimizer.lr_decay_iters:
-            lr = lr / optimizer.lr_decay_factor
         grads, losses = zip(*task.gradients(w, n_workers, i, data_rng))
         loss = float(np.mean(losses))
 
@@ -178,10 +176,8 @@ def reference_run(task, optimizer, cost, mode, iterations, seed,
         t_sys_of[cf], t_comp_of[cf] = t_sys, t_sys * gain
         events["choices"][choice] = events["choices"].get(choice, 0) + 1
 
-        # momentum SGD: buffer <- momentum*buffer + (grad + wd*w); w <- w - lr*buffer
+        # momentum SGD: buffer <- momentum*buffer + grad; w <- w - lr*buffer
         g = agg.astype(np.float32).astype(np.float64)
-        if optimizer.weight_decay:
-            g += optimizer.weight_decay * w
         if optimizer.momentum:
             buf *= optimizer.momentum
             buf += g

@@ -107,9 +107,9 @@ GOLDEN = {
 # holds per numpy version
 GOLDEN_NUMPY = "2.4.6"
 
-# changed twice on purpose: the dead compressor.redsync_max_rounds key was removed,
-# then the baseline key
-DEFAULT_CONFIG_SHA256 = "798898b850efc06f663b587ddfdb91139e5212c52ec32fee4dd3c305c3489971"
+# changed three times on purpose: the dead compressor.redsync_max_rounds key was
+# removed, then the baseline key, then the nine keys that no shipped config set
+DEFAULT_CONFIG_SHA256 = "04ab66d6344a2d55fe8e9d1321531cc68f5ff5d24a8b951416baceb4f32dc307"
 
 
 def run_digest(overrides, out_dir, monkeypatch) -> str:

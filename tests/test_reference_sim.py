@@ -27,14 +27,13 @@ MODES = ("gravac", "static-cf", "dense")
 def quadratic(**overrides):
     settings = dict(size=300, noise_std=0.3, batch_size=2, curvature=np.geomspace(0.01, 3.0, 300))
     task = QuadraticBowl(**dict(settings, **overrides))
-    opt = OptimizerState(weights=np.zeros(task.size), lr=0.1, momentum=0.5, weight_decay=1e-3,
-                         lr_decay_iters=(15,), lr_decay_factor=2.0)
+    opt = OptimizerState(weights=np.zeros(task.size), lr=0.1, momentum=0.5)
     return task, opt
 
 
 def mlp():
     task = SyntheticMlp(widths=(16, 8, 2), batch_size=8, blob_spread=3.0,
-                        feature_decades=3.0, data_seed=5)
+                        feature_decades=3.0)
     return task, OptimizerState(weights=np.zeros(task.parameter_count), lr=0.1, momentum=0.9)
 
 

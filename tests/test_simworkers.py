@@ -39,11 +39,6 @@ class TestSgdUpdate:
         # weights: 1 - 0.1*2 = 0.8; 0.8 - 0.1*2.8 = 0.52
         np.testing.assert_allclose(opt.weights, [0.52], rtol=1e-12)
 
-    def test_pure_decay_step(self):
-        opt = OptimizerState(weights=np.array([2.0, -4.0]), lr=0.1, weight_decay=0.5)
-        sgd_update(opt, GradientVector([0.0, 0.0]))
-        np.testing.assert_allclose(opt.weights, np.array([2.0, -4.0]) * (1 - 0.1 * 0.5))
-
     def test_momentum_free_state_allocates_no_buffer(self):
         # the buffer is never read without momentum; it was an np.zeros
         # array of the weights' size, resident once it landed in reused heap
@@ -73,14 +68,6 @@ class TestSgdUpdate:
     def test_nan_hyperparameters_rejected(self):
         with pytest.raises(ValueError):
             OptimizerState(weights=np.zeros(2), lr=np.nan)
-        with pytest.raises(ValueError):
-            OptimizerState(weights=np.zeros(2), lr=0.1, weight_decay=np.nan)
-
-    # 0 divided the learning rate by zero at the decay step; -1 flipped its sign
-    @pytest.mark.parametrize("factor", [0.0, -1.0, np.nan])
-    def test_non_positive_lr_decay_factor_rejected(self, factor):
-        with pytest.raises(ValueError, match="lr_decay_factor"):
-            OptimizerState(weights=np.zeros(2), lr=0.1, lr_decay_factor=factor)
 
 
 class TestDenseTraining:
@@ -130,21 +117,11 @@ class TestDenseTraining:
             run_training(task, opt, CostModelParams(workers=2), "dense", 2, seed=0,
                          eval_samples=0)
 
-    def test_lr_decay_schedule_applied(self):
-        task, opt, cost = quadratic_setup(size=8, lr=0.4)
-        opt.lr_decay_iters = (5,)
-        opt.lr_decay_factor = 10.0
-        result = run_training(task, opt, cost, "dense", 10, seed=0)
-        # unit curvature and no noise: each step scales w by 1 - lr, with lr
-        # 0.4 in iterations 1-4 and 0.04 from iteration 5 on
-        np.testing.assert_allclose(result.weights, 0.6 ** 4 * 0.96 ** 6, rtol=1e-6)
-
     @pytest.mark.parametrize("mode", ["dense", "static-cf", "gravac"])
     def test_caller_optimizer_is_not_changed(self, mode):
-        # the run trains a copy; it used to decay the caller's lr and replace
-        # its arrays, so a second run with the same object differed
+        # the run trains a copy; it used to replace the caller's arrays, so a
+        # second run with the same object differed
         task, opt, cost = quadratic_setup(size=16, noise_std=0.1, momentum=0.9)
-        opt.lr_decay_iters = (3,)
         weights, buffer = opt.weights, opt.buffer
         cc = ControllerConfig(theta_min=2.0, theta_max=8.0, epsilon=0.5, window=2)
         traces = [run_training(task, opt, cost, mode, 6, seed=4, controller_config=cc,

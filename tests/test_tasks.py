@@ -378,11 +378,6 @@ class TestSyntheticMlp:
         with pytest.raises(ValueError, match="class means"):
             SyntheticMlp(widths=(8, 4, 2), blob_spread=1e100, blob_distance=1e300)
 
-    @pytest.mark.parametrize("seed", [-1, 2**53])
-    def test_rejects_out_of_range_data_seed(self, seed):
-        with pytest.raises(ValueError, match="data_seed"):
-            SyntheticMlp(data_seed=seed)
-
 
 
 @pytest.mark.parametrize("make_task", [lambda: QuadraticBowl(size=16, noise_std=0.5),
