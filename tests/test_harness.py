@@ -610,6 +610,8 @@ class TestCli:
     # the default run is a quadratic one, so the task.blob_spread and
     # task.widths cases are keys of the inactive task kind
     @pytest.mark.parametrize("overrides,section", [
+        (("opt.lr=0",), "opt"),
+        (("opt.momentum=1",), "opt"),
         (("task.blob_spread=0",), "task"),
         # the separation direction's norm underflowed to 0 and the loss was NaN
         (("task.kind=synthetic_mlp", "task.widths=8,4,2", "task.blob_spread=1e-300"), "task"),
