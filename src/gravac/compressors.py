@@ -118,6 +118,11 @@ def _exact_topk(v: np.ndarray, k: int, signed: bool = False) -> np.ndarray:
         return np.arange(n)
     lo = _sample_bound(v, k, signed)
     if lo is not None:
+        # two boolean masks, not np.abs(v) >= lo: a float32 |v| is a
+        # full-length temporary (4 MiB at M = 10^6) whose pages are faulted
+        # in afresh on every call. On quad_1m it raised the minor faults of
+        # a run from about 6k to 77k and cut iters_per_s from about 16.0
+        # to 12.9 (2-core x86-64 VM)
         hit = v >= lo
         if signed:
             hit |= v <= -lo

@@ -258,10 +258,15 @@ def run_iteration(state: ControllerState, i: int, loss: float, compressor: Compr
     else:
         g_mins, t_min = compress_workers(compress, compressor, g_efs, theta_min,
                                          rng, cost, i, _STAGE_MIN)
-        delta_min = state.gains.observe(theta_min, mean_gain(g_mins, ef_norms))
+        raw_min = mean_gain(g_mins, ef_norms)
+        delta_min = state.gains.observe(theta_min, raw_min)
         g_cs, t_step = compress_workers(compress_further, compressor, g_mins, state.theta_s,
                                         rng, cost, i, _STAGE_STEP)
-        delta_c = state.gains.observe(candidate_cf, mean_gain(g_cs, ef_norms))
+        # a step that keeps every entry returns the stage-1 views themselves,
+        # whose raw gain is known; the smoothed gain still takes both
+        # observations
+        same = all(c is m for c, m in zip(g_cs, g_mins))
+        delta_c = state.gains.observe(candidate_cf, raw_min if same else mean_gain(g_cs, ef_norms))
         t_compress = t_min + t_step
 
         choice, cf = select_cf(delta_c, delta_min, state.config.epsilon,

@@ -7,15 +7,19 @@ the rng streams they are handed. ``gradients`` yields every worker's
 gradient and loss for one iteration, each drawn only when the caller asks
 for it; ``gradient`` draws one worker's. The MLP computes a worker's
 gradient in float32, the precision it is sent in, from a float32 copy of
-the float64 master weights; its evaluation runs in float64.
+the float64 master weights, on a float32 training batch whose noise is
+``gradcore.normal32``'s Box–Muller draw. Its evaluation draws numpy's
+float64 normals and runs in float64.
 
 Memory follows the training working set. The MLP evaluates its samples in
 blocks of ``EVAL_BLOCK`` rows: it draws every label first, then each
 block's features from the same generator, so the stream and the logits
-equal one full-batch draw and forward. A quadratic built without
-``curvature`` or ``w_star`` stores them as read-only stride-0 views that
-own no buffer, and computes its noiseless gradient and loss through
-block-sized float64 scratch.
+equal one full-batch draw and forward. That holds because numpy's normals
+do not depend on how a draw is split; ``normal32``'s do, since it pairs
+its uniforms within blocks of ``REDUCE_BLOCK`` entries. A quadratic built
+without ``curvature`` or ``w_star`` stores them as read-only stride-0
+views that own no buffer, and computes its noiseless gradient and loss
+through block-sized float64 scratch.
 """
 
 from __future__ import annotations
@@ -223,6 +227,12 @@ class SyntheticMlp:
             raise ValueError(f"blob_distance {self.blob_distance} and blob_spread "
                              f"{self.blob_spread} give class means that are not finite")
         self._means = np.stack([-half, half])
+        # the training batch's float32 scales and means; one beyond the
+        # float32 range becomes inf, which makes its features non-finite,
+        # and the training loop rejects that as a divergence
+        with np.errstate(over="ignore"):
+            self._sigma32 = self._sigma.astype(np.float32)
+            self._means32 = self._means.astype(np.float32)
 
     @property
     def parameter_count(self) -> int:
@@ -243,11 +253,21 @@ class SyntheticMlp:
         return [(w[weight].reshape(shape), w[bias]) for weight, shape, bias in self._layout]
 
     def sample_batch(self, gen: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
+        """n labels, then their float32 feature rows: ``normal32``'s n·d
+        standard normals as n rows of d, scaled in place by the float32
+        noise scales and shifted by the label's float32 class mean."""
         labels = gen.integers(0, 2, size=n)
-        return self._features(gen, labels), labels
+        x = normal32(gen, n * self.widths[0]).reshape(n, self.widths[0])
+        # an inf scale or mean gives inf features, and nan where it meets a
+        # zero normal or a mean of the other sign
+        with np.errstate(over="ignore", invalid="ignore"):
+            x *= self._sigma32
+            x += self._means32[labels]
+        return x, labels
 
     def _features(self, gen: np.random.Generator, labels: np.ndarray) -> np.ndarray:
-        """One feature row per label: scaled noise around the label's class mean."""
+        """The evaluation's float64 feature rows, one per label: numpy's
+        standard normals scaled around the label's class mean."""
         x = gen.standard_normal((len(labels), self.widths[0]))
         x *= self._sigma
         x += self._means[labels]

@@ -4,6 +4,7 @@ from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
+from gravac import metrics
 from gravac.compressors import CompressorKind, aggregate, aggregate_dense, compress
 from gravac.controller import (CANDIDATE, DENSE, MINIMUM, POLICIES, STATIC_CHOICE,
                                ControllerConfig, ControllerState, check_gravac,
@@ -267,6 +268,30 @@ class TestRunIteration:
         assert state.theta_ideal is not None
         assert state.theta_ideal == 4.0
         assert set(candidates[2:]) == {4.0}
+
+    def test_identity_step_takes_each_gain_once(self, monkeypatch):
+        # while the step factor is 1 the second stage returns the stage-1
+        # views, so their gains are taken once; a larger step takes both
+        taken = []
+        compression_gain = metrics.compression_gain
+
+        def spy(part, ef_norm_sq):
+            taken.append(part)
+            return compression_gain(part, ef_norm_sq)
+
+        monkeypatch.setattr(metrics, "compression_gain", spy)
+        state = make_state(epsilon=1e-9, window=2, theta_min=2.0, theta_max=64.0)
+        cost, rng, data = CostModelParams(workers=2), SeededRng(1), SeededRng(2)
+        stores = [GradientVector(np.zeros(64)) for _ in range(2)]
+        steps = []
+        for i in range(1, 5):
+            grads = [apply_feedback(GradientVector(data.split(w, i).generator.standard_normal(64)),
+                                    stores[w]) for w in range(2)]
+            taken.clear()
+            steps.append(state.theta_s)
+            run_iteration(state, i, 0.0, TOPK, grads, stores, cost, rng)
+            assert len(taken) == (2 if steps[-1] == 1.0 else 4)
+        assert steps == [1.0, 1.0, 2.0, 2.0]
 
     def test_zero_gradient_is_dense_noop(self):
         state = make_state(epsilon=0.5, window=10)

@@ -610,12 +610,13 @@ class TestCli:
     # the default run is a quadratic one, so the task.blob_spread and
     # task.widths cases are keys of the inactive task kind
     @pytest.mark.parametrize("overrides,section", [
-        (("opt.lr=0",), "opt"),
-        (("opt.momentum=1",), "opt"),
-        (("task.blob_spread=0",), "task"),
+        pytest.param(("opt.lr=0",), "opt", id="lr_zero"),
+        pytest.param(("opt.momentum=1",), "opt", id="momentum_one"),
+        pytest.param(("task.blob_spread=0",), "task", id="blob_spread_zero"),
         # the separation direction's norm underflowed to 0 and the loss was NaN
-        (("task.kind=synthetic_mlp", "task.widths=8,4,2", "task.blob_spread=1e-300"), "task"),
-        (("task.widths=4,2,3",), "task")])
+        pytest.param(("task.kind=synthetic_mlp", "task.widths=8,4,2", "task.blob_spread=1e-300"),
+                     "task", id="blob_spread_underflow"),
+        pytest.param(("task.widths=4,2,3",), "task", id="three_outputs")])
     def test_value_that_breaks_a_run_exits_two(self, tmp_path, capsys, overrides, section):
         args = self.run_args(tmp_path, "run", "--mode", "dense")
         for pair in overrides:

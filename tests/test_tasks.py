@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gravac import tasks
-from gravac.gradcore import REDUCE_BLOCK, GradientVector, SeededRng, dot64
+from gravac.gradcore import REDUCE_BLOCK, GradientVector, SeededRng, dot64, normal32
 from gravac.tasks import _EVAL, QuadraticBowl, SyntheticMlp, _cross_entropy
 
 
@@ -52,6 +52,16 @@ def reference_mlp_gradient(task, w, x, labels, dtype):
         if layer_idx > 0:
             delta = (delta @ layers[layer_idx][0].T) * (1.0 - activations[layer_idx] ** 2)
     return np.concatenate(parts).astype(np.float32), _cross_entropy(logits, labels)
+
+
+def training_batch(task, gen, n):
+    """An MLP training batch as ``sample_batch``'s docstring states it: the
+    labels, then ``normal32`` over n·d entries as n rows, times the float32
+    noise scales plus the float32 class means, in float32."""
+    labels = gen.integers(0, 2, size=n)
+    z = normal32(gen, n * task.widths[0]).reshape(n, task.widths[0])
+    return (z * task._sigma.astype(np.float32)
+            + task._means.astype(np.float32)[labels]).astype(np.float32), labels
 
 
 def full_batch_evaluation(task, w, rng, n_samples):
@@ -309,6 +319,45 @@ class TestSyntheticMlp:
         scale = np.abs(g64.values).max()
         np.testing.assert_allclose(g32.values, g64.values, rtol=1e-4, atol=1e-5 * scale)
         assert loss32 == pytest.approx(loss64, rel=1e-5)
+
+    @pytest.mark.parametrize("widths,n", [
+        pytest.param((8, 6, 2), 1, id="one_row"),
+        pytest.param((24, 6, 2), 5, id="odd_rows"),
+        pytest.param((1024, 16, 2), 64, id="one_full_block"),
+        pytest.param((1000, 16, 2), 70, id="partial_block")])
+    def test_training_batch_is_float32_box_muller(self, widths, n):
+        task = SyntheticMlp(widths=widths, batch_size=n, blob_spread=2.0, feature_decades=3.0)
+        x, labels = task.sample_batch(SeededRng(3).split(0, 1, 2).generator, n)
+        ref_x, ref_labels = training_batch(task, SeededRng(3).split(0, 1, 2).generator, n)
+        assert x.dtype == np.float32 and x.shape == (n, widths[0])
+        assert x.tobytes() == ref_x.tobytes() and np.array_equal(labels, ref_labels)
+        # the float32 forward takes the batch itself, with no cast copy
+        w = task.initial_weights(SeededRng(0))
+        assert task._forward(w.astype(np.float32), x)[1][0] is x
+        g, loss = task.gradient(w, 1, 2, SeededRng(3))
+        ref, ref_loss = reference_mlp_gradient(task, w, ref_x, ref_labels, np.float32)
+        assert g.values.tobytes() == ref.tobytes() and loss == ref_loss
+
+    def test_training_batch_moments(self):
+        # per class, each column's mean is its class mean and its standard
+        # deviation its noise scale, within about five standard errors
+        task = SyntheticMlp(widths=(16, 4, 2), blob_distance=3.0, blob_spread=2.0,
+                            feature_decades=2.0)
+        x, labels = task.sample_batch(SeededRng(6).generator, 4000)
+        for label in (0, 1):
+            z = (x[labels == label] - task._means[label]) / task._sigma
+            rows = len(z)
+            assert rows > 1800
+            assert np.abs(z.mean(axis=0)).max() < 5 / np.sqrt(rows)
+            assert np.abs(z.std(axis=0) - 1).max() < 5 / np.sqrt(2 * rows)
+
+    def test_training_batch_beyond_float32_is_not_finite(self):
+        # scales past the float32 range give non-finite features, not a
+        # numpy warning; the training loop rejects them as a divergence
+        task = SyntheticMlp(widths=(8, 4, 2), blob_spread=1e160, feature_decades=4.0)
+        with np.errstate(all="raise"):
+            x, _ = task.sample_batch(SeededRng(1).generator, 4)
+        assert not np.isfinite(x).any()
 
     def test_feature_spectrum_spans_decades(self):
         task = SyntheticMlp(widths=(16, 8, 2), blob_spread=2.0, feature_decades=3.0)
