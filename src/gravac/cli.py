@@ -1,9 +1,10 @@
 """Command-line entry point.
 
-Subcommands: ``run`` (execute an experiment), ``compare`` (ratio report for
-two traces), ``kde`` (density CSV from a trace), ``print-config`` (effective
-configuration reference). Exit codes: 0 success, 2 configuration error,
-3 divergence abort.
+Subcommands: ``run`` (execute an experiment, writing ``trace.jsonl`` and
+``summary.json``), ``compare`` (ratio report for two traces), ``kde``
+(CF-usage density CSV from a trace, at the fixed bandwidth
+``harness.KDE_BANDWIDTH``), ``print-config`` (effective configuration
+reference). Exit codes: 0 success, 2 configuration error, 3 divergence abort.
 """
 
 from __future__ import annotations
@@ -12,8 +13,8 @@ import argparse
 import json
 import sys
 
-from .harness import (KDE_BANDWIDTH, ConfigError, compare_runs, kde_csv, parse_config,
-                      run_experiment, serialize_config)
+from .harness import (ConfigError, compare_runs, kde_csv, parse_config, run_experiment,
+                      serialize_config)
 from .simworkers import DivergenceError, RunTrace
 
 EXIT_OK = 0
@@ -60,7 +61,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_kde(args) -> int:
-    text = kde_csv(RunTrace.from_jsonl(args.trace), args.bandwidth)
+    text = kde_csv(RunTrace.from_jsonl(args.trace))
     if args.out:
         with open(args.out, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(text)
@@ -104,7 +105,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_kde = sub.add_parser("kde", help="CF-usage density CSV from a trace")
     p_kde.add_argument("--trace", required=True)
-    p_kde.add_argument("--bandwidth", type=float, default=KDE_BANDWIDTH)
     p_kde.add_argument("--out", help="CSV path (stdout when omitted)")
     p_kde.set_defaults(func=_cmd_kde)
 

@@ -21,10 +21,9 @@ re-compressing the full vector whenever c1 > 0.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping
+from dataclasses import dataclass
 
-from .compressors import KIND_NAMES, CompressorKind, SparseGradient
+from .compressors import CompressorKind, SparseGradient
 
 RING = "ring"
 TREE = "tree"
@@ -49,8 +48,8 @@ class LatencyCoeffs:
                 + self.per_selected_log * kept * math.log2(max(kept, 2)))
 
 
-# Desk-scale defaults; ordering (topk slowest, randomk cheapest) follows the
-# selection rules' relative costs. Overridable via `CostModelParams(latency_coeffs=...)`.
+# Desk-scale coefficients; ordering (topk slowest, randomk cheapest) follows the
+# selection rules' relative costs.
 DEFAULT_LATENCY_COEFFS: dict[str, LatencyCoeffs] = {
     "topk": LatencyCoeffs(5e-6, 2.0e-9, 2.0e-9),
     "dgc": LatencyCoeffs(5e-6, 1.0e-9, 1.0e-9),
@@ -71,8 +70,6 @@ class CostModelParams:
     workers: int = 1
     topology: str = RING
     t_compute: float = 1e-3
-    latency_coeffs: Mapping[str, LatencyCoeffs] = field(
-        default_factory=lambda: dict(DEFAULT_LATENCY_COEFFS))
 
     def __post_init__(self):
         if not (self.alpha >= 0 and self.beta >= 0 and self.t_compute >= 0):
@@ -81,12 +78,9 @@ class CostModelParams:
             raise ValueError(f"worker count must be >= 1, got {self.workers}")
         if self.topology not in TOPOLOGIES:
             raise ValueError(f"unknown topology {self.topology!r}, expected one of {TOPOLOGIES}")
-        missing = [k for k in KIND_NAMES if k not in self.latency_coeffs]
-        if missing:
-            raise ValueError(f"missing latency coefficients for {missing}")
 
     def compression_latency(self, kind: CompressorKind, n_input: int, kept: int) -> float:
-        return self.latency_coeffs[kind.name].seconds(n_input, kept)
+        return DEFAULT_LATENCY_COEFFS[kind.name].seconds(n_input, kept)
 
 
 def allreduce_time(words: int, params: CostModelParams) -> float:

@@ -1,11 +1,12 @@
 """Experiment runner: flat key=value config, orchestration, persistence.
 
 A run is fully described by a flat config (dotted keys for nesting) plus
-CLI overrides. Outputs per run: ``trace.jsonl`` (one record per iteration),
-``summary.json`` (totals recomputable from the trace), ``kde.csv`` and
-``cf_histogram.csv``. All outputs are byte-deterministic given the seed;
-wall-clock never enters them. They are written to a temp dir next to the
-output dir and moved into place, so a failed write leaves the old outputs.
+CLI overrides. A run writes two files: ``trace.jsonl`` (one record per
+iteration) and ``summary.json`` (totals recomputable from the trace, and the
+CF histogram). Both are byte-deterministic given the seed; wall-clock never
+enters them. They are written to a temp dir next to the output dir and moved
+into place, so a failed write leaves the old outputs. ``kde_csv`` derives
+the CF-usage density from any trace on request.
 """
 
 from __future__ import annotations
@@ -217,7 +218,7 @@ def serialize_config(cfg: RunConfig) -> str:
 # ---- orchestration ------------------------------------------------------
 
 def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> dict:
-    """Execute one run and persist trace, summary and KDE/histogram CSVs.
+    """Execute one run and persist ``trace.jsonl`` and ``summary.json``.
 
     Returns the summary dict. Outputs are byte-identical across repeats
     with equal seeds.
@@ -244,8 +245,6 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> dict:
         eval_samples=cfg.eval_samples,
     )
     trace = result.trace
-    high = math.log10(cfg.controller_theta_max) if cfg.mode == GRAVAC else None
-    histogram = cf_histogram(trace)
     summary = {
         "mode": cfg.mode,
         "iterations": len(trace),
@@ -257,13 +256,10 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> dict:
         "floats_sent_total": int(trace.total("floats_sent")),
         "words_sent_total": int(trace.total("words_sent")),
         "sim_time_total": float(trace.total("t_iter")),
-        "cf_histogram": {repr(cf): count for cf, count in histogram.items()},
+        "cf_histogram": {repr(cf): count for cf, count in cf_histogram(trace).items()},
     }
     _write_outputs(out, {
         "trace.jsonl": trace.to_jsonl(),
-        "kde.csv": kde_csv(trace, KDE_BANDWIDTH, high),
-        "cf_histogram.csv": "cf,count\n" + "".join(f"{cf!r},{count}\n"
-                                                   for cf, count in histogram.items()),
         "summary.json": json.dumps(summary, indent=2, sort_keys=True) + "\n",
     })
     return summary
@@ -274,12 +270,12 @@ def _write_outputs(out: str, texts: Mapping[str, str]) -> None:
 
     A write that fails leaves ``out`` as it was. The files then move in dict
     order, one ``os.replace`` each, and the caller lists the summary last.
-    Each move is atomic but the set is not: a process killed between two
-    moves leaves the files moved so far beside the previous run's, e.g. a
-    new ``trace.jsonl`` beside an old ``summary.json``, and leaves its
-    ``.staging-*`` dir next to ``out``. Every file is written before the
-    first move, so in a set from one run ``summary.json`` is no older than
-    ``trace.jsonl``.
+    Each move is atomic but the pair is not: a process killed between the
+    two moves leaves a new ``trace.jsonl`` beside the previous run's
+    ``summary.json``, and leaves its ``.staging-*`` dir next to ``out``.
+    Every file is written before the first move, so in a pair from one run
+    ``summary.json`` is no older than ``trace.jsonl``. Other files in
+    ``out`` are left as they are.
     """
     os.makedirs(out, exist_ok=True)
     staging = tempfile.mkdtemp(prefix=".staging-", dir=os.path.dirname(os.path.abspath(out)))
@@ -293,14 +289,12 @@ def _write_outputs(out: str, texts: Mapping[str, str]) -> None:
         shutil.rmtree(staging, ignore_errors=True)
 
 
-def kde_csv(trace: RunTrace, bandwidth: float, high: float | None = None) -> str:
-    """CF-usage density on the log10 axis as ``log10_cf,density`` CSV text."""
+def kde_csv(trace: RunTrace) -> str:
+    """CF-usage density at ``KDE_BANDWIDTH`` as ``log10_cf,density`` CSV text;
+    the log10 grid always reaches down to log10(1) = 0."""
     samples = cf_usage_samples(trace)
-    with np.errstate(all="ignore"):  # a grid or density that is not finite is rejected below
-        grid = default_grid(samples, bandwidth, num=512, low=0.0, high=high)
-        density = gaussian_kde(samples, bandwidth, grid)
-    if not (np.isfinite(grid).all() and np.isfinite(density).all()):
-        raise ValueError(f"bandwidth {bandwidth!r} gives a KDE grid or density that is not finite")
+    grid = default_grid(samples, KDE_BANDWIDTH, num=512, low=0.0)
+    density = gaussian_kde(samples, KDE_BANDWIDTH, grid)
     rows = "".join(f"{float(x)!r},{float(f)!r}\n" for x, f in zip(grid, density))
     return "log10_cf,density\n" + rows
 

@@ -1,8 +1,10 @@
 """CF-usage density estimation and summary counts.
 
-The per-iteration compression factors of a run are summarized two ways: a
-Gaussian kernel density over log10(CF) with a fixed raw bandwidth (no
-Scott/Silverman scaling), and an exact CF -> iteration-count histogram.
+The per-iteration compression factors of a run are summarized two ways: an
+exact CF -> iteration-count histogram, which every run's ``summary.json``
+holds, and a Gaussian kernel density over log10(CF) with a fixed raw
+bandwidth (no Scott/Silverman scaling), which ``gravac kde`` computes from a
+trace on request.
 """
 
 from __future__ import annotations
@@ -33,15 +35,16 @@ def gaussian_kde(samples, bandwidth: float, grid) -> np.ndarray:
 
 
 def default_grid(samples, bandwidth: float, num: int = 512,
-                 low: float | None = None, high: float | None = None) -> np.ndarray:
-    """Evaluation grid padded by five bandwidths beyond the sample range."""
+                 low: float | None = None) -> np.ndarray:
+    """Evaluation grid over the sample range, extended down to ``low`` when
+    given, and padded by five bandwidths on each side."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
         raise ValueError("grid needs at least one sample")
     _check_bandwidth(bandwidth)
     pad = 5.0 * bandwidth
     lo = (samples.min() if low is None else min(low, samples.min())) - pad
-    hi = (samples.max() if high is None else max(high, samples.max())) + pad
+    hi = samples.max() + pad
     return np.linspace(lo, hi, num)
 
 

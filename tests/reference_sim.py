@@ -2,10 +2,11 @@
 
 ``reference_run`` replays what the module docstrings of ``simworkers``,
 ``controller``, ``feedback``, ``metrics`` and ``costmodel`` say one run does,
-one worker at a time, with no helper from those modules. It takes two things
-as given: the task's per-iteration gradients (``task.gradients``) and the
+one worker at a time, with no helper from those modules. It takes three
+things as given: the task's per-iteration gradients (``task.gradients``), the
 compressors' picks (``compress`` and ``compress_further``, called without a
-latency hook). Everything else is written out here:
+latency hook) and the table of latency coefficients
+(``DEFAULT_LATENCY_COEFFS``). Everything else is written out here:
 
 - error feedback: g_ef = g + residual; a compressed send leaves
   g_ef - decompress(sent) behind, a dense send clears the residual;
@@ -34,6 +35,7 @@ import math
 import numpy as np
 
 from gravac.compressors import compress, compress_further
+from gravac.costmodel import DEFAULT_LATENCY_COEFFS
 from gravac.gradcore import GradientVector, SeededRng
 
 
@@ -48,8 +50,8 @@ def _norm_sq(values: np.ndarray) -> float:
     return total
 
 
-def _latency(cost, kind, n_input: int, kept: int) -> float:
-    c = cost.latency_coeffs[kind.name]
+def _latency(kind, n_input: int, kept: int) -> float:
+    c = DEFAULT_LATENCY_COEFFS[kind.name]
     return c.base + c.per_input * n_input + c.per_selected_log * kept * math.log2(max(kept, 2))
 
 
@@ -124,7 +126,7 @@ def reference_run(task, optimizer, cost, mode, iterations, seed,
                 cf = float(static_cf)
                 parts = [compress(compressor, GradientVector(v), static_cf,
                                   control_rng.split(i, k))[0] for k, v in enumerate(g_ef)]
-                t_compress = _latency(cost, compressor, m, parts[0].kept)
+                t_compress = _latency(compressor, m, parts[0].kept)
                 gain = observe(cf, mean_gain(parts, norms)) if any(x > 0 for x in norms) else 1.0
                 choice, gain_min, gain_c, row_theta = "static", gain, gain, cf
             else:
@@ -143,8 +145,8 @@ def reference_run(task, optimizer, cost, mode, iterations, seed,
                                               control_rng.split(i, k, 1))[0]
                              for k, p in enumerate(mins)]
                     d_c = observe(candidate, mean_gain(cands, norms))
-                    t_compress = (_latency(cost, compressor, m, mins[0].kept)
-                                  + _latency(cost, compressor, mins[0].kept, cands[0].kept))
+                    t_compress = (_latency(compressor, m, mins[0].kept)
+                                  + _latency(compressor, mins[0].kept, cands[0].kept))
                     gain_min, gain_c = d_min, d_c
                     if d_c >= cfg.epsilon:
                         choice, cf, gain, parts = "candidate", candidate, d_c, cands

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from gravac.compressors import CompressorKind, SparseGradient
-from gravac.costmodel import (RING, TREE, CostModelParams, LatencyCoeffs,
-                              allreduce_time, dense_message_words,
+from gravac.costmodel import (DEFAULT_LATENCY_COEFFS, RING, TREE, CostModelParams,
+                              LatencyCoeffs, allreduce_time, dense_message_words,
                               sparse_message_words)
 
 
@@ -89,15 +89,14 @@ class TestMessageWords:
 
 class TestCompressionLatency:
     def test_formula(self):
-        p = CostModelParams(latency_coeffs={
-            "topk": LatencyCoeffs(1e-6, 1e-9, 2e-9),
-            "dgc": LatencyCoeffs(0, 0, 0),
-            "redsync": LatencyCoeffs(0, 0, 0),
-            "randomk": LatencyCoeffs(0, 0, 0),
-        })
         expected = 1e-6 + 1e-9 * 10_000 + 2e-9 * 100 * math.log2(100)
-        np.testing.assert_allclose(p.compression_latency(CompressorKind("topk"), 10_000, 100),
+        np.testing.assert_allclose(LatencyCoeffs(1e-6, 1e-9, 2e-9).seconds(10_000, 100),
                                    expected, rtol=1e-12)
+        p = CostModelParams()
+        for name, c in DEFAULT_LATENCY_COEFFS.items():
+            expected = c.base + c.per_input * 10_000 + c.per_selected_log * 100 * math.log2(100)
+            np.testing.assert_allclose(p.compression_latency(CompressorKind(name), 10_000, 100),
+                                       expected, rtol=1e-12)
 
     def test_k_of_one_uses_log_floor(self):
         p = CostModelParams()
@@ -140,7 +139,3 @@ class TestParamsValidation:
     def test_bad_worker_count(self):
         with pytest.raises(ValueError):
             CostModelParams(workers=0)
-
-    def test_missing_latency_entry(self):
-        with pytest.raises(ValueError):
-            CostModelParams(latency_coeffs={"topk": LatencyCoeffs(0, 0, 0)})

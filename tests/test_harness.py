@@ -3,7 +3,9 @@ import io
 import json
 import math
 import os
+import shlex
 import tempfile
+import tracemalloc
 from contextlib import redirect_stderr, redirect_stdout
 from dataclasses import fields
 
@@ -12,7 +14,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from gravac.cli import main
+from gravac.cli import build_parser, main
 from gravac.compressors import KIND_NAMES
 from gravac.harness import (ConfigError, compare_runs, parse_config,
                             run_experiment, serialize_config)
@@ -305,11 +307,11 @@ def test_rejected_config_prints_one_line():
 
 
 class TestRunExperiment:
-    def test_writes_all_artifacts(self, tmp_path):
-        cfg = quad_config(mode="dense", out=str(tmp_path / "run"))
+    @pytest.mark.parametrize("mode", MODES)
+    def test_writes_all_artifacts(self, tmp_path, mode):
+        cfg = quad_config(mode=mode, out=str(tmp_path / "run"))
         summary = run_experiment(cfg)
-        for name in ("trace.jsonl", "summary.json", "kde.csv", "cf_histogram.csv"):
-            assert (tmp_path / "run" / name).exists()
+        assert sorted(os.listdir(tmp_path / "run")) == ["summary.json", "trace.jsonl"]
         on_disk = json.loads((tmp_path / "run" / "summary.json").read_text())
         assert on_disk == summary
 
@@ -372,7 +374,7 @@ class TestRunExperiment:
         assert os.listdir(tmp_path) in ([], ["run"])
 
     def test_rerun_replaces_every_output(self, tmp_path):
-        names = ("trace.jsonl", "summary.json", "kde.csv", "cf_histogram.csv")
+        names = ("trace.jsonl", "summary.json")
         run_experiment(quad_config(mode="dense", iters=3, out=str(tmp_path / "run")))
         run_experiment(quad_config(mode="gravac", out=str(tmp_path / "run")))
         run_experiment(quad_config(mode="gravac", out=str(tmp_path / "fresh")))
@@ -380,6 +382,22 @@ class TestRunExperiment:
             assert (tmp_path / "run" / name).read_bytes() == \
                 (tmp_path / "fresh" / name).read_bytes()
         assert sorted(os.listdir(tmp_path)) == ["fresh", "run"]
+
+    def test_run_holds_no_per_iteration_density(self, tmp_path):
+        # a run built the CF-usage KDE, three 512 x iterations float64 arrays
+        # (about 8 MiB each here), before writing any output; the budget
+        # holds the trace and its text. A first small run imports what the
+        # run needs, which would count on its own when this test runs first
+        run_experiment(quad_config(mode="dense", iters=2, **{"task.size": 8}),
+                       str(tmp_path / "warm"))
+        cfg = quad_config(mode="dense", iters=2000, **{"task.size": 8})
+        tracemalloc.start()
+        try:
+            run_experiment(cfg, str(tmp_path / "run"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * 2**20
 
     def test_missing_out_dir_rejected(self):
         with pytest.raises(ConfigError, match="out"):
@@ -560,6 +578,43 @@ class TestCli:
         x, f = lines[1].split(",")
         assert math.isfinite(float(x)) and float(f) >= 0.0
 
+    def kde_rows(self, capsys, trace) -> np.ndarray:
+        """``gravac kde`` of ``trace`` as a (512, 2) array of finite, non-negative densities."""
+        assert main(["kde", "--trace", str(trace)]) == 0
+        lines = capsys.readouterr().out.splitlines()
+        assert lines[0] == "log10_cf,density"
+        rows = np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
+        assert rows.shape == (512, 2)
+        assert np.isfinite(rows).all() and (rows[:, 1] >= 0.0).all()
+        return rows
+
+    def test_kde_of_a_gravac_trace(self, tmp_path, capsys):
+        assert main(self.run_args(tmp_path, "g", "--mode", "gravac",
+                                  "--set", "controller.theta_min=2",
+                                  "--set", "controller.theta_max=16",
+                                  "--set", "controller.epsilon=0.1",
+                                  "--set", "controller.window=5")) == 0
+        capsys.readouterr()
+        trace = tmp_path / "g" / "trace.jsonl"
+        assert len(set(RunTrace.from_jsonl(trace).column("cf").tolist())) >= 2
+        self.kde_rows(capsys, trace)
+
+    # the densities of every bandwidth were once checked for being finite;
+    # at the fixed bandwidth the widest CF range a trace admits stays finite
+    def test_kde_of_the_widest_cf_range_is_finite(self, tmp_path, capsys):
+        cfs = iter([1.0, 1.7976931348623157e308] * 20)
+        _, wide = self.rewritten_trace(tmp_path, capsys, lambda row: dict(row, cf=next(cfs)))
+        rows = self.kde_rows(capsys, wide)
+        assert rows[0, 0] == -0.5 and rows[-1, 0] > 308.0
+
+    def test_kde_grid_of_a_static_cf_trace_starts_below_dense(self, tmp_path, capsys):
+        # the grid reaches down to log10(1) = 0, padded by five bandwidths
+        assert main(self.run_args(tmp_path, "s", "--mode", "static-cf",
+                                  "--set", "static_cf=4")) == 0
+        capsys.readouterr()
+        rows = self.kde_rows(capsys, tmp_path / "s" / "trace.jsonl")
+        assert rows[0, 0] == -0.5
+
     def rewritten_trace(self, tmp_path, capsys, edit):
         """A dense run's trace with ``edit`` applied to every row."""
         assert main(self.run_args(tmp_path, "src", "--mode", "dense")) == 0
@@ -683,17 +738,18 @@ class TestCli:
         assert len(captured.err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
-    # 1e308 and 1e-320 gave a grid or density that was not finite: NaN or inf rows, exit 0
-    @pytest.mark.parametrize("bandwidth", ["nan", "inf", "0", "-1", "1e308", "1e-320"])
+    # the bandwidth is fixed: --bandwidth is an unknown flag for every value,
+    # the valid 0.2 and those that once gave NaN or inf rows alike
+    @pytest.mark.parametrize("bandwidth", ["0.2", "nan", "inf", "0", "-1", "1e308", "1e-320"])
     def test_kde_bad_bandwidth_exits_two(self, tmp_path, capsys, bandwidth):
         assert main(self.run_args(tmp_path, "k", "--mode", "dense")) == 0
         capsys.readouterr()
         out_csv = tmp_path / "kde.csv"
-        assert main(["kde", "--trace", str(tmp_path / "k" / "trace.jsonl"),
-                     f"--bandwidth={bandwidth}", "--out", str(out_csv)]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("error: bandwidth ")
-        assert len(err.splitlines()) == 1
+        with pytest.raises(SystemExit) as raised:
+            main(["kde", "--trace", str(tmp_path / "k" / "trace.jsonl"),
+                  "--bandwidth", bandwidth, "--out", str(out_csv)])
+        assert raised.value.code == 2
+        assert "unrecognized arguments: --bandwidth" in capsys.readouterr().err
         assert not out_csv.exists()
 
     @pytest.mark.parametrize("command", ["kde", "compare"])
@@ -783,6 +839,19 @@ class TestCli:
                      "--out", str(tmp_path / "o")]) == 0
         summary = json.loads(capsys.readouterr().out)
         assert summary["iterations"] == 4
+
+    def test_readme_command_lines_parse(self):
+        # a README example naming a removed subcommand or flag fails here
+        path = os.path.join(os.path.dirname(__file__), "..", "README.md")
+        with open(path, encoding="utf-8") as fh:
+            readme = fh.read()
+        block = readme.split("## Command line\n", 1)[1].split("```sh\n", 1)[1]
+        lines = [line for line in block.split("```", 1)[0].splitlines()
+                 if line.startswith("gravac ")]
+        assert len(lines) >= 5
+        parser = build_parser()
+        for line in lines:
+            parser.parse_args(shlex.split(line)[1:])
 
 
 # JSON values a trace field may be set to: numbers at and past every edge,
