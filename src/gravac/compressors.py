@@ -86,10 +86,6 @@ class SparseGradient:
     def kept(self) -> int:
         return self.vals.size
 
-    @property
-    def achieved_cf(self) -> float:
-        return self.original_length / self.kept
-
 
 def keep_count(length: int, cf: float) -> int:
     """Entries kept at compression factor cf: max(1, floor(length / cf))."""
@@ -263,9 +259,9 @@ def compress_further(kind: CompressorKind, s: SparseGradient, step: float,
 
     Keeps max(1, floor(k1 / step)) of the k1 retained values; indices stay
     positions in the original dense space, so the result is as if the dense
-    vector had been compressed to roughly step * achieved_cf directly (for
-    top-k and Redsync, exactly so). A step that keeps every entry returns
-    ``s`` itself.
+    vector had been compressed to roughly step * original_length / k1
+    directly (for top-k and Redsync, exactly so). A step that keeps every
+    entry returns ``s`` itself.
     """
     if not step >= 1.0:
         raise ValueError(f"step factor must be >= 1, got {step}")

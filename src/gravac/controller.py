@@ -76,8 +76,8 @@ class ControllerConfig:
     def __post_init__(self):
         if not self.theta_min >= 1.0:
             raise ValueError(f"theta_min must be >= 1, got {self.theta_min}")
-        if not self.theta_max >= self.theta_min:
-            raise ValueError(f"theta_max must be >= theta_min, got {self.theta_max}")
+        if not self.theta_min <= self.theta_max < math.inf:
+            raise ValueError(f"theta_max must be finite and >= theta_min, got {self.theta_max}")
         if not (0.0 < self.epsilon < 1.0):
             raise ValueError(f"epsilon out of (0,1): {self.epsilon}")
         if not (0.0 < self.omega < 1.0):

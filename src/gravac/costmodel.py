@@ -72,8 +72,8 @@ class CostModelParams:
     t_compute: float = 1e-3
 
     def __post_init__(self):
-        if not (self.alpha >= 0 and self.beta >= 0 and self.t_compute >= 0):
-            raise ValueError("alpha, beta and t_compute must be >= 0")
+        if not all(0 <= v < math.inf for v in (self.alpha, self.beta, self.t_compute)):
+            raise ValueError("alpha, beta and t_compute must be finite and >= 0")
         if self.workers < 1:
             raise ValueError(f"worker count must be >= 1, got {self.workers}")
         if self.topology not in TOPOLOGIES:

@@ -61,8 +61,8 @@ class OptimizerState:
 
     def __post_init__(self):
         self.weights = np.asarray(self.weights, dtype=np.float64)
-        if not self.lr > 0:
-            raise ValueError(f"learning rate must be positive, got {self.lr}")
+        if not 0 < self.lr < np.inf:
+            raise ValueError(f"learning rate must be positive and finite, got {self.lr}")
         if not (0.0 <= self.momentum < 1.0):
             raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
         # without momentum the buffer is never read, so a read-only stride-0
@@ -231,15 +231,16 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
     trace = RunTrace()
     initial_loss = None
 
-    # diverging weights can overflow float64 before a gradient or the loss
-    # turns non-finite: such arithmetic raises and is reported as a divergence
+    # any float arithmetic of the run that overflows or turns invalid, the
+    # tasks' float32 casts included, raises and is reported as a divergence
     try:
         with np.errstate(over="raise", invalid="raise"):
             for i in range(1, iterations + 1):
                 stage = f"iteration {i}"
 
                 # each gradient is folded into its residual as it is drawn, so
-                # at most one raw gradient is alive beside the workers' buffers
+                # at most one raw gradient is alive beside the workers' buffers.
+                # A task may hand over non-finite entries that raised no flag
                 grads, losses, finite = [], [], True
                 for worker, (g, worker_loss) in enumerate(
                         task.gradients(opt.weights, n_workers, i, data_rng)):

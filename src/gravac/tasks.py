@@ -44,6 +44,10 @@ _EVAL = 3
 # rows per forward of the MLP evaluation; bounds its feature block
 EVAL_BLOCK = 256
 
+# the largest MLP training feature allowed: half the float32 range, which
+# leaves room for float32 rounding
+FEATURE_LIMIT = float(np.finfo(np.float32).max) / 2
+
 
 @dataclass
 class QuadraticBowl:
@@ -69,20 +73,21 @@ class QuadraticBowl:
             raise ValueError(f"task size must be >= 1, got {self.size}")
         if self.batch_size < 1:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
-        if not self.noise_std >= 0:
-            raise ValueError(f"noise_std must be >= 0, got {self.noise_std}")
+        if not 0 <= self.noise_std < np.inf:
+            raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
         if self.curvature is None:
             self.curvature = np.broadcast_to(np.float64(1), (self.size,))
         else:
             self.curvature = np.asarray(self.curvature, dtype=np.float64)
-            if self.curvature.shape != (self.size,) or not np.all(self.curvature > 0):
-                raise ValueError("curvature must be positive and match task size")
+            if self.curvature.shape != (self.size,) or not np.all(
+                    (self.curvature > 0) & (self.curvature < np.inf)):
+                raise ValueError("curvature must be positive, finite and match task size")
         if self.w_star is None:
             self.w_star = np.broadcast_to(np.float64(0), (self.size,))
         else:
             self.w_star = np.asarray(self.w_star, dtype=np.float64)
-            if self.w_star.shape != (self.size,):
-                raise ValueError("w_star must match task size")
+            if self.w_star.shape != (self.size,) or not np.isfinite(self.w_star).all():
+                raise ValueError("w_star must be finite and match task size")
 
     @property
     def parameter_count(self) -> int:
@@ -116,10 +121,7 @@ class QuadraticBowl:
             d, grad = scratch[:, :stop - start]
             np.subtract(w[start:stop], self.w_star[start:stop], out=d)
             np.multiply(self.curvature[start:stop], d, out=grad)
-            # a gradient beyond the float32 range becomes inf, which the
-            # training loop rejects as a divergence
-            with np.errstate(over="ignore"):
-                grad32[start:stop] = grad
+            grad32[start:stop] = grad
             total += dot64(grad, d)
         return grad32, 0.5 * total
 
@@ -139,12 +141,8 @@ class QuadraticBowl:
         grad, loss = self._noiseless(w) if noiseless is None else noiseless
         if self.noise_std > 0.0:
             gen = rng.split(_BATCH, worker, iteration).generator
-            # a scale or noise beyond the float32 range becomes inf, and nan
-            # where it meets a zero normal or an inf gradient of the other
-            # sign; the training loop rejects either as a divergence
-            with np.errstate(over="ignore", invalid="ignore"):
-                scale = np.float32(self.noise_std / np.sqrt(self.batch_size))
-                return GradientVector(normal32(gen, self.size, scale, grad)), loss
+            scale = np.float32(self.noise_std / np.sqrt(self.batch_size))
+            return GradientVector(normal32(gen, self.size, scale, grad)), loss
         return GradientVector(grad.copy()), loss
 
     def gradients(self, w: np.ndarray, workers: int, iteration: int,
@@ -191,8 +189,14 @@ class SyntheticMlp:
             raise ValueError(f"blob_distance must be >= 0, got {self.blob_distance}")
         if not self.blob_spread > 0:
             raise ValueError(f"blob_spread must be > 0, got {self.blob_spread}")
-        if not self.feature_decades >= 0:
-            raise ValueError(f"feature_decades must be >= 0, got {self.feature_decades}")
+        if not 0 <= self.feature_decades < np.inf:
+            raise ValueError(f"feature_decades must be in [0, inf), got {self.feature_decades}")
+        # normal32's draws lie within sqrt(48 ln 2) < 6, so no training feature
+        # exceeds (6 + blob_distance / 2) * blob_spread
+        if not (6 + self.blob_distance / 2) * self.blob_spread <= FEATURE_LIMIT:
+            raise ValueError(f"blob_spread {self.blob_spread} and blob_distance "
+                             f"{self.blob_distance} could give float32 training features "
+                             f"beyond {FEATURE_LIMIT:.6g}")
         self.widths = widths
         # the flat parameter layout: per layer (weight slice, shape, bias slice)
         self._layout, pos = [], 0
@@ -209,30 +213,18 @@ class SyntheticMlp:
         gen = SeededRng(0).split(_MEANS).generator
         # separation direction concentrated on the large-scale dimensions
         # (scale-weighted), unit length after whitening so the Bayes optimum
-        # is Phi(blob_distance / 2) for any spectrum. Settings that overflow
-        # are rejected by the finiteness checks, so numpy need not warn
-        with np.errstate(over="ignore"):
-            direction = self._sigma * gen.standard_normal(d)
-            norm = np.linalg.norm(direction)
-            if np.isinf(norm) and np.isfinite(direction).all():
-                # the squares overflowed, not the norm: take it at unit scale
-                largest = np.abs(direction).max()
-                norm = largest * np.linalg.norm(direction / largest)
-            if not (np.isfinite(norm) and norm > 0):
-                raise ValueError(f"blob_spread {self.blob_spread} gives a separation direction "
-                                 f"of norm {norm}, not finite and positive")
-            direction /= norm
-            half = 0.5 * self.blob_distance * self._sigma * direction
-        if not np.isfinite(half).all():
-            raise ValueError(f"blob_distance {self.blob_distance} and blob_spread "
-                             f"{self.blob_spread} give class means that are not finite")
+        # is Phi(blob_distance / 2) for any spectrum
+        direction = self._sigma * gen.standard_normal(d)
+        norm = np.linalg.norm(direction)
+        if not norm > 0:
+            raise ValueError(f"blob_spread {self.blob_spread} gives a separation direction "
+                             f"of norm {norm}, not positive")
+        direction /= norm
+        half = 0.5 * self.blob_distance * self._sigma * direction
         self._means = np.stack([-half, half])
-        # the training batch's float32 scales and means; one beyond the
-        # float32 range becomes inf, which makes its features non-finite,
-        # and the training loop rejects that as a divergence
-        with np.errstate(over="ignore"):
-            self._sigma32 = self._sigma.astype(np.float32)
-            self._means32 = self._means.astype(np.float32)
+        # the training batch's float32 scales and means
+        self._sigma32 = self._sigma.astype(np.float32)
+        self._means32 = self._means.astype(np.float32)
 
     @property
     def parameter_count(self) -> int:
@@ -258,11 +250,8 @@ class SyntheticMlp:
         noise scales and shifted by the label's float32 class mean."""
         labels = gen.integers(0, 2, size=n)
         x = normal32(gen, n * self.widths[0]).reshape(n, self.widths[0])
-        # an inf scale or mean gives inf features, and nan where it meets a
-        # zero normal or a mean of the other sign
-        with np.errstate(over="ignore", invalid="ignore"):
-            x *= self._sigma32
-            x += self._means32[labels]
+        x *= self._sigma32
+        x += self._means32[labels]
         return x, labels
 
     def _features(self, gen: np.random.Generator, labels: np.ndarray) -> np.ndarray:
@@ -287,10 +276,6 @@ class SyntheticMlp:
         w_out, b_out = layers[-1]
         logits = h @ w_out + b_out
         return logits, activations, layers
-
-    def loss_on(self, w: np.ndarray, x: np.ndarray, labels: np.ndarray) -> float:
-        logits, _, _ = self._forward(w, x)
-        return _cross_entropy(logits, labels)
 
     def gradient_on(self, w: np.ndarray, x: np.ndarray,
                     labels: np.ndarray) -> tuple[GradientVector, float]:

@@ -53,7 +53,7 @@ class TestTopK:
         s, _ = compress(TOPK, GradientVector([3, -1, 0.5, 2]), 2)
         assert s.indices.tolist() == [0, 3]
         assert s.vals.tolist() == [3.0, 2.0]
-        assert s.achieved_cf == 2.0
+        assert s.original_length / s.kept == 2.0
 
     def test_cf_one_is_identity(self):
         g = random_vector(np.random.default_rng(0), 57)
@@ -166,7 +166,7 @@ class TestCompressFurther:
         direct, _ = compress(TOPK, g, 1000)
         assert np.array_equal(nested.indices, direct.indices)
         assert np.array_equal(nested.vals, direct.vals)
-        np.testing.assert_allclose(nested.achieved_cf, 1000.0)
+        np.testing.assert_allclose(nested.original_length / nested.kept, 1000.0)
 
     def test_step_one_identity(self):
         # a step that keeps every entry returns its input, not a copy, and

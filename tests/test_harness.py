@@ -18,8 +18,10 @@ from gravac.cli import build_parser, main
 from gravac.compressors import KIND_NAMES
 from gravac.harness import (ConfigError, compare_runs, parse_config,
                             run_experiment, serialize_config)
-from gravac.simworkers import MODES, IterationRecord, RunTrace
-from gravac.tasks import TASK_CLASSES, TASK_KINDS
+from gravac.controller import ControllerConfig
+from gravac.costmodel import CostModelParams
+from gravac.simworkers import MODES, IterationRecord, OptimizerState, RunTrace
+from gravac.tasks import TASK_CLASSES, TASK_KINDS, QuadraticBowl, SyntheticMlp
 
 QUAD_BASE = {
     "task.kind": "quadratic",
@@ -168,6 +170,24 @@ def test_out_of_range_value_rejected_naming_its_section(key, value, kind):
     assert str(info.value).startswith(key.split(".")[0])
 
 
+# the config parser rejects non-finite values first; the domain classes
+# reject them too when built directly
+@pytest.mark.parametrize("build,message", [
+    pytest.param(lambda: QuadraticBowl(size=2, curvature=[np.inf, 1]), "curvature",
+                 id="curvature"),
+    pytest.param(lambda: QuadraticBowl(size=2, w_star=[np.nan, 0]), "w_star", id="w_star"),
+    pytest.param(lambda: QuadraticBowl(noise_std=np.inf), "noise_std", id="noise_std"),
+    pytest.param(lambda: SyntheticMlp(feature_decades=np.inf), "feature_decades",
+                 id="feature_decades"),
+    pytest.param(lambda: OptimizerState(weights=np.zeros(1), lr=np.inf), "learning rate",
+                 id="lr"),
+    pytest.param(lambda: ControllerConfig(theta_max=np.inf), "theta_max", id="theta_max"),
+    pytest.param(lambda: CostModelParams(beta=np.inf), "beta", id="beta")])
+def test_domain_classes_reject_non_finite_settings(build, message):
+    with pytest.raises(ValueError, match=message):
+        build()
+
+
 # every config key but the two that size an allocation while the config is
 # validated: a large task.size or task.widths would allocate, not fail
 FUZZ_KEYS = [key for key in (line.split(" = ")[0]
@@ -278,6 +298,9 @@ def _reject_constant(name):
 # a final quadratic loss that overflows float64
 @example(overrides={"task.kind": "quadratic", "task.size": "4", "opt.lr": "1e300",
                     "opt.momentum": "0", "iters": "1"})
+# MLP features beyond the float32 range, which the config rejects
+@example(overrides={"task.kind": "synthetic_mlp", "task.widths": "8,4,2",
+                    "task.blob_spread": "1e160", "iters": "1"})
 @given(overrides=_WHOLE_RUN)
 def test_any_small_run_exits_cleanly(tmp_path, overrides):
     # numpy warnings are errors here: a run ends with exit 0, a rejected
@@ -302,8 +325,8 @@ def test_rejected_config_prints_one_line():
         code = main(["print-config", "--set", "task.blob_spread=1e308"])
     assert code == 2
     assert err.getvalue().splitlines() == [
-        "config error: task: blob_spread 1e+308 gives a separation direction of norm inf, "
-        "not finite and positive"]
+        "config error: task: blob_spread 1e+308 and blob_distance 3.0 could give float32 "
+        "training features beyond 1.70141e+38"]
 
 
 class TestRunExperiment:
@@ -503,21 +526,36 @@ class TestCli:
         assert code == 3
         assert "divergence" in capsys.readouterr().err
 
-    # a gradient beyond the float32 range exited 2 in the compressed modes,
-    # where compress rejected it, and 3 in dense mode, a step later, when the
-    # loss overflowed. Noise beyond it printed numpy's overflow warning first:
-    # at 1e300 the noise scale overflows its cast, at 4e38 (a scale of 2.8e38
-    # at batch size 2) the noise overflows the multiply
-    @pytest.mark.parametrize("mode,override", [
-        *(pytest.param(mode, "task.init_offset=1e39", id=mode)
+    # a gradient beyond the float32 range overflows its cast to float32, and
+    # so does a noise scale of 1e300; at 4e38 (a scale of 2.8e38 at batch
+    # size 2) the noise overflows the multiply. The loop names the operation
+    @pytest.mark.parametrize("mode,override,operation", [
+        *(pytest.param(mode, "task.init_offset=1e39", "cast", id=mode)
           for mode in ("dense", "gravac", "static-cf")),
-        ("gravac", "task.noise_std=1e300"), ("gravac", "task.noise_std=4e38")])
-    def test_overflowing_gradient_exits_three(self, tmp_path, capsys, mode, override):
+        pytest.param("gravac", "task.noise_std=1e300", "cast",
+                     id="gravac-task.noise_std=1e300"),
+        pytest.param("gravac", "task.noise_std=4e38", "multiply",
+                     id="gravac-task.noise_std=4e38")])
+    def test_overflowing_gradient_exits_three(self, tmp_path, capsys, mode, override,
+                                              operation):
         code = main(self.run_args(tmp_path, "run", "--mode", mode, "--iters", "3",
                                   "--set", override))
         assert code == 3
         assert capsys.readouterr().err.splitlines() == [
-            "divergence abort: iteration 1: a worker's gradient has non-finite entries"]
+            f"divergence abort: iteration 1: overflow encountered in {operation}"]
+
+    def test_quadratic_weights_beyond_float32_exit_three(self, tmp_path, capsys):
+        # the one update leaves weights whose gradient the evaluation's loss
+        # casts to float32; the run used to exit 0
+        out = tmp_path / "run"
+        code = main(["run", "--out", str(out), "--mode", "dense", "--iters", "1",
+                     "--set", "task.kind=quadratic", "--set", "task.size=8",
+                     "--set", "task.init_offset=1e30", "--set", "opt.lr=1e9",
+                     "--set", "opt.momentum=0"])
+        assert code == 3
+        assert capsys.readouterr().err.splitlines() == [
+            "divergence abort: evaluation: overflow encountered in cast"]
+        assert not out.exists()
 
     def test_mlp_weights_beyond_float32_exit_three(self, tmp_path, capsys):
         # the first step leaves float64 master weights that the float32 copy
@@ -671,6 +709,10 @@ class TestCli:
         # the separation direction's norm underflowed to 0 and the loss was NaN
         pytest.param(("task.kind=synthetic_mlp", "task.widths=8,4,2", "task.blob_spread=1e-300"),
                      "task", id="blob_spread_underflow"),
+        # the float32 features could overflow; the run aborted with numpy's
+        # "invalid value encountered in matmul"
+        pytest.param(("task.kind=synthetic_mlp", "task.widths=8,4,2", "task.blob_spread=1e160"),
+                     "task", id="blob_spread_beyond_float32"),
         pytest.param(("task.widths=4,2,3",), "task", id="three_outputs")])
     def test_value_that_breaks_a_run_exits_two(self, tmp_path, capsys, overrides, section):
         args = self.run_args(tmp_path, "run", "--mode", "dense")

@@ -108,6 +108,24 @@ class TestDenseTraining:
         with pytest.raises(DivergenceError):
             run_training(task, opt, cost, "dense", 200, seed=0)
 
+    @pytest.mark.parametrize("mode", ["dense", "static-cf", "gravac"])
+    def test_non_finite_gradient_is_a_divergence(self, mode):
+        # a task may hand the loop NaN or inf entries that raised no float flag
+        task, opt, cost = quadratic_setup(size=8, workers=2)
+
+        def gradients(w, workers, iteration, rng):
+            for value in (np.nan, np.inf):
+                values = np.ones(8, dtype=np.float32)
+                values[3] = value
+                yield GradientVector(values), 1.0
+
+        task.gradients = gradients
+        cc = ControllerConfig(theta_min=2.0, theta_max=8.0, epsilon=0.5, window=2)
+        with pytest.raises(DivergenceError,
+                           match="^iteration 1: a worker's gradient has non-finite entries$"):
+            run_training(task, opt, cost, mode, 3, seed=0, controller_config=cc,
+                         compressor=TOPK, static_cf=4.0)
+
     def test_rejects_empty_evaluation_before_training(self):
         # it used to train, then average over no samples and report accuracy nan
         task = SyntheticMlp(widths=(8, 4, 2))

@@ -1,5 +1,4 @@
 import itertools
-import math
 import tracemalloc
 
 import numpy as np
@@ -147,14 +146,15 @@ class TestQuadraticBowl:
         assert g.values.tobytes() == ref.values.tobytes()
 
     # at 1e300 the float32 cast of the noise scale overflows; at 4e38 the
-    # scale (2.8e38 at batch size 2) is finite and its product overflows
-    @pytest.mark.parametrize("noise_std", [1e300, 4e38])
-    def test_overflowing_noise_is_non_finite_and_raises_nothing(self, noise_std):
+    # scale (2.8e38 at batch size 2) is finite and its product overflows.
+    # The training loop's error state turns either into a divergence
+    @pytest.mark.parametrize("noise_std,operation", [(1e300, "cast"), (4e38, "multiply")])
+    def test_overflowing_noise_raises(self, noise_std, operation):
         size = REDUCE_BLOCK + 3
         task = QuadraticBowl(size=size, noise_std=noise_std, batch_size=2)
-        with np.errstate(over="raise", invalid="raise"):
-            g, loss = task.gradient(np.ones(size), 0, 1, SeededRng(3))
-        assert not np.isfinite(g.values).all() and math.isfinite(loss)
+        with np.errstate(over="raise", invalid="raise"), pytest.raises(
+                FloatingPointError, match=f"overflow encountered in {operation}"):
+            task.gradient(np.ones(size), 0, 1, SeededRng(3))
 
     @pytest.mark.parametrize("batch_size", [1, 3])
     def test_noise_rows_have_the_batch_mean_distribution(self, batch_size):
@@ -250,9 +250,9 @@ class TestSyntheticMlp:
         for idx in picker.choice(task.parameter_count, size=10, replace=False):
             probe = w.copy()
             probe[idx] += h
-            up = task.loss_on(probe, x, labels)
+            up = task.gradient_on(probe, x, labels)[1]
             probe[idx] -= 2 * h
-            down = task.loss_on(probe, x, labels)
+            down = task.gradient_on(probe, x, labels)[1]
             central = (up - down) / (2 * h)
             np.testing.assert_allclose(g.values[idx], central, rtol=1e-3, atol=1e-9)
 
@@ -351,13 +351,30 @@ class TestSyntheticMlp:
             assert np.abs(z.mean(axis=0)).max() < 5 / np.sqrt(rows)
             assert np.abs(z.std(axis=0) - 1).max() < 5 / np.sqrt(2 * rows)
 
-    def test_training_batch_beyond_float32_is_not_finite(self):
-        # scales past the float32 range give non-finite features, not a
-        # numpy warning; the training loop rejects them as a divergence
-        task = SyntheticMlp(widths=(8, 4, 2), blob_spread=1e160, feature_decades=4.0)
+    def test_training_batch_beyond_float32_is_rejected(self):
+        # scales past the float32 range would give non-finite features
+        with pytest.raises(ValueError, match="blob_spread 1e\\+160"):
+            SyntheticMlp(widths=(8, 4, 2), blob_spread=1e160, feature_decades=4.0)
+
+    @pytest.mark.parametrize("width", [1, 7, 300])
+    @pytest.mark.parametrize("distance", [0.0, 3.0, 1e30])
+    def test_float32_bound_holds_at_its_boundary(self, width, distance):
+        # the largest spread the bound accepts gives finite float32 batches;
+        # the next float above it is rejected
+        factor = 6 + distance / 2
+        spread = tasks.FEATURE_LIMIT / factor
+        while factor * spread > tasks.FEATURE_LIMIT:
+            spread = np.nextafter(spread, 0)
+        while factor * np.nextafter(spread, np.inf) <= tasks.FEATURE_LIMIT:
+            spread = np.nextafter(spread, np.inf)
+        task = SyntheticMlp(widths=(width, 2), blob_distance=distance, blob_spread=float(spread))
         with np.errstate(all="raise"):
-            x, _ = task.sample_batch(SeededRng(1).generator, 4)
-        assert not np.isfinite(x).any()
+            for seed in range(5):
+                x, _ = task.sample_batch(SeededRng(seed).generator, 64)
+                assert np.isfinite(x).all()
+        with pytest.raises(ValueError, match="blob_spread .* and blob_distance"):
+            SyntheticMlp(widths=(width, 2), blob_distance=distance,
+                         blob_spread=float(np.nextafter(spread, np.inf)))
 
     def test_feature_spectrum_spans_decades(self):
         task = SyntheticMlp(widths=(16, 8, 2), blob_spread=2.0, feature_decades=3.0)
@@ -365,14 +382,11 @@ class TestSyntheticMlp:
         np.testing.assert_allclose(sigma[0] / sigma[-1], 1000.0, rtol=1e-9)
 
     def test_separation_is_distance_in_noise_units(self):
-        # at a spread of 1e160 the squares of the direction's entries
-        # overflow, though the entries and their norm are finite
-        for settings in ({}, {"widths": (8, 4, 2), "blob_spread": 1e160}):
-            for decades in (0.0, 4.0):
-                task = SyntheticMlp(blob_distance=3.0, feature_decades=decades, **settings)
-                assert np.isfinite(task._means).all()
-                gap = (task._means[1] - task._means[0]) / task._sigma
-                np.testing.assert_allclose(np.linalg.norm(gap), 3.0, rtol=1e-9)
+        for decades in (0.0, 4.0):
+            task = SyntheticMlp(blob_distance=3.0, feature_decades=decades)
+            assert np.isfinite(task._means).all()
+            gap = (task._means[1] - task._means[0]) / task._sigma
+            np.testing.assert_allclose(np.linalg.norm(gap), 3.0, rtol=1e-9)
 
     def test_evaluate_reports_accuracy(self):
         task = SyntheticMlp(blob_distance=8.0)
@@ -414,17 +428,19 @@ class TestSyntheticMlp:
         with pytest.raises(ValueError, match=name):
             SyntheticMlp(**{name: value})
 
-    # the separation direction's norm under- or overflows before it divides;
-    # a finite spread that overflows is rejected without a numpy warning
+    # at 1e-300 the separation direction's norm underflows to zero before
+    # it divides; at 1e308 and inf the direction and the features it
+    # shifts would not fit float32, which the float32 bound rejects first
     @pytest.mark.parametrize("spread", [1e-300, 1e308, np.inf])
     def test_rejects_spread_without_a_separation_direction(self, spread):
-        with pytest.raises(ValueError, match="separation direction"):
+        match = "separation direction" if spread < 1 else "blob_spread .* and blob_distance"
+        with pytest.raises(ValueError, match=match):
             SyntheticMlp(widths=(8, 4, 2), blob_spread=spread)
 
     def test_rejects_class_means_that_overflow(self):
         # each factor is finite, but their product is not: the features
         # would be infinite and the first step would abort
-        with pytest.raises(ValueError, match="class means"):
+        with pytest.raises(ValueError, match="blob_spread 1e\\+100 and blob_distance 1e\\+300"):
             SyntheticMlp(widths=(8, 4, 2), blob_spread=1e100, blob_distance=1e300)
 
 
