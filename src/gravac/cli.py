@@ -3,8 +3,10 @@
 Subcommands: ``run`` (execute an experiment, writing ``trace.jsonl`` and
 ``summary.json``), ``compare`` (ratio report for two traces), ``kde``
 (CF-usage density CSV from a trace, at the fixed bandwidth
-``harness.KDE_BANDWIDTH``), ``print-config`` (effective configuration
-reference). Exit codes: 0 success, 2 configuration error, 3 divergence abort.
+``kdestats.KDE_BANDWIDTH``), ``print-config`` (effective configuration
+reference). The CLI reads every trace file it is given with
+``RunTrace.from_jsonl``. Exit codes: 0 success, 2 configuration error, 3
+divergence abort.
 """
 
 from __future__ import annotations
@@ -13,8 +15,8 @@ import argparse
 import json
 import sys
 
-from .harness import (ConfigError, compare_runs, kde_csv, parse_config, run_experiment,
-                      serialize_config)
+from .harness import ConfigError, compare_runs, parse_config, run_experiment, serialize_config
+from .kdestats import kde_csv
 from .simworkers import DivergenceError, RunTrace
 
 EXIT_OK = 0
@@ -54,7 +56,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    report = compare_runs(args.trace_a, args.trace_b, target=args.target)
+    report = compare_runs(RunTrace.from_jsonl(args.trace_a), RunTrace.from_jsonl(args.trace_b),
+                          target=args.target)
     json.dump(report, sys.stdout, indent=2, sort_keys=True)
     sys.stdout.write("\n")
     return EXIT_OK

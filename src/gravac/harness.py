@@ -5,8 +5,8 @@ CLI overrides. A run writes two files: ``trace.jsonl`` (one record per
 iteration) and ``summary.json`` (totals recomputable from the trace, and the
 CF histogram). Both are byte-deterministic given the seed; wall-clock never
 enters them. They are written to a temp dir next to the output dir and moved
-into place, so a failed write leaves the old outputs. ``kde_csv`` derives
-the CF-usage density from any trace on request.
+into place, so a failed write leaves the old outputs. ``compare_runs``
+reports on two traces.
 """
 
 from __future__ import annotations
@@ -25,12 +25,9 @@ from .compressors import TOPK, CompressorKind
 from .controller import ControllerConfig
 from .costmodel import CostModelParams
 from .gradcore import SeededRng
-from .kdestats import cf_histogram, cf_usage_samples, default_grid, gaussian_kde
-from .simworkers import (EVAL_SAMPLES, MODES, STATIC, GRAVAC, OptimizerState, RunTrace,
-                         run_training)
+from .kdestats import cf_histogram
+from .simworkers import MODES, STATIC, GRAVAC, OptimizerState, RunTrace, run_training
 from .tasks import SYNTHETIC_MLP, TASK_CLASSES, TASK_KINDS, QuadraticBowl, SyntheticMlp
-
-KDE_BANDWIDTH = 0.1
 
 
 class ConfigError(Exception):
@@ -54,7 +51,6 @@ class RunConfig:
     iters: int = 1000
     seed: int = 0
     out: str = ""
-    eval_samples: int = EVAL_SAMPLES
     task_kind: str = SYNTHETIC_MLP
     task_size: int = QuadraticBowl.size
     task_batch_size: int = SyntheticMlp.batch_size
@@ -188,7 +184,7 @@ def validate_config(cfg: RunConfig) -> None:
                                 ("task.kind", cfg.task_kind, TASK_KINDS)):
         if value not in options:
             raise ConfigError(f"{key}: must be one of {', '.join(options)}")
-    for key in ("static_cf", "iters", "eval_samples"):
+    for key in ("static_cf", "iters"):
         if not getattr(cfg, key) >= 1:
             raise ConfigError(f"{key}: must be >= 1")
     _checked("seed", SeededRng, cfg.seed)
@@ -242,7 +238,6 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> dict:
         controller_config=cfg.build_controller() if cfg.mode == GRAVAC else None,
         compressor=cfg.build_compressor(),
         static_cf=cfg.static_cf if cfg.mode == STATIC else None,
-        eval_samples=cfg.eval_samples,
     )
     trace = result.trace
     summary = {
@@ -289,22 +284,6 @@ def _write_outputs(out: str, texts: Mapping[str, str]) -> None:
         shutil.rmtree(staging, ignore_errors=True)
 
 
-def kde_csv(trace: RunTrace) -> str:
-    """CF-usage density at ``KDE_BANDWIDTH`` as ``log10_cf,density`` CSV text;
-    the log10 grid always reaches down to log10(1) = 0."""
-    samples = cf_usage_samples(trace)
-    grid = default_grid(samples, KDE_BANDWIDTH, num=512, low=0.0)
-    density = gaussian_kde(samples, KDE_BANDWIDTH, grid)
-    rows = "".join(f"{float(x)!r},{float(f)!r}\n" for x, f in zip(grid, density))
-    return "log10_cf,density\n" + rows
-
-
-def _load_trace(trace) -> RunTrace:
-    if isinstance(trace, RunTrace):
-        return trace
-    return RunTrace.from_jsonl(trace)
-
-
 def _time_to_target(trace: RunTrace, target: float | None) -> float:
     times = trace.column("t_iter")
     if target is None:
@@ -316,14 +295,12 @@ def _time_to_target(trace: RunTrace, target: float | None) -> float:
     return float(times[:reached[0] + 1].sum())
 
 
-def compare_runs(trace_a, trace_b, target: float | None = None) -> dict:
+def compare_runs(a: RunTrace, b: RunTrace, target: float | None = None) -> dict:
     """A-over-B ratios of simulated time and volume plus the final-loss difference A - B.
 
     Finite trace values can still overflow once summed or subtracted; such a
     report is rejected with a ValueError naming the fields.
     """
-    a = _load_trace(trace_a)
-    b = _load_trace(trace_b)
     if len(a) == 0 or len(b) == 0:
         raise ValueError("cannot compare empty traces")
     with np.errstate(over="ignore"):  # an overflowed total is rejected below

@@ -2,9 +2,9 @@
 
 The per-iteration compression factors of a run are summarized two ways: an
 exact CF -> iteration-count histogram, which every run's ``summary.json``
-holds, and a Gaussian kernel density over log10(CF) with a fixed raw
-bandwidth (no Scott/Silverman scaling), which ``gravac kde`` computes from a
-trace on request.
+holds, and a Gaussian kernel density over log10(CF) at the fixed raw
+bandwidth ``KDE_BANDWIDTH`` (no Scott/Silverman scaling), which ``kde_csv``
+computes from a trace on request, as ``gravac kde`` does.
 """
 
 from __future__ import annotations
@@ -13,39 +13,31 @@ import math
 
 import numpy as np
 
-
-def _check_bandwidth(bandwidth: float) -> None:
-    if not (math.isfinite(bandwidth) and bandwidth > 0):
-        raise ValueError(f"bandwidth must be finite and positive, got {bandwidth}")
+KDE_BANDWIDTH = 0.1
 
 
-def gaussian_kde(samples, bandwidth: float, grid) -> np.ndarray:
-    """Fixed-bandwidth Gaussian KDE evaluated on ``grid``.
+def gaussian_kde(samples, grid) -> np.ndarray:
+    """Gaussian KDE at bandwidth h = ``KDE_BANDWIDTH`` evaluated on ``grid``.
 
     f(x) = (1 / (n*h*sqrt(2*pi))) * sum_i exp(-(x - s_i)^2 / (2*h^2))
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
         raise ValueError("KDE needs at least one sample")
-    _check_bandwidth(bandwidth)
     grid = np.asarray(grid, dtype=np.float64)
-    z = (grid[:, None] - samples[None, :]) / bandwidth
+    z = (grid[:, None] - samples[None, :]) / KDE_BANDWIDTH
     kernel = np.exp(-0.5 * z * z)
-    return kernel.sum(axis=1) / (samples.size * bandwidth * math.sqrt(2.0 * math.pi))
+    return kernel.sum(axis=1) / (samples.size * KDE_BANDWIDTH * math.sqrt(2.0 * math.pi))
 
 
-def default_grid(samples, bandwidth: float, num: int = 512,
-                 low: float | None = None) -> np.ndarray:
-    """Evaluation grid over the sample range, extended down to ``low`` when
-    given, and padded by five bandwidths on each side."""
+def default_grid(samples) -> np.ndarray:
+    """512 evaluation points over the sample range, extended down to log10(1)
+    = 0, and padded by five bandwidths on each side."""
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
         raise ValueError("grid needs at least one sample")
-    _check_bandwidth(bandwidth)
-    pad = 5.0 * bandwidth
-    lo = (samples.min() if low is None else min(low, samples.min())) - pad
-    hi = samples.max() + pad
-    return np.linspace(lo, hi, num)
+    pad = 5.0 * KDE_BANDWIDTH
+    return np.linspace(min(0.0, samples.min()) - pad, samples.max() + pad, 512)
 
 
 def cf_usage_samples(trace) -> np.ndarray:
@@ -65,3 +57,12 @@ def cf_histogram(trace) -> dict[float, int]:
         cf = float(record.cf)
         counts[cf] = counts.get(cf, 0) + 1
     return dict(sorted(counts.items()))
+
+
+def kde_csv(trace) -> str:
+    """The CF-usage density of a trace as ``log10_cf,density`` CSV text."""
+    samples = cf_usage_samples(trace)
+    grid = default_grid(samples)
+    density = gaussian_kde(samples, grid)
+    rows = "".join(f"{float(x)!r},{float(f)!r}\n" for x, f in zip(grid, density))
+    return "log10_cf,density\n" + rows

@@ -29,7 +29,7 @@ DENSE_MODE = "dense"
 MODES = (GRAVAC, STATIC, DENSE_MODE)
 
 DIVERGENCE_FACTOR = 1e6
-EVAL_SAMPLES = 2048
+EVAL_SAMPLES = 2048  # the samples of every run's final evaluation
 
 # top-level rng subtrees: data, controller/compression, init, eval
 _RNG_DATA = 1
@@ -168,8 +168,7 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
                  mode: str, iterations: int, seed: int,
                  controller_config: ControllerConfig | None = None,
                  compressor: CompressorKind | None = None,
-                 static_cf: float | None = None,
-                 eval_samples: int = EVAL_SAMPLES) -> TrainingResult:
+                 static_cf: float | None = None) -> TrainingResult:
     """Run the full synchronous training loop and return its trace.
 
     Deterministic given (task, optimizer settings, cost, mode, seed): every
@@ -187,8 +186,6 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
         raise ValueError("gravac mode requires a controller config")
     if iterations < 1:
         raise ValueError(f"iterations must be >= 1, got {iterations}")
-    if eval_samples < 1:
-        raise ValueError(f"eval_samples must be >= 1, got {eval_samples}")
 
     root = SeededRng(seed)
     data_rng = root.split(_RNG_DATA)
@@ -271,7 +268,7 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
             update = losses = None
             residuals.clear()
             stage = "evaluation"
-            metrics = task.evaluate(opt.weights, root.split(_RNG_EVAL), eval_samples)
+            metrics = task.evaluate(opt.weights, root.split(_RNG_EVAL), EVAL_SAMPLES)
     except FloatingPointError as exc:
         raise DivergenceError(f"{stage}: {exc}") from None
     metric_value = float(metrics[task.metric_name])

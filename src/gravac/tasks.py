@@ -1,7 +1,7 @@
 """Desk-scale training tasks with hand-written gradients.
 
-Two tasks stand in for full DL workloads: a noisy diagonal quadratic with a
-known optimum, and a small tanh MLP classifying two Gaussian blobs. Both
+Two tasks stand in for full DL workloads: a noisy diagonal quadratic with
+its optimum at the origin, and a small tanh MLP classifying two Gaussian blobs. Both
 produce analytic gradients (no autodiff) and are fully deterministic given
 the rng streams they are handed. ``gradients`` yields every worker's
 gradient and loss for one iteration, each drawn only when the caller asks
@@ -17,9 +17,9 @@ block's features from the same generator, so the stream and the logits
 equal one full-batch draw and forward. That holds because numpy's normals
 do not depend on how a draw is split; ``normal32``'s do, since it pairs
 its uniforms within blocks of ``REDUCE_BLOCK`` entries. A quadratic built
-without ``curvature`` or ``w_star`` stores them as read-only stride-0
-views that own no buffer, and computes its noiseless gradient and loss
-through block-sized float64 scratch.
+without ``curvature`` stores it as a read-only stride-0 view that owns no
+buffer, and computes its noiseless gradient and loss through block-sized
+float64 scratch.
 """
 
 from __future__ import annotations
@@ -51,9 +51,10 @@ FEATURE_LIMIT = float(np.finfo(np.float32).max) / 2
 
 @dataclass
 class QuadraticBowl:
-    """Loss 0.5 * sum(curvature * (w - w_star)^2) with additive gradient noise.
+    """Loss 0.5 * sum(curvature * w^2), optimum at the origin, with additive
+    gradient noise.
 
-    Per-sample gradients are curvature*(w - w_star) + noise with i.i.d.
+    Per-sample gradients are curvature*w + noise with i.i.d.
     N(0, noise_std^2) noise, averaged over the batch. The batch mean of the
     noise is drawn directly: one float32 standard normal per coordinate
     (``gradcore.normal32``), scaled by noise_std / sqrt(batch_size), which
@@ -63,7 +64,6 @@ class QuadraticBowl:
 
     size: int = 512
     curvature: np.ndarray | None = None
-    w_star: np.ndarray | None = None
     noise_std: float = 0.0
     batch_size: int = 1
     init_offset: float = 1.0
@@ -75,6 +75,8 @@ class QuadraticBowl:
             raise ValueError(f"batch size must be >= 1, got {self.batch_size}")
         if not 0 <= self.noise_std < np.inf:
             raise ValueError(f"noise_std must be finite and >= 0, got {self.noise_std}")
+        if not -np.inf < self.init_offset < np.inf:
+            raise ValueError(f"init_offset must be finite, got {self.init_offset}")
         if self.curvature is None:
             self.curvature = np.broadcast_to(np.float64(1), (self.size,))
         else:
@@ -82,12 +84,6 @@ class QuadraticBowl:
             if self.curvature.shape != (self.size,) or not np.all(
                     (self.curvature > 0) & (self.curvature < np.inf)):
                 raise ValueError("curvature must be positive, finite and match task size")
-        if self.w_star is None:
-            self.w_star = np.broadcast_to(np.float64(0), (self.size,))
-        else:
-            self.w_star = np.asarray(self.w_star, dtype=np.float64)
-            if self.w_star.shape != (self.size,) or not np.isfinite(self.w_star).all():
-                raise ValueError("w_star must be finite and match task size")
 
     @property
     def parameter_count(self) -> int:
@@ -99,30 +95,29 @@ class QuadraticBowl:
 
     def initial_weights(self, rng: SeededRng) -> np.ndarray:
         del rng  # deterministic start keeps the decay rate closed-form
-        return self.w_star + self.init_offset
+        return np.full(self.size, 0.0 + self.init_offset)
 
     def loss(self, w: np.ndarray) -> float:
         return self._noiseless(w)[1]
 
     def _noiseless(self, w: np.ndarray) -> tuple[np.ndarray, float]:
-        """float32(curvature * (w - w_star)) and the loss, taken in the blocks
-        of ``REDUCE_BLOCK`` entries that ``dot64`` reduces in: one float64
-        scratch holds a block's d and gradient, and the blocks' ``dot64``
-        sums are added left to right, so the loss has the bits of
-        ``0.5 * dot64(grad, d)`` over whole-length arrays."""
+        """float32(curvature * w) and the loss, taken in the blocks of
+        ``REDUCE_BLOCK`` entries that ``dot64`` reduces in: a float64 scratch
+        holds a block's gradient, and the blocks' ``dot64`` sums are added
+        left to right, so the loss has the bits of ``0.5 * dot64(grad, w)``
+        over whole-length arrays."""
         w = np.asarray(w, dtype=np.float64)
         if w.shape != (self.size,):
             raise ValueError(f"weights must have shape ({self.size},), got {w.shape}")
         grad32 = np.empty(self.size, dtype=np.float32)
-        scratch = np.empty((2, min(REDUCE_BLOCK, self.size)))
+        scratch = np.empty(min(REDUCE_BLOCK, self.size))
         total = 0.0
         for start in range(0, self.size, REDUCE_BLOCK):
             stop = min(start + REDUCE_BLOCK, self.size)
-            d, grad = scratch[:, :stop - start]
-            np.subtract(w[start:stop], self.w_star[start:stop], out=d)
-            np.multiply(self.curvature[start:stop], d, out=grad)
+            grad = scratch[:stop - start]
+            np.multiply(self.curvature[start:stop], w[start:stop], out=grad)
             grad32[start:stop] = grad
-            total += dot64(grad, d)
+            total += dot64(grad, w[start:stop])
         return grad32, 0.5 * total
 
     def gradient(self, w: np.ndarray, worker: int, iteration: int, rng: SeededRng,
@@ -135,7 +130,7 @@ class QuadraticBowl:
         times ``float32(noise_std / sqrt(batch_size))``, added to the float32
         noiseless gradient; ``normal32`` scales and adds each block of
         ``REDUCE_BLOCK`` entries as soon as it is drawn. ``noiseless`` is
-        ``(float32(curvature * (w - w_star)), loss(w))`` when the caller has
+        ``(float32(curvature * w), loss(w))`` when the caller has
         computed it already; it is not modified.
         """
         grad, loss = self._noiseless(w) if noiseless is None else noiseless

@@ -17,7 +17,7 @@ from gravac.costmodel import (RING, TREE, CostModelParams, LatencyCoeffs,
 from gravac.feedback import apply_feedback, update_residual
 from gravac.gradcore import GradientVector, SeededRng, squared_l2_norm
 from gravac.harness import parse_config, run_experiment
-from gravac.kdestats import cf_usage_samples, default_grid, gaussian_kde
+from gravac.kdestats import KDE_BANDWIDTH, cf_usage_samples, gaussian_kde
 from gravac.metrics import compression_gain
 from gravac.simworkers import OptimizerState, run_training
 from gravac.tasks import QuadraticBowl, SyntheticMlp
@@ -296,9 +296,9 @@ def test_criterion_10_kde_sanity():
     log10(1) = 0."""
     rng = np.random.default_rng(1010)
     samples = np.concatenate([rng.normal(0.0, 0.02, 300), rng.normal(2.0, 0.05, 300)])
-    h = 0.1
-    grid = default_grid(samples, h, num=4000)
-    density = gaussian_kde(samples, h, grid)
+    h = KDE_BANDWIDTH
+    grid = np.linspace(samples.min() - 5 * h, samples.max() + 5 * h, 4000)
+    density = gaussian_kde(samples, grid)
     mass = float(np.trapezoid(density, grid))
     assert abs(mass - 1.0) <= 1e-3, f"mass {mass:.6f}"
     assert np.all(density >= 0.0)
@@ -307,8 +307,9 @@ def test_criterion_10_kde_sanity():
     opt = OptimizerState(weights=np.zeros(32), lr=0.05)
     result = run_training(task, opt, CostModelParams(workers=2), "dense", 50, seed=0)
     logs = cf_usage_samples(result.trace)
-    grid = default_grid(logs, h, num=1001)
-    density = gaussian_kde(logs, h, grid)
+    # a grid of an odd point count has a point at 0; default_grid's 512 have none
+    grid = np.linspace(logs.min() - 5 * h, logs.max() + 5 * h, 1001)
+    density = gaussian_kde(logs, grid)
     peak = grid[int(np.argmax(density))]
     assert abs(peak - 0.0) < 1e-6, f"peak at {peak}"
     mass = float(np.trapezoid(density, grid))

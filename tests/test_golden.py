@@ -62,8 +62,6 @@ CASES = {
     "quad-n4-gravac-topk-eps0.7": dict(QUAD, mode="gravac", **{
         "compressor.kind": "topk", "cost.workers": "4", "controller.epsilon": "0.7"}),
     "mlp-n4-gravac-topk": MLP,
-    # 300 evaluation samples end in a partial block of the blocked evaluation
-    "mlp-n4-gravac-topk-eval300": dict(MLP, eval_samples="300"),
     "quad-n4-gravac-vanished": dict(QUAD, mode="gravac", **{
         "task.init_offset": "0", "task.noise_std": "0", "cost.workers": "4"}),
     # a vector large enough that Redsync's bisection runs many rounds
@@ -94,8 +92,6 @@ GOLDEN = {
     "quad-n8-static-cf-redsync": "962b4e232313f68f68d6fef49612ee93026bc054efb25540f957a7be1b30c8cd",
     "quad-n8-static-cf-randomk": "7a47438c011886a515e000740bf59a540be9d019a246646d812ed28163b8def9",
     "mlp-n4-gravac-topk": "d31f786544043bc9e0ff5f33da354b4978a6915a296c94ba5adb4d2c609b3848",
-    "mlp-n4-gravac-topk-eval300":
-        "93900a69761e5522c5fb8a54d304aa824c74afdc3204734e2c4b2e60b405eb6a",
     "quad-n4-gravac-vanished": "ae1f9f56d44a7efd4db5edf0e8125d25edf109df3a25f2629f34be20a37b56cd",
     "quad-m20k-b1-gravac-dgc": "4c655a4414701d6f6d86dba9daef08bd113e7eb1193dd5d73e6ab9de806d742c",
     "quad-m20k-b1-gravac-redsync": "b10aa1bd1848dfab963e52d55c825c8247496afbc7ad10e0e8f30a618ab4a1ed",
@@ -112,9 +108,10 @@ GOLDEN = {
 # holds per numpy version
 GOLDEN_NUMPY = "2.4.6"
 
-# changed three times on purpose: the dead compressor.redsync_max_rounds key was
-# removed, then the baseline key, then the nine keys that no shipped config set
-DEFAULT_CONFIG_SHA256 = "04ab66d6344a2d55fe8e9d1321531cc68f5ff5d24a8b951416baceb4f32dc307"
+# changed four times on purpose: the dead compressor.redsync_max_rounds key was
+# removed, then the baseline key, then the nine keys that no shipped config set,
+# then eval_samples
+DEFAULT_CONFIG_SHA256 = "376942e575a772debff9c206acdf6ea44b4781be5008a998dea43eb43cef1ecf"
 
 
 def run_digest(overrides, out_dir, monkeypatch) -> str:

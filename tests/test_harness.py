@@ -146,7 +146,7 @@ class TestParseConfig:
 
 # one out-of-range value for every range-checked key
 OUT_OF_RANGE = {
-    "mode": "bogus", "static_cf": "0.5", "iters": "0", "eval_samples": "0",
+    "mode": "bogus", "static_cf": "0.5", "iters": "0",
     "seed": str(2**53),
     "task.kind": "transformer", "task.size": "0", "task.batch_size": "0",
     "task.noise_std": "-0.1", "task.blob_distance": "-1", "task.blob_spread": "-1",
@@ -175,7 +175,8 @@ def test_out_of_range_value_rejected_naming_its_section(key, value, kind):
 @pytest.mark.parametrize("build,message", [
     pytest.param(lambda: QuadraticBowl(size=2, curvature=[np.inf, 1]), "curvature",
                  id="curvature"),
-    pytest.param(lambda: QuadraticBowl(size=2, w_star=[np.nan, 0]), "w_star", id="w_star"),
+    pytest.param(lambda: QuadraticBowl(size=4, init_offset=np.inf), "init_offset",
+                 id="init_offset"),
     pytest.param(lambda: QuadraticBowl(noise_std=np.inf), "noise_std", id="noise_std"),
     pytest.param(lambda: SyntheticMlp(feature_decades=np.inf), "feature_decades",
                  id="feature_decades"),
@@ -246,7 +247,7 @@ def test_any_config_file_parses_or_is_a_config_error(tmp_path, data):
 # small whole runs over both tasks, every mode and compressor, with learning
 # rates, noise and scales over decades up to 1e300, so that some diverge
 _DECADE = st.builds("{}e{}".format, st.integers(1, 9), st.integers(-4, 300))
-_WHOLE_RUN = st.fixed_dictionaries({
+WHOLE_RUN_KEYS = {
     "task.kind": st.sampled_from(TASK_KINDS),
     "mode": st.sampled_from(MODES),
     "compressor.kind": st.sampled_from(KIND_NAMES),
@@ -265,9 +266,17 @@ _WHOLE_RUN = st.fixed_dictionaries({
     "controller.window": st.integers(1, 3).map(str),
     "cost.workers": st.integers(1, 8).map(str),
     "iters": st.integers(1, 4).map(str),
-    "eval_samples": st.integers(1, 64).map(str),
     "seed": st.integers(0, 1000).map(str),
-})
+}
+_WHOLE_RUN = st.fixed_dictionaries(WHOLE_RUN_KEYS)
+
+
+def test_whole_run_keys_are_config_keys(capsys):
+    # a key that no longer exists would make every whole run exit 2, and the
+    # fuzz below would pass without running anything
+    assert main(["print-config"]) == 0
+    listed = {line.split(" = ")[0] for line in capsys.readouterr().out.splitlines()}
+    assert set(WHOLE_RUN_KEYS) <= listed
 
 
 def _reject_constant(name):
@@ -284,7 +293,7 @@ def _reject_constant(name):
                     "task.noise_std": "1e39", "task.init_offset": "1e39", "iters": "1"})
 # an MLP gradient beyond the float32 range,
 @example(overrides={"task.kind": "synthetic_mlp", "task.widths": "1,2",
-                    "task.blob_spread": "1e39", "iters": "1", "eval_samples": "1"})
+                    "task.blob_spread": "1e39", "iters": "1"})
 # diverging weights overflowing the MLP's backward pass, the SGD step and the
 # evaluation's forward pass
 @example(overrides={"task.kind": "synthetic_mlp", "task.widths": "1,1,1,2",
@@ -294,7 +303,7 @@ def _reject_constant(name):
 @example(overrides={"task.kind": "quadratic", "task.size": "16", "task.noise_std": "1e30",
                     "opt.lr": "1e300", "iters": "2"})
 @example(overrides={"task.kind": "synthetic_mlp", "task.widths": "8,8,2", "opt.lr": "1e308",
-                    "opt.momentum": "0", "iters": "1", "eval_samples": "64"})
+                    "opt.momentum": "0", "iters": "1"})
 # a final quadratic loss that overflows float64
 @example(overrides={"task.kind": "quadratic", "task.size": "4", "opt.lr": "1e300",
                     "opt.momentum": "0", "iters": "1"})
@@ -448,7 +457,7 @@ class TestCompareRuns:
     def test_self_comparison_is_unity(self, tmp_path):
         cfg = quad_config(mode="dense", out=str(tmp_path / "run"))
         run_experiment(cfg)
-        trace = str(tmp_path / "run" / "trace.jsonl")
+        trace = RunTrace.from_jsonl(tmp_path / "run" / "trace.jsonl")
         report = compare_runs(trace, trace)
         assert report["time_ratio"] == 1.0
         assert report["floats_ratio"] == 1.0
@@ -459,8 +468,8 @@ class TestCompareRuns:
         run_experiment(quad_config(mode="static-cf", static_cf=8.0,
                                    **{"compressor.kind": "topk"},
                                    out=str(tmp_path / "static")))
-        report = compare_runs(str(tmp_path / "dense" / "trace.jsonl"),
-                              str(tmp_path / "static" / "trace.jsonl"))
+        report = compare_runs(RunTrace.from_jsonl(tmp_path / "dense" / "trace.jsonl"),
+                              RunTrace.from_jsonl(tmp_path / "static" / "trace.jsonl"))
         assert report["floats_ratio"] == pytest.approx(8.0)
         assert report["words_ratio"] == pytest.approx(4.0)
 
@@ -476,8 +485,8 @@ class TestCompareRuns:
                                    **comm_bound))
         run_experiment(quad_config(mode="gravac", out=str(tmp_path / "adaptive"),
                                    **comm_bound))
-        report = compare_runs(str(tmp_path / "adaptive" / "trace.jsonl"),
-                              str(tmp_path / "dense" / "trace.jsonl"))
+        report = compare_runs(RunTrace.from_jsonl(tmp_path / "adaptive" / "trace.jsonl"),
+                              RunTrace.from_jsonl(tmp_path / "dense" / "trace.jsonl"))
         assert report["time_ratio"] < 1.0
 
     def test_time_to_target(self, tmp_path):
@@ -492,7 +501,7 @@ class TestCompareRuns:
     def test_unreached_target_rejected(self, tmp_path):
         cfg = quad_config(mode="dense", out=str(tmp_path / "run"))
         run_experiment(cfg)
-        trace = str(tmp_path / "run" / "trace.jsonl")
+        trace = RunTrace.from_jsonl(tmp_path / "run" / "trace.jsonl")
         with pytest.raises(ValueError, match="never reached"):
             compare_runs(trace, trace, target=-1.0)
 
@@ -741,13 +750,15 @@ class TestCli:
         pytest.param("opt.lr_decay_factor", "10", id="lr_decay_factor"),
         pytest.param("compressor.dgc_sample_fraction", "0.01", id="dgc_sample_fraction"),
         pytest.param("task.data_seed", "5", id="data_seed"),
+        pytest.param("eval_samples", "300", id="eval_samples"),
         *(pytest.param(f"cost.latency.{kind}", "1e-6,1e-9,1e-9", id=f"latency_{kind}")
           for kind in KIND_NAMES)])
     def test_removed_key_exits_two(self, tmp_path, capsys, key, value):
         code = main(self.run_args(tmp_path, "run", "--mode", "dense",
                                   "--set", f"{key}={value}"))
         assert code == 2
-        assert f"unknown config key: {key}" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"unknown config key: {key}" in err and len(err.splitlines()) == 1
         assert not (tmp_path / "run").exists()
 
     # numpy's MemoryError escaped validation and the command exited 1 with a traceback;
@@ -767,10 +778,10 @@ class TestCli:
         assert len(captured.err.splitlines()) == 1
         assert not (tmp_path / "out").exists()
 
-    # numpy's MemoryError escaped main when the run drew the batch or the
-    # evaluation's labels, and the command exited 1 with a traceback; 10**17
-    # entries lie beyond any address space, so the allocation is refused at once
-    @pytest.mark.parametrize("key", ["task.batch_size", "eval_samples"])
+    # numpy's MemoryError escaped main when the run drew the batch, and the
+    # command exited 1 with a traceback; 10**17 entries lie beyond any
+    # address space, so the allocation is refused at once
+    @pytest.mark.parametrize("key", ["task.batch_size"])
     def test_run_too_large_to_allocate_exits_two(self, tmp_path, capsys, key):
         code = main(["run", "--iters", "1", "--out", str(tmp_path / "out"),
                      "--set", f"{key}={10**17}"])

@@ -3,7 +3,10 @@
 Every trace row (compared as its JSON text, so each float to the last bit)
 and the final weights must be equal. The grid covers 4 compressors x 3
 modes x N in {1, 4, 8} on both tasks. Of three more runs, one freezes the
-search, one just misses freezing and one trains on a vanished gradient.
+search, one just misses freezing and one trains on a vanished gradient. A
+hypothesis fuzz draws what the grid never compares: the geometric policy,
+theta_max = theta_min, static CFs of 1 and beyond the vector length, other
+worker counts, both topologies on both tasks, and other task shapes.
 """
 
 import json
@@ -11,13 +14,15 @@ from dataclasses import asdict
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from reference_sim import reference_run
 
 from gravac.compressors import KIND_NAMES, CompressorKind
-from gravac.controller import ControllerConfig
-from gravac.costmodel import CostModelParams
-from gravac.simworkers import OptimizerState, run_training
+from gravac.controller import POLICIES, ControllerConfig
+from gravac.costmodel import TOPOLOGIES, CostModelParams
+from gravac.simworkers import DivergenceError, OptimizerState, run_training
 from gravac.tasks import QuadraticBowl, SyntheticMlp
 
 ITERS = 30
@@ -43,11 +48,11 @@ CONTROLLER = ControllerConfig(theta_min=2.0, theta_max=64.0, epsilon=0.5, omega=
 
 
 def run_kwargs(task, opt, cost, mode, kind="topk", controller=CONTROLLER, iters=ITERS,
-               seed=3):
+               seed=3, static_cf=6.0):
     return dict(task=task, optimizer=opt, cost=cost, mode=mode, iterations=iters, seed=seed,
                 compressor=CompressorKind(kind),
                 controller_config=controller if mode == "gravac" else None,
-                static_cf=6.0 if mode == "static-cf" else None)
+                static_cf=static_cf if mode == "static-cf" else None)
 
 
 def both(*args, **kwargs):
@@ -98,3 +103,40 @@ def test_vanished_gradient_run_equals_reference():
     task, opt = quadratic(noise_std=0.0, init_offset=0.0)
     events = both(task, opt, CostModelParams(workers=4), "gravac", "dgc", iters=8)
     assert events["choices"] == {"dense": 8}
+
+
+_QUADRATIC = st.builds(
+    lambda size, noise_std, batch_size: QuadraticBowl(
+        size=size, noise_std=noise_std, batch_size=batch_size,
+        curvature=np.geomspace(0.01, 3.0, size)),
+    st.integers(1, 400), st.sampled_from([0.0, 0.01, 0.3]), st.integers(1, 4))
+_MLP = st.builds(
+    lambda inputs, hidden, feature_decades, batch_size: SyntheticMlp(
+        widths=(inputs, hidden, 2), batch_size=batch_size, blob_spread=3.0,
+        feature_decades=feature_decades),
+    st.integers(1, 24), st.integers(1, 8), st.sampled_from([0.0, 3.0]), st.integers(1, 8))
+_CONTROLLER = st.builds(
+    lambda theta_min, ratio, **settings: ControllerConfig(
+        theta_min=theta_min, theta_max=theta_min * ratio, **settings),
+    st.sampled_from([1.0, 1.5, 2.0, 10.0]), st.sampled_from([1, 3, 64, 1000]),
+    epsilon=st.floats(0.01, 0.99), omega=st.floats(0.01, 0.99), window=st.integers(1, 7),
+    policy=st.sampled_from(POLICIES))
+
+
+@settings(max_examples=500, deadline=None)
+@given(task=st.one_of(_QUADRATIC, _MLP), lr=st.sampled_from([0.01, 0.1, 0.3]),
+       momentum=st.sampled_from([0.0, 0.5, 0.9]), workers=st.integers(1, 9),
+       topology=st.sampled_from(TOPOLOGIES), t_compute=st.sampled_from([1e-4, 1.0]),
+       mode=st.sampled_from(MODES), kind=st.sampled_from(KIND_NAMES),
+       controller=_CONTROLLER, static_cf=st.sampled_from([1.0, 1.5, 6.0, 1e4]),
+       iters=st.integers(1, 25), seed=st.integers(0, 2**32))
+def test_drawn_run_equals_reference(task, lr, momentum, workers, topology, t_compute, mode,
+                                    kind, controller, static_cf, iters, seed):
+    # both() finishes run_training before it calls reference_run, so a
+    # diverged draw is rejected before the reference's arithmetic overflows
+    opt = OptimizerState(weights=np.zeros(task.parameter_count), lr=lr, momentum=momentum)
+    cost = CostModelParams(workers=workers, topology=topology, t_compute=t_compute)
+    try:
+        both(task, opt, cost, mode, kind, controller, iters, seed, static_cf=static_cf)
+    except DivergenceError:
+        assume(False)

@@ -17,7 +17,7 @@ def per_worker_quadratic_gradient(task, w, worker, iteration, rng):
     r·cos(2π·u2) followed by the first n - h values r·sin(2π·u2), where
     r = sqrt(-2·log(1 - u1)).
     """
-    grad = (task.curvature * (np.asarray(w, dtype=np.float64) - task.w_star)).astype(np.float32)
+    grad = (task.curvature * np.asarray(w, dtype=np.float64)).astype(np.float32)
     if task.noise_std > 0.0:
         gen = rng.split(0, worker, iteration).generator
         noise = []
@@ -76,7 +76,7 @@ def full_batch_evaluation(task, w, rng, n_samples):
 class TestQuadraticBowl:
     def test_zero_gradient_at_optimum(self):
         task = QuadraticBowl(size=16, noise_std=0.0)
-        g, loss = task.gradient(task.w_star.copy(), 0, 1, SeededRng(0))
+        g, loss = task.gradient(np.zeros(16), 0, 1, SeededRng(0))
         assert loss == 0.0
         assert not g.values.any()
 
@@ -103,7 +103,7 @@ class TestQuadraticBowl:
         spread = []
         for task in (loud, quiet):
             gs = [task.gradient(w, 0, i, SeededRng(1))[0].values for i in range(1, 40)]
-            clean = task.curvature * (w - task.w_star)
+            clean = task.curvature * w
             spread.append(np.mean([np.std(g - clean.astype(np.float32)) for g in gs]))
         assert spread[1] < spread[0] / 4  # ~1/sqrt(64)
 
@@ -122,8 +122,7 @@ class TestQuadraticBowl:
         size = 257
         gen = np.random.default_rng(batch_size)
         task = QuadraticBowl(size=size, noise_std=noise_std, batch_size=batch_size,
-                             curvature=gen.uniform(0.1, 3.0, size),
-                             w_star=gen.standard_normal(size))
+                             curvature=gen.uniform(0.1, 3.0, size))
         w = gen.standard_normal(size)
         w_before = w.copy()
         grads, losses = zip(*task.gradients(w, 4, 9, SeededRng(6)))
@@ -187,10 +186,8 @@ class TestQuadraticBowl:
     def test_default_constants_are_views_that_change_no_result(self):
         size = 20_000
         default = QuadraticBowl(size=size, noise_std=0.3)
-        explicit = QuadraticBowl(size=size, noise_std=0.3, curvature=np.ones(size),
-                                 w_star=np.zeros(size))
-        for const in (default.curvature, default.w_star):
-            assert const.strides == (0,) and not const.flags.writeable
+        explicit = QuadraticBowl(size=size, noise_std=0.3, curvature=np.ones(size))
+        assert default.curvature.strides == (0,) and not default.curvature.flags.writeable
         assert default.initial_weights(None).tobytes() == explicit.initial_weights(None).tobytes()
         w = np.random.default_rng(3).standard_normal(size)
         assert default.loss(w) == explicit.loss(w)
@@ -201,18 +198,17 @@ class TestQuadraticBowl:
 
     @pytest.mark.parametrize("size", [1, REDUCE_BLOCK, 2 * REDUCE_BLOCK + 3])
     def test_blocked_noiseless_part_equals_the_whole_vector_formula(self, size):
-        # d and the gradient pass through block-sized float64 scratch, and
-        # the loss adds dot64's block sums in dot64's order: same bits, and
-        # no float64 array of the task's size (there were two)
+        # the gradient passes through block-sized float64 scratch, and the
+        # loss adds dot64's block sums in dot64's order: same bits, and no
+        # float64 array of the task's size (there were two)
         rng = np.random.default_rng(size)
-        curvature, w_star = rng.uniform(0.5, 2.0, size), rng.standard_normal(size)
-        task = QuadraticBowl(size=size, curvature=curvature, w_star=w_star)
+        curvature = rng.uniform(0.5, 2.0, size)
+        task = QuadraticBowl(size=size, curvature=curvature)
         w = rng.standard_normal(size)
-        d = w - w_star
-        grad = curvature * d
+        grad = curvature * w
         g, loss = task.gradient(w, 0, 1, SeededRng(0))
         assert g.values.tobytes() == grad.astype(np.float32).tobytes()
-        assert loss == 0.5 * dot64(grad, d)
+        assert loss == 0.5 * dot64(grad, w)
         tracemalloc.start()
         try:
             task.loss(w)
@@ -229,6 +225,16 @@ class TestQuadraticBowl:
     def test_rejects_negative_or_nan_noise(self, noise_std):
         with pytest.raises(ValueError, match="noise_std"):
             QuadraticBowl(size=4, noise_std=noise_std)
+
+    # -0.0 starts at +0.0
+    @pytest.mark.parametrize("init_offset, start", [(-0.0, 0.0), (0.0, 0.0), (-2.5, -2.5)])
+    def test_initial_weights_sit_init_offset_from_the_origin(self, init_offset, start):
+        w = QuadraticBowl(size=3, init_offset=init_offset).initial_weights(None)
+        assert w.tobytes() == np.full(3, start).tobytes() and w.flags.writeable
+
+    def test_optimum_argument_is_gone(self):
+        with pytest.raises(TypeError):
+            QuadraticBowl(size=2, w_star=np.zeros(2))
 
 
 class TestSyntheticMlp:
