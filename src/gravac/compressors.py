@@ -10,13 +10,21 @@ and all support a second-level pass that compresses an already-compressed
 tensor without touching the original dense vector. Redsync's second pass
 ranks the kept entries' own values, which its view carries beside the
 substituted ones, so it equals a direct compress to the smaller keep count.
+
+Each compression also returns its modeled seconds, never a wall-clock
+measurement, by one latency formula over the input length n and the kept
+count k:
+
+    base + per_input*n + per_selected_log*k*log2(max(k, 2))
+
+with each kind's coefficients in ``LATENCY_COEFFS``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -26,13 +34,20 @@ TOPK = "topk"
 DGC = "dgc"
 REDSYNC = "redsync"
 RANDOMK = "randomk"
-KIND_NAMES = (TOPK, DGC, REDSYNC, RANDOMK)
+
+# each kind's (base, per_input, per_selected_log) in the latency formula.
+# Desk-scale values; the ordering (topk slowest, randomk cheapest) follows
+# the selection rules' relative costs
+LATENCY_COEFFS = {
+    TOPK: (5e-6, 2.0e-9, 2.0e-9),
+    DGC: (5e-6, 1.0e-9, 1.0e-9),
+    REDSYNC: (5e-6, 1.5e-9, 0.0),
+    RANDOMK: (2e-6, 1.0e-10, 5.0e-10),
+}
+KIND_NAMES = tuple(LATENCY_COEFFS)
 
 # DGC estimates its threshold from this share of the magnitudes (at least 256)
 DGC_SAMPLE_FRACTION = 0.01
-
-# (kind, input_length, kept) -> modeled seconds; cost model supplies this
-LatencyFn = Callable[["CompressorKind", int, int], float]
 
 # exact top-k of at least this many entries partitions only the entries at or
 # above a bound taken from every TOPK_BOUND_STRIDE-th magnitude
@@ -92,6 +107,15 @@ def keep_count(length: int, cf: float) -> int:
     if not cf >= 1.0:
         raise ValueError(f"compression factor must be >= 1, got {cf}")
     return max(1, math.floor(length / cf))
+
+
+def latency_seconds(kind: CompressorKind, n_input: int, kept: int) -> float:
+    """Modeled seconds for ``kind`` to keep ``kept`` of ``n_input`` entries,
+    by the module docstring's latency formula. A second-level pass over an
+    already-compressed view is cheaper than compressing the dense vector
+    again whenever per_input > 0."""
+    base, per_input, per_selected_log = LATENCY_COEFFS[kind.name]
+    return base + per_input * n_input + per_selected_log * kept * math.log2(max(kept, 2))
 
 
 def _exact_topk(v: np.ndarray, k: int, signed: bool = False) -> np.ndarray:
@@ -234,40 +258,36 @@ def _select(kind: CompressorKind, values: np.ndarray, k: int, rng: SeededRng | N
 
 
 def compress(kind: CompressorKind, g: GradientVector, cf: float,
-             rng: SeededRng | None = None,
-             latency: LatencyFn | None = None) -> tuple[SparseGradient, float]:
+             rng: SeededRng | None = None) -> tuple[SparseGradient, float]:
     """Compress a dense gradient to factor ``cf``.
 
     Keeps exactly max(1, floor(M / cf)) entries; a NaN or infinite entry
-    has no magnitude rank and is rejected. The returned seconds come from
-    the supplied modeled latency hook, never from wall-clock measurement;
-    0.0 when absent.
+    has no magnitude rank and is rejected. The returned seconds are the
+    modeled ``latency_seconds``, never a wall-clock measurement.
     """
     if not np.isfinite(g.values).all():
         raise ValueError("cannot compress a gradient with non-finite entries")
     n = g.length
     kept = keep_count(n, cf)
     indices, vals, source = _select(kind, g.values, kept, rng)
-    seconds = latency(kind, n, kept) if latency is not None else 0.0
-    return SparseGradient(indices, vals, n, source), seconds
+    return SparseGradient(indices, vals, n, source), latency_seconds(kind, n, kept)
 
 
 def compress_further(kind: CompressorKind, s: SparseGradient, step: float,
-                     rng: SeededRng | None = None,
-                     latency: LatencyFn | None = None) -> tuple[SparseGradient, float]:
+                     rng: SeededRng | None = None) -> tuple[SparseGradient, float]:
     """Second-level compression applied to the retained entries only.
 
     Keeps max(1, floor(k1 / step)) of the k1 retained values; indices stay
     positions in the original dense space, so the result is as if the dense
     vector had been compressed to roughly step * original_length / k1
     directly (for top-k and Redsync, exactly so). A step that keeps every
-    entry returns ``s`` itself.
+    entry returns ``s`` itself, charged as keeping all k1 of k1 entries.
     """
     if not step >= 1.0:
         raise ValueError(f"step factor must be >= 1, got {step}")
     k1 = s.kept
     k2 = keep_count(k1, step)
-    seconds = latency(kind, k1, k2) if latency is not None else 0.0
+    seconds = latency_seconds(kind, k1, k2)
     if k2 == k1:
         return s, seconds
     local, vals, source = _select(kind, s.vals, k2, rng, s.source_vals)

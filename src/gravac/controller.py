@@ -217,7 +217,7 @@ def send(gradients, parts, residuals, t_compress: float, cost: CostModelParams, 
 
 
 def compress_workers(stage, compressor: CompressorKind, views: Sequence, cf: float,
-                     rng: SeededRng, cost: CostModelParams, i: int,
+                     rng: SeededRng, i: int,
                      *tag: int) -> tuple[tuple[SparseGradient, ...], float]:
     """Apply ``stage`` (``compress`` or ``compress_further``) at ``cf`` to
     every worker's view, each with the rng substream ``(i, worker, *tag)``.
@@ -225,8 +225,7 @@ def compress_workers(stage, compressor: CompressorKind, views: Sequence, cf: flo
     Returns the parts and the modeled seconds of the stage: workers
     compress in parallel, so the stage takes as long as the slowest.
     """
-    parts, seconds = zip(*(stage(compressor, view, cf, rng.split(i, w, *tag),
-                                 cost.compression_latency)
+    parts, seconds = zip(*(stage(compressor, view, cf, rng.split(i, w, *tag))
                            for w, view in enumerate(views)))
     return parts, max(seconds)
 
@@ -257,11 +256,11 @@ def run_iteration(state: ControllerState, i: int, loss: float, compressor: Compr
         choice, cf, parts, t_compress, gain_min, gain_c = DENSE, 1.0, None, 0.0, 1.0, 1.0
     else:
         g_mins, t_min = compress_workers(compress, compressor, g_efs, theta_min,
-                                         rng, cost, i, _STAGE_MIN)
+                                         rng, i, _STAGE_MIN)
         raw_min = mean_gain(g_mins, ef_norms)
         delta_min = state.gains.observe(theta_min, raw_min)
         g_cs, t_step = compress_workers(compress_further, compressor, g_mins, state.theta_s,
-                                        rng, cost, i, _STAGE_STEP)
+                                        rng, i, _STAGE_STEP)
         # a step that keeps every entry returns the stage-1 views themselves,
         # whose raw gain is known; the smoothed gain still takes both
         # observations

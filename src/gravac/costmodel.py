@@ -1,8 +1,9 @@
-"""Alpha-beta communication model and modeled compressor latency.
+"""Alpha-beta communication model and message-size accounting.
 
-All times in this package are simulated seconds derived from these
-formulas, never wall-clock measurements, which keeps runs deterministic and
-platform-independent.
+All times in this package are simulated seconds derived from formulas,
+never wall-clock measurements, which keeps runs deterministic and
+platform-independent; compression's own seconds come from
+``compressors.latency_seconds``.
 
 Allreduce of a message of W 32-bit words across N workers:
 
@@ -10,12 +11,7 @@ Allreduce of a message of W 32-bit words across N workers:
     ring: 2*(N-1)*alpha + 2*W*beta*(N-1)/N
 
 with alpha the per-message latency (seconds) and beta the per-word transfer
-cost (seconds/word). Compressor latency is modeled per kind as
-
-    c0 + c1*n_input + c2*k*log2(max(k, 2))
-
-so a second-level pass over an already-compressed tensor is cheaper than
-re-compressing the full vector whenever c1 > 0.
+cost (seconds/word).
 """
 
 from __future__ import annotations
@@ -23,7 +19,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .compressors import CompressorKind, SparseGradient
+from .compressors import SparseGradient
 
 RING = "ring"
 TREE = "tree"
@@ -31,36 +27,9 @@ TOPOLOGIES = (RING, TREE)
 
 
 @dataclass(frozen=True)
-class LatencyCoeffs:
-    """Coefficients of the per-kind compression latency model."""
-
-    base: float
-    per_input: float
-    per_selected_log: float
-
-    def __post_init__(self):
-        if not (self.base >= 0 and self.per_input >= 0 and self.per_selected_log >= 0):
-            raise ValueError("latency coefficients must be >= 0")
-
-    def seconds(self, n_input: int, kept: int) -> float:
-        return (self.base
-                + self.per_input * n_input
-                + self.per_selected_log * kept * math.log2(max(kept, 2)))
-
-
-# Desk-scale coefficients; ordering (topk slowest, randomk cheapest) follows the
-# selection rules' relative costs.
-DEFAULT_LATENCY_COEFFS: dict[str, LatencyCoeffs] = {
-    "topk": LatencyCoeffs(5e-6, 2.0e-9, 2.0e-9),
-    "dgc": LatencyCoeffs(5e-6, 1.0e-9, 1.0e-9),
-    "redsync": LatencyCoeffs(5e-6, 1.5e-9, 0.0),
-    "randomk": LatencyCoeffs(2e-6, 1.0e-10, 5.0e-10),
-}
-
-
-@dataclass(frozen=True)
 class CostModelParams:
-    """Converts message sizes and compression work into simulated seconds.
+    """The modeled cluster: its link, worker count, allreduce topology and
+    per-iteration compute seconds.
 
     ``beta`` defaults to one 32-bit word over a 10 Gbps link.
     """
@@ -78,9 +47,6 @@ class CostModelParams:
             raise ValueError(f"worker count must be >= 1, got {self.workers}")
         if self.topology not in TOPOLOGIES:
             raise ValueError(f"unknown topology {self.topology!r}, expected one of {TOPOLOGIES}")
-
-    def compression_latency(self, kind: CompressorKind, n_input: int, kept: int) -> float:
-        return DEFAULT_LATENCY_COEFFS[kind.name].seconds(n_input, kept)
 
 
 def allreduce_time(words: int, params: CostModelParams) -> float:

@@ -214,7 +214,7 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
 
         def step(g_efs, i, loss):
             parts, t_compress = compress_workers(compress, compressor, g_efs, static_cf,
-                                                 control_rng, cost, i)
+                                                 control_rng, i)
             ef_norms = [squared_l2_norm(g.values) for g in g_efs]
             delta = gains.observe(cf, mean_gain(parts, ef_norms)) if any(ef_norms) else 1.0
             return send(g_efs, parts, residuals, t_compress, cost, batch_size, iter=i,

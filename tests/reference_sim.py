@@ -1,12 +1,14 @@
 """A slow, straight-line reference of one training run, written from the docstrings.
 
 ``reference_run`` replays what the module docstrings of ``simworkers``,
-``controller``, ``feedback``, ``metrics`` and ``costmodel`` say one run does,
-one worker at a time, with no helper from those modules. It takes three
+``controller``, ``feedback``, ``metrics``, ``costmodel`` and ``compressors``
+(its latency formula) say one run does, one worker at a time, with no
+helper from those modules. It takes three
 things as given: the task's per-iteration gradients (``task.gradients``), the
-compressors' picks (``compress`` and ``compress_further``, called without a
-latency hook) and the table of latency coefficients
-(``DEFAULT_LATENCY_COEFFS``). Everything else is written out here:
+compressors' picks (``compress`` and ``compress_further``, whose modeled
+seconds it ignores) and the per-kind table of latency coefficients
+(``compressors.LATENCY_COEFFS``). Everything else is written out here,
+the latency formula included:
 
 - error feedback: g_ef = g + residual; a compressed send leaves
   g_ef - decompress(sent) behind, a dense send clears the residual;
@@ -34,8 +36,7 @@ import math
 
 import numpy as np
 
-from gravac.compressors import compress, compress_further
-from gravac.costmodel import DEFAULT_LATENCY_COEFFS
+from gravac.compressors import LATENCY_COEFFS, compress, compress_further
 from gravac.gradcore import GradientVector, SeededRng
 
 
@@ -51,8 +52,8 @@ def _norm_sq(values: np.ndarray) -> float:
 
 
 def _latency(kind, n_input: int, kept: int) -> float:
-    c = DEFAULT_LATENCY_COEFFS[kind.name]
-    return c.base + c.per_input * n_input + c.per_selected_log * kept * math.log2(max(kept, 2))
+    base, per_input, per_selected_log = LATENCY_COEFFS[kind.name]
+    return base + per_input * n_input + per_selected_log * kept * math.log2(max(kept, 2))
 
 
 def _allreduce(cost, words: int) -> float:

@@ -10,10 +10,9 @@ import time
 import numpy as np
 
 from gravac.compressors import (CompressorKind, compress, compress_further,
-                                decompress, keep_count)
+                                decompress, keep_count, latency_seconds)
 from gravac.controller import ControllerConfig, ControllerState, check_gravac
-from gravac.costmodel import (RING, TREE, CostModelParams, LatencyCoeffs,
-                              allreduce_time)
+from gravac.costmodel import RING, TREE, CostModelParams, allreduce_time
 from gravac.feedback import apply_feedback, update_residual
 from gravac.gradcore import GradientVector, SeededRng, squared_l2_norm
 from gravac.harness import parse_config, run_experiment
@@ -69,14 +68,13 @@ def test_criterion_2_multilevel_equivalence():
         assert np.array_equal(nested.indices, direct.indices), trial
         assert np.array_equal(nested.vals, direct.vals), trial
 
-    n, k1, k2 = 200_000, 20_000, 200
-    for base in (0.0, 1e-6, 1e-4):
-        for per_input in (1e-10, 1e-9, 1e-8):
-            for per_sel in (0.0, 1e-10, 1e-9):
-                c = LatencyCoeffs(base, per_input, per_sel)
-                direct = c.seconds(n, k1) + c.seconds(n, k2)
-                multilevel = c.seconds(n, k1) + c.seconds(k1, k2)
-                assert multilevel <= direct
+    for kind in ALL_KINDS:
+        for n in (2_000, 200_000, 2 * 10**6):
+            for k1 in (keep_count(n, cf) for cf in (1, 10, 1000)):
+                for k2 in (keep_count(k1, step) for step in (1, 10, 100)):
+                    direct = latency_seconds(kind, n, k1) + latency_seconds(kind, n, k2)
+                    multilevel = latency_seconds(kind, n, k1) + latency_seconds(kind, k1, k2)
+                    assert multilevel <= direct, (kind.name, n, k1, k2)
     print("\nACCEPTANCE 2 multi-level equivalence: PASS")
 
 

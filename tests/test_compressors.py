@@ -3,11 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gravac.compressors import (KIND_NAMES, TOPK_BOUND_MIN, TOPK_BOUND_STRIDE,
-                                CompressorKind, SparseGradient, _dgc_pick, _exact_topk,
-                                _global_topup, _sample_bound, _select, aggregate,
-                                aggregate_dense, compress, compress_further, decompress,
-                                keep_count)
+from gravac.compressors import (TOPK_BOUND_MIN, TOPK_BOUND_STRIDE, CompressorKind,
+                                SparseGradient, _dgc_pick, _exact_topk, _global_topup,
+                                _sample_bound, _select, aggregate, aggregate_dense, compress,
+                                compress_further, decompress, keep_count, latency_seconds)
 from gravac.feedback import apply_feedback, update_residual
 from gravac.gradcore import REDUCE_BLOCK, GradientVector, SeededRng, squared_l2_norm
 from gravac.metrics import compression_gain
@@ -171,15 +170,12 @@ class TestCompressFurther:
     def test_step_one_identity(self):
         # a step that keeps every entry returns its input, not a copy, and
         # charges the stage for keeping all k of k entries
-        def latency(kind, n, kept):
-            return 1e-6 * n + 1e-3 * kept + 0.1 * KIND_NAMES.index(kind.name)
-
         for kind in ALL_KINDS:
             g = random_vector(np.random.default_rng(7), 200)
             s, _ = compress(kind, g, 5, SeededRng(2))
-            out, seconds = compress_further(kind, s, 1.0, SeededRng(3), latency)
+            out, seconds = compress_further(kind, s, 1.0, SeededRng(3))
             assert out is s
-            assert seconds == latency(kind, s.kept, s.kept)
+            assert seconds == latency_seconds(kind, s.kept, s.kept)
 
     def test_randomk_nested_size(self):
         g = random_vector(np.random.default_rng(8), 100_000)
@@ -311,18 +307,14 @@ class TestSharedInvariants:
             compress(kind, GradientVector([0.0, bad, 3.0, 1.0]), 2.0, SeededRng(0))
 
 
-class TestLatencyHook:
-    def test_latency_hook_used(self):
-        calls = []
-
-        def fake_latency(kind, n_input, kept):
-            calls.append((kind.name, n_input, kept))
-            return 0.25
-
-        g = GradientVector(np.arange(1, 11, dtype=np.float32))
-        _, secs = compress(TOPK, g, 5, latency=fake_latency)
-        assert secs == 0.25
-        assert calls == [("topk", 10, 2)]
+class TestLatency:
+    @pytest.mark.parametrize("kind", ALL_KINDS, ids=lambda kind: kind.name)
+    def test_stage_seconds_follow_the_table(self, kind):
+        g = random_vector(np.random.default_rng(9), 1000)
+        s, seconds = compress(kind, g, 8, SeededRng(1))
+        assert seconds == latency_seconds(kind, 1000, 125)
+        _, seconds = compress_further(kind, s, 5, SeededRng(2))
+        assert seconds == latency_seconds(kind, 125, 25)
 
 
 # ---- reference oracles: the Redsync pick and the two-pass exact top-k as

@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gravac.compressors import CompressorKind, SparseGradient
-from gravac.costmodel import (DEFAULT_LATENCY_COEFFS, RING, TREE, CostModelParams,
-                              LatencyCoeffs, allreduce_time, dense_message_words,
+from gravac.compressors import (KIND_NAMES, LATENCY_COEFFS, CompressorKind, SparseGradient,
+                                keep_count, latency_seconds)
+from gravac.costmodel import (RING, TREE, CostModelParams, allreduce_time, dense_message_words,
                               sparse_message_words)
 
 
@@ -87,43 +87,45 @@ class TestMessageWords:
         assert dense_message_words(10**6) / s.kept == 10.0
 
 
+def hand_latency(name, n_input, kept):
+    """The per-kind latency formula written out over the table's row."""
+    base, per_input, per_sel = LATENCY_COEFFS[name]
+    return base + per_input * n_input + per_sel * kept * math.log2(max(kept, 2))
+
+
 class TestCompressionLatency:
     def test_formula(self):
-        expected = 1e-6 + 1e-9 * 10_000 + 2e-9 * 100 * math.log2(100)
-        np.testing.assert_allclose(LatencyCoeffs(1e-6, 1e-9, 2e-9).seconds(10_000, 100),
-                                   expected, rtol=1e-12)
-        p = CostModelParams()
-        for name, c in DEFAULT_LATENCY_COEFFS.items():
-            expected = c.base + c.per_input * 10_000 + c.per_selected_log * 100 * math.log2(100)
-            np.testing.assert_allclose(p.compression_latency(CompressorKind(name), 10_000, 100),
-                                       expected, rtol=1e-12)
+        expected = {"topk": 5e-6 + 2e-9 * 10_000 + 2e-9 * 100 * math.log2(100),
+                    "dgc": 5e-6 + 1e-9 * 10_000 + 1e-9 * 100 * math.log2(100),
+                    "redsync": 5e-6 + 1.5e-9 * 10_000,
+                    "randomk": 2e-6 + 1e-10 * 10_000 + 5e-10 * 100 * math.log2(100)}
+        for name in KIND_NAMES:
+            seconds = latency_seconds(CompressorKind(name), 10_000, 100)
+            assert seconds == hand_latency(name, 10_000, 100)
+            np.testing.assert_allclose(seconds, expected[name], rtol=1e-12)
 
     def test_k_of_one_uses_log_floor(self):
-        p = CostModelParams()
         # log2(max(1, 2)) keeps the term finite at k=1
-        assert math.isfinite(p.compression_latency(CompressorKind("topk"), 10, 1))
+        for name in KIND_NAMES:
+            assert math.isfinite(latency_seconds(CompressorKind(name), 10, 1))
 
     def test_multilevel_cheaper_than_direct_twice(self):
         """Second-stage compression on the already-reduced tensor beats
-        re-compressing the full vector, for every coefficient grid point with
-        a positive per-input cost."""
-        n, k1, k2 = 100_000, 10_000, 100
-        for base in (0.0, 1e-6):
-            for per_input in (1e-10, 1e-9, 1e-8):
-                for per_sel in (0.0, 1e-9):
-                    c = LatencyCoeffs(base, per_input, per_sel)
-                    direct = c.seconds(n, k1) + c.seconds(n, k2)
-                    multilevel = c.seconds(n, k1) + c.seconds(k1, k2)
-                    assert multilevel < direct
+        re-compressing the full vector, for every kind's row and every
+        (n, k1, k2) of the grid."""
+        for name in KIND_NAMES:
+            kind = CompressorKind(name)
+            for n in (1_000, 100_000, 10**6):
+                for k1 in (keep_count(n, cf) for cf in (2, 10, 100)):
+                    for k2 in (keep_count(k1, step) for step in (1, 2, 10, 100)):
+                        direct = latency_seconds(kind, n, k1) + latency_seconds(kind, n, k2)
+                        multilevel = (latency_seconds(kind, n, k1)
+                                      + latency_seconds(kind, k1, k2))
+                        assert multilevel < direct, (name, n, k1, k2)
 
-    def test_negative_coefficients_rejected(self):
-        with pytest.raises(ValueError):
-            LatencyCoeffs(-1e-6, 0, 0)
-
-    @pytest.mark.parametrize("coeffs", [(math.nan, 0, 0), (0, math.nan, 0), (0, 0, math.nan)])
-    def test_nan_coefficients_rejected(self, coeffs):
-        with pytest.raises(ValueError):
-            LatencyCoeffs(*coeffs)
+    def test_every_row_finite_and_non_negative(self):
+        for name, row in LATENCY_COEFFS.items():
+            assert all(0 <= c < math.inf for c in row), name
 
 
 class TestParamsValidation:

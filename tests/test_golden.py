@@ -17,7 +17,9 @@ theirs. The two MLP digests were taken again when the MLP's training
 batches began to be drawn by ``normal32`` too, as float32 features, while
 its evaluation kept numpy's float64 draw; every quadratic digest kept its
 own. The MLP and noisy-quadratic digests thus depend on numpy's float32
-``log``/``sin``/``cos`` kernels, which a failing digest names.
+``log``/``sin``/``cos`` kernels, which a failing digest names. The
+geometric-policy and tree-topology cases were added later, with no other
+digest changed.
 """
 
 import hashlib
@@ -61,6 +63,11 @@ CASES = {
     # a higher gate makes top-k fall back to dense sends between compressed ones
     "quad-n4-gravac-topk-eps0.7": dict(QUAD, mode="gravac", **{
         "compressor.kind": "topk", "cost.workers": "4", "controller.epsilon": "0.7"}),
+    # the step factor goes 2, 4, 8 where the exponential policy's goes 2, 4, 16
+    "quad-n4-gravac-topk-geometric": dict(QUAD, mode="gravac", **{
+        "compressor.kind": "topk", "cost.workers": "4", "controller.policy": "geometric"}),
+    "quad-n8-gravac-topk-tree": dict(QUAD, mode="gravac", **{
+        "compressor.kind": "topk", "cost.workers": "8", "cost.topology": "tree"}),
     "mlp-n4-gravac-topk": MLP,
     "quad-n4-gravac-vanished": dict(QUAD, mode="gravac", **{
         "task.init_offset": "0", "task.noise_std": "0", "cost.workers": "4"}),
@@ -91,6 +98,8 @@ GOLDEN = {
     "quad-n8-static-cf-dgc": "eabc7bb5a4bdd9033ea658834548de02ba5deaa9f7582bebb2572a3ceaf0f95a",
     "quad-n8-static-cf-redsync": "962b4e232313f68f68d6fef49612ee93026bc054efb25540f957a7be1b30c8cd",
     "quad-n8-static-cf-randomk": "7a47438c011886a515e000740bf59a540be9d019a246646d812ed28163b8def9",
+    "quad-n4-gravac-topk-geometric": "2c4129506d8ff3ff86e8c6f894f435a4f2be1892e3df9ff460d0c2270a58a2ab",
+    "quad-n8-gravac-topk-tree": "fa5e250a93486f0e10c2bf2cd1250886ca993c17a75a23afb1c7c713cea36263",
     "mlp-n4-gravac-topk": "d31f786544043bc9e0ff5f33da354b4978a6915a296c94ba5adb4d2c609b3848",
     "quad-n4-gravac-vanished": "ae1f9f56d44a7efd4db5edf0e8125d25edf109df3a25f2629f34be20a37b56cd",
     "quad-m20k-b1-gravac-dgc": "4c655a4414701d6f6d86dba9daef08bd113e7eb1193dd5d73e6ab9de806d742c",

@@ -36,6 +36,15 @@ QUAD_BASE = {
 }
 
 
+def readme_block(section, language):
+    """The first ``language`` code block under README's ``## section`` heading."""
+    path = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(path, encoding="utf-8") as fh:
+        readme = fh.read()
+    block = readme.split(f"## {section}\n", 1)[1].split(f"```{language}\n", 1)[1]
+    return block.split("```", 1)[0]
+
+
 def quad_config(**extra):
     overrides = dict(QUAD_BASE)
     overrides.update({k: str(v) for k, v in extra.items()})
@@ -895,16 +904,17 @@ class TestCli:
 
     def test_readme_command_lines_parse(self):
         # a README example naming a removed subcommand or flag fails here
-        path = os.path.join(os.path.dirname(__file__), "..", "README.md")
-        with open(path, encoding="utf-8") as fh:
-            readme = fh.read()
-        block = readme.split("## Command line\n", 1)[1].split("```sh\n", 1)[1]
-        lines = [line for line in block.split("```", 1)[0].splitlines()
+        lines = [line for line in readme_block("Command line", "sh").splitlines()
                  if line.startswith("gravac ")]
         assert len(lines) >= 5
         parser = build_parser()
         for line in lines:
             parser.parse_args(shlex.split(line)[1:])
+
+    def test_readme_library_block_runs(self, capsys):
+        # a library signature change that leaves the example stale fails here
+        exec(compile(readme_block("Library use", "python"), "README.md", "exec"), {})
+        assert capsys.readouterr().out.strip()
 
 
 # JSON values a trace field may be set to: numbers at and past every edge,
