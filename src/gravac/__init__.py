@@ -5,8 +5,7 @@ from .compressors import (CompressorKind, SparseGradient, aggregate,
                           decompress, keep_count)
 from .controller import (ControllerConfig, ControllerState, IterationRecord,
                          check_gravac, run_iteration, scaling_policy, select_cf)
-from .costmodel import (CostModelParams, allreduce_time, dense_message_words,
-                        sparse_message_words)
+from .costmodel import CostModelParams, allreduce_time
 from .feedback import apply_feedback, clear_residual, update_residual, zero_residual
 from .gradcore import GradientVector, SeededRng, ewma_lambda_from_workers, squared_l2_norm
 from .harness import (ConfigError, RunConfig, compare_runs, parse_config,

@@ -21,8 +21,7 @@ from typing import Sequence
 
 from .compressors import (CompressorKind, SparseGradient, aggregate, aggregate_dense,
                           compress, compress_further)
-from .costmodel import (CostModelParams, allreduce_time, dense_message_words,
-                        sparse_message_words)
+from .costmodel import CostModelParams, allreduce_time
 from .feedback import clear_residual, update_residual
 from .gradcore import (GradientVector, SeededRng, ewma_lambda_from_workers,
                        squared_l2_norm)
@@ -190,26 +189,28 @@ def send(gradients, parts, residuals, t_compress: float, cost: CostModelParams, 
     sent, the allreduce's output, and the trace row. Charges modeled sync
     and iteration time; ``tsys`` = N*b/t_iter and ``tcomp`` = tsys * the
     sent view's gain: ``gain_c`` for a candidate send, ``gain_min`` for a
-    minimum or static one, 1 for a dense one. Volume counters are per worker.
+    minimum or static one, 1 for a dense one; a gain lies in [0, 1]. Volume
+    counters are per worker: a dense message is one word per entry, a sparse
+    one an index word and a value word per kept entry.
     """
     if parts is None:
         update, floats = aggregate_dense(gradients), gradients[0].length
         for residual in residuals:
             clear_residual(residual)
-        words = dense_message_words(floats)
+        words = floats
         t_compress = 0.0
     else:
         update, floats = aggregate(parts), parts[0].kept
         for g_ef, part, residual in zip(gradients, parts, residuals):
             update_residual(g_ef, part, residual)
-        words = sparse_message_words(parts[0])
+        words = 2 * floats
     t_sync = allreduce_time(words, cost)
     t_iter = cost.t_compute + t_compress + t_sync
     if not (0.0 < t_iter < math.inf):
         raise ValueError(f"iteration time must be positive, got {t_iter}")
     gain = {CANDIDATE: gain_c, DENSE: 1.0}.get(choice, gain_min)
-    if not (0.0 < gain <= 1.0):
-        raise ValueError(f"gain must be in (0, 1], got {gain}")
+    if not (0.0 <= gain <= 1.0):
+        raise ValueError(f"gain must be in [0, 1], got {gain}")
     tsys = cost.workers * batch_size / t_iter
     return update, IterationRecord(iter, float(cf), gain_min, gain_c, cost.t_compute,
                                    t_compress, t_sync, t_iter, tsys, tsys * gain, loss,

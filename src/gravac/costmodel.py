@@ -1,9 +1,10 @@
-"""Alpha-beta communication model and message-size accounting.
+"""Alpha-beta communication model: modeled allreduce seconds.
 
 All times in this package are simulated seconds derived from formulas,
 never wall-clock measurements, which keeps runs deterministic and
 platform-independent; compression's own seconds come from
-``compressors.latency_seconds``.
+``compressors.latency_seconds``, and ``controller.send`` counts the words
+of each message.
 
 Allreduce of a message of W 32-bit words across N workers:
 
@@ -18,8 +19,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-
-from .compressors import SparseGradient
 
 RING = "ring"
 TREE = "tree"
@@ -60,13 +59,3 @@ def allreduce_time(words: int, params: CostModelParams) -> float:
         logn = math.log2(n)
         return 2.0 * params.alpha * logn + 2.0 * words * logn * params.beta
     return 2.0 * (n - 1) * params.alpha + 2.0 * words * params.beta * (n - 1) / n
-
-
-def sparse_message_words(s: SparseGradient) -> int:
-    """Wire size of a sparse message: one index word plus one value word per entry."""
-    return 2 * s.kept
-
-
-def dense_message_words(length: int) -> int:
-    """Wire size of an uncompressed gradient: one word per entry."""
-    return int(length)

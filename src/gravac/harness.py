@@ -244,8 +244,8 @@ def run_experiment(cfg: RunConfig, out_dir: str | None = None) -> dict:
         "mode": cfg.mode,
         "iterations": len(trace),
         "seed": cfg.seed,
-        "initial_loss": trace.records[0].loss,
-        "final_loss": trace.records[-1].loss,
+        "initial_loss": trace[0].loss,
+        "final_loss": trace[-1].loss,
         "metric_name": task.metric_name,
         "metric_value": result.metric_value,
         "floats_sent_total": int(trace.total("floats_sent")),
@@ -309,8 +309,8 @@ def compare_runs(a: RunTrace, b: RunTrace, target: float | None = None) -> dict:
             "time_b": _time_to_target(b, target),
             "floats_a": int(a.total("floats_sent")),
             "floats_b": int(b.total("floats_sent")),
-            "final_loss_a": a.records[-1].loss,
-            "final_loss_b": b.records[-1].loss,
+            "final_loss_a": a[-1].loss,
+            "final_loss_b": b[-1].loss,
         }
     report["time_ratio"] = report["time_a"] / report["time_b"]
     report["floats_ratio"] = report["floats_a"] / report["floats_b"]

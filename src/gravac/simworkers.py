@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import asdict, dataclass, field, fields, replace
-from typing import Iterator
 
 import numpy as np
 
@@ -100,33 +99,21 @@ def _in_range(name: str, value) -> bool:
     return -high < value < high and value >= _TRACE_LOW.get(name, -high)  # NaN fails
 
 
-@dataclass
-class RunTrace:
-    """Per-iteration records of a run, JSON-lines serializable."""
-
-    records: list[IterationRecord] = field(default_factory=list)
-
-    def append(self, record: IterationRecord) -> None:
-        self.records.append(record)
-
-    def __len__(self) -> int:
-        return len(self.records)
-
-    def __iter__(self) -> Iterator[IterationRecord]:
-        return iter(self.records)
+class RunTrace(list):
+    """A run's ``IterationRecord``s, one per iteration, JSON-lines serializable."""
 
     def column(self, name: str) -> np.ndarray:
-        return np.asarray([getattr(r, name) for r in self.records])
+        return np.asarray([getattr(r, name) for r in self])
 
     def total(self, name: str):
         """Column sum; an int column is summed exactly, as Python ints."""
         if _TRACE_TYPES[name] == (int,):
-            return sum(getattr(r, name) for r in self.records)
+            return sum(getattr(r, name) for r in self)
         values = self.column(name)
         return values.sum().item() if len(values) else 0
 
     def to_jsonl(self) -> str:
-        return "".join(json.dumps(asdict(r)) + "\n" for r in self.records)
+        return "".join(json.dumps(asdict(r)) + "\n" for r in self)
 
     @classmethod
     def from_jsonl(cls, path) -> "RunTrace":

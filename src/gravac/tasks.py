@@ -236,9 +236,6 @@ class SyntheticMlp:
             w[weight] = gen.standard_normal(fan_in * fan_out) / np.sqrt(fan_in)
         return w
 
-    def _unpack(self, w: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-        return [(w[weight].reshape(shape), w[bias]) for weight, shape, bias in self._layout]
-
     def sample_batch(self, gen: np.random.Generator, n: int) -> tuple[np.ndarray, np.ndarray]:
         """n labels, then their float32 feature rows: ``normal32``'s n·d
         standard normals as n rows of d, scaled in place by the float32
@@ -262,7 +259,8 @@ class SyntheticMlp:
         weights run in float32, the wire format, and any other in float64."""
         w = np.asarray(w)
         dtype = np.float32 if w.dtype == np.float32 else np.float64
-        layers = self._unpack(w.astype(dtype, copy=False))
+        w = w.astype(dtype, copy=False)
+        layers = [(w[weight].reshape(shape), w[bias]) for weight, shape, bias in self._layout]
         h = np.asarray(x, dtype=dtype)
         activations = [h]
         for weight, bias in layers[:-1]:

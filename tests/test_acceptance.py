@@ -249,7 +249,7 @@ def test_criterion_8_randomk_rescue():
     task, opt, cost = setup()
     static = run_training(task, opt, cost, "static-cf", iters, seed=7,
                           compressor=RANDOMK, static_cf=m / 2)
-    stall_ratio = static.trace.records[-1].loss / static.trace.records[0].loss
+    stall_ratio = static.trace[-1].loss / static.trace[0].loss
     assert stall_ratio > 0.5, f"static run did not stall: {stall_ratio:.3f}"
 
     task, opt, cost = setup()
@@ -257,7 +257,7 @@ def test_criterion_8_randomk_rescue():
                                   omega=0.01, window=50, policy="geometric")
     adaptive = run_training(task, opt, cost, "gravac", iters, seed=7,
                             controller_config=controller, compressor=RANDOMK)
-    rescue_ratio = adaptive.trace.records[-1].loss / adaptive.trace.records[0].loss
+    rescue_ratio = adaptive.trace[-1].loss / adaptive.trace[0].loss
     assert rescue_ratio < 0.01, f"adaptive run did not converge: {rescue_ratio:.4f}"
     print(f"\nACCEPTANCE 8 random-k rescue: PASS (stall {stall_ratio:.3f}, "
           f"rescue {rescue_ratio:.2e})")

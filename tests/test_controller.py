@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import settings
@@ -5,7 +7,8 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from gravac import metrics
-from gravac.compressors import CompressorKind, aggregate, aggregate_dense, compress
+from gravac.compressors import (CompressorKind, SparseGradient, aggregate, aggregate_dense,
+                                compress)
 from gravac.controller import (CANDIDATE, DENSE, MINIMUM, POLICIES, STATIC_CHOICE,
                                ControllerConfig, ControllerState, check_gravac,
                                run_iteration, scaling_policy, select_cf, send)
@@ -382,12 +385,45 @@ class TestSend:
             assert row.tcomp == row.tsys * gain, choice
             assert (row.t_o, row.gain_min, row.gain_c) == (cost.t_compute, gain_min, gain_c)
 
+    def test_zero_gain_sends_at_zero_compression_throughput(self):
+        # a random-k view of a gradient's zero entries keeps none of its mass
+        r = sparse_send(0.0)
+        assert (r.gain_c, r.tcomp) == (0.0, 0.0)
+        assert r.tsys == 1024.0
+
     def test_invalid_inputs_rejected(self):
         with pytest.raises(ValueError, match="iteration time must be positive, got 0.0"):
             sparse_send(1.0, t_compute=0.0)
-        for gain in (0.0, 1.5):
-            with pytest.raises(ValueError, match=r"gain must be in \(0, 1\]"):
+        for gain in (-0.1, 1.5, math.nan):
+            with pytest.raises(ValueError, match=r"gain must be in \[0, 1\]"):
                 sparse_send(gain)
+
+    @staticmethod
+    def words_row(parts, length=10**6):
+        """The row of a one-worker send of ``parts``, or a dense send when
+        None, of a ``length``-entry gradient."""
+        g = GradientVector(np.ones(length, dtype=np.float32))
+        return send([g], parts, [zero_residual(length)], 0.0, CostModelParams(), 1, iter=1,
+                    loss=0.0, choice=DENSE if parts is None else MINIMUM, cf=10.0,
+                    gain_min=1.0, gain_c=1.0, theta_min=10.0)[1]
+
+    def test_sparse_send_counts_index_and_value(self):
+        part = SparseGradient(np.arange(100), np.ones(100, dtype=np.float32), 1000)
+        row = self.words_row([part], 1000)
+        assert (row.floats_sent, row.words_sent) == (100, 200)
+
+    def test_dense_send_counts_every_entry(self):
+        row = self.words_row(None)
+        assert (row.floats_sent, row.words_sent) == (10**6, 10**6)
+
+    def test_volume_ratio_versus_dense(self):
+        # cf=10 on a million entries: 200k words on the wire, 5x by the word
+        # counter and 10x by the value-float counter
+        part = SparseGradient(np.arange(100_000), np.ones(100_000, dtype=np.float32), 10**6)
+        sparse, dense = self.words_row([part]), self.words_row(None)
+        assert sparse.words_sent == 200_000
+        assert dense.words_sent / sparse.words_sent == 5.0
+        assert dense.floats_sent / sparse.floats_sent == 10.0
 
 
 class ControllerSchedule(RuleBasedStateMachine):

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from gravac.compressors import (KIND_NAMES, LATENCY_COEFFS, CompressorKind, SparseGradient,
-                                keep_count, latency_seconds)
-from gravac.costmodel import (RING, TREE, CostModelParams, allreduce_time, dense_message_words,
-                              sparse_message_words)
+from gravac.compressors import (KIND_NAMES, LATENCY_COEFFS, CompressorKind, keep_count,
+                                latency_seconds)
+from gravac.costmodel import RING, TREE, CostModelParams, allreduce_time
 
 
 def hand_allreduce(words, alpha, beta, workers, topology):
@@ -66,25 +65,6 @@ class TestAllreduceTime:
     def test_rejects_empty_message(self):
         with pytest.raises(ValueError):
             allreduce_time(0, CostModelParams(workers=2))
-
-
-class TestMessageWords:
-    def test_sparse_counts_index_and_value(self):
-        s = SparseGradient(np.arange(100), np.ones(100, dtype=np.float32), 1000)
-        assert sparse_message_words(s) == 200
-
-    def test_dense_counts_every_entry(self):
-        assert dense_message_words(10**6) == 10**6
-
-    def test_volume_ratio_versus_dense(self):
-        # cf=10 on a million entries: 200k words on the wire, 5x by the word
-        # counter and 10x by the value-float counter
-        s = SparseGradient(np.arange(100_000), np.ones(100_000, dtype=np.float32),
-                           10**6)
-        words = sparse_message_words(s)
-        assert words == 200_000
-        assert dense_message_words(10**6) / words == 5.0
-        assert dense_message_words(10**6) / s.kept == 10.0
 
 
 def hand_latency(name, n_input, kept):

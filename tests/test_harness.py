@@ -319,11 +319,17 @@ def _reject_constant(name):
 # MLP features beyond the float32 range, which the config rejects
 @example(overrides={"task.kind": "synthetic_mlp", "task.widths": "8,4,2",
                     "task.blob_spread": "1e160", "iters": "1"})
+# saturated tanh units whose random-k picks are all zero: a gain of 0
+@example(overrides={"task.kind": "synthetic_mlp", "task.widths": "8,1,2",
+                    "task.blob_spread": "1e3", "mode": "static-cf",
+                    "compressor.kind": "randomk", "static_cf": "2e1", "cost.workers": "1",
+                    "iters": "2", "seed": "0"})
 @given(overrides=_WHOLE_RUN)
 def test_any_small_run_exits_cleanly(tmp_path, overrides):
     # numpy warnings are errors here: a run ends with exit 0, a rejected
     # config (2) or a divergence (3), in at most one line of stderr, and a
-    # finished run's summary is standard JSON
+    # finished run's summary is standard JSON. The fuzz draws nothing that
+    # only the run rejects, so exit 2 means the parser rejected the config
     out = tmp_path / "run"
     args = ["run", "--out", str(out)]
     for key, value in overrides.items():
@@ -333,6 +339,9 @@ def test_any_small_run_exits_cleanly(tmp_path, overrides):
         code = main(args)
     assert code in (0, 2, 3)
     assert len(err.getvalue().splitlines()) <= 1
+    if code == 2:
+        with pytest.raises(ConfigError):
+            parse_config(None, overrides)
     if code == 0:
         json.loads((out / "summary.json").read_text(), parse_constant=_reject_constant)
 
@@ -504,7 +513,7 @@ class TestCompareRuns:
         trace = RunTrace.from_jsonl(tmp_path / "run" / "trace.jsonl")
         target = float(trace.column("loss")[30])
         report = compare_runs(trace, trace, target=target)
-        per_iter = trace.records[0].t_iter
+        per_iter = trace[0].t_iter
         assert report["time_a"] == pytest.approx(per_iter * 31)
 
     def test_unreached_target_rejected(self, tmp_path):

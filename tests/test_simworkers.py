@@ -184,7 +184,7 @@ class TestGravacTraining:
         result = run_training(task, opt, cost, "gravac", 15, seed=3,
                               controller_config=cc, compressor=TOPK)
         assert len(result.trace) == 15
-        row = asdict(result.trace.records[0])
+        row = asdict(result.trace[0])
         for field in ("iter", "cf", "gain_min", "gain_c", "t_o", "t_compress",
                       "t_s", "t_iter", "tsys", "tcomp", "loss",
                       "floats_sent", "words_sent"):
@@ -344,8 +344,9 @@ class TestRunTraceIo:
         path = tmp_path / "trace.jsonl"
         path.write_text(result.trace.to_jsonl())
         loaded = RunTrace.from_jsonl(path)
+        assert type(loaded) is RunTrace
         assert len(loaded) == 5
-        assert loaded.records[0] == result.trace.records[0]
+        assert loaded == result.trace
 
     def test_missing_field_rejected(self, tmp_path):
         path = tmp_path / "bad.jsonl"
@@ -358,7 +359,7 @@ class TestRunTraceIo:
         ("floats_sent", 4.5), ("choice", 1)])
     def test_mistyped_value_rejected(self, tmp_path, name, value):
         task, opt, cost = quadratic_setup(size=16)
-        row = asdict(run_training(task, opt, cost, "dense", 1, seed=0).trace.records[0])
+        row = asdict(run_training(task, opt, cost, "dense", 1, seed=0).trace[0])
         path = tmp_path / "bad.jsonl"
         path.write_text(json.dumps(dict(row, **{name: value})) + "\n")
         with pytest.raises(ValueError, match=rf"mistyped fields \['{name}'\]"):
