@@ -128,25 +128,15 @@ def _exact_topk(v: np.ndarray, k: int, signed: bool = False) -> np.ndarray:
     (``_sample_bound``), are partitioned: when at least k of them do, they
     hold every entry at or above the k-th magnitude, so the picks equal one
     full partition's. Otherwise every magnitude is partitioned. Signed
-    values have their magnitudes taken of the sample and the candidates
-    only, which are found as ``(v >= lo) | (v <= -lo)``: that is
-    ``|v| >= lo`` on the finite values that ``compress`` admits. NaN never
-    reaches the bounded path: ``compress`` rejects non-finite gradients.
+    values have their magnitudes taken only of the sample and of the
+    candidates, which ``_reaches`` finds one block at a time.
     """
     n = v.size
     if k >= n:
         return np.arange(n)
     lo = _sample_bound(v, k, signed)
     if lo is not None:
-        # two boolean masks, not np.abs(v) >= lo: a float32 |v| is a
-        # full-length temporary (4 MiB at M = 10^6) whose pages are faulted
-        # in afresh on every call. On quad_1m it raised the minor faults of
-        # a run from about 6k to 77k and cut iters_per_s from about 16.0
-        # to 12.9 (2-core x86-64 VM)
-        hit = v >= lo
-        if signed:
-            hit |= v <= -lo
-        cand = np.flatnonzero(hit)
+        cand = np.flatnonzero(_reaches(v, lo) if signed else v >= lo)
         if cand.size >= k:
             sub = v[cand]
             return cand[_partition_topk(np.abs(sub, out=sub) if signed else sub, k)]
@@ -184,47 +174,65 @@ def _sample_bound(v: np.ndarray, k: int, signed: bool) -> np.floating | None:
     return np.partition(sample, sample.size - r)[sample.size - r]
 
 
-def _global_topup(mag: np.ndarray, chosen: np.ndarray, short: int) -> np.ndarray:
-    """Largest-magnitude positions outside ``chosen``, ties to lower index.
+def _reaches(v: np.ndarray, lo) -> np.ndarray:
+    """The mask ``np.abs(v) >= lo``, taken one block of ``REDUCE_BLOCK``
+    entries at a time through one block-sized magnitude scratch. A
+    full-length float32 |v| (4 MiB at M = 10^6) would have its pages faulted
+    in afresh on every call."""
+    hit = np.empty(v.size, dtype=bool)
+    mag = np.empty(min(REDUCE_BLOCK, v.size), dtype=v.dtype)
+    for start in range(0, v.size, REDUCE_BLOCK):
+        block = v[start:start + REDUCE_BLOCK]
+        np.greater_equal(np.abs(block, out=mag[:block.size]), lo,
+                         out=hit[start:start + block.size])
+    return hit
 
-    Ranks a copy of ``mag`` with the chosen positions set to -1, below
-    every magnitude: ``short`` never exceeds the positions left, so none
-    of them is picked.
+
+def _global_topup(v: np.ndarray, chosen: np.ndarray, short: int) -> np.ndarray:
+    """Largest-|v| positions outside ``chosen``, ties to lower index.
+
+    Ranks |v| with the chosen positions set to -1, below every magnitude:
+    ``short`` never exceeds the positions left, so none of them is picked.
     """
-    rest = mag.copy()
+    rest = np.abs(v)
     rest[chosen] = -1
     return _exact_topk(rest, short)
 
 
-def _dgc_pick(mag: np.ndarray, k: int, rng: SeededRng | None) -> np.ndarray:
-    """k ascending positions at or above a threshold estimated from a sample
-    of ``mag``; cut to the top k, or padded when the threshold overshot."""
-    n = mag.size
+def _dgc_pick(v: np.ndarray, k: int, rng: SeededRng | None) -> np.ndarray:
+    """k ascending positions whose |v| reaches a threshold estimated from a
+    sample; cut to the top k, or padded when the threshold overshot. The
+    threshold mask is ``_reaches``'s; |v| is taken at the sampled, chosen
+    and below-threshold positions, and whole only by the rare global top-up.
+    """
+    n = v.size
     sample_size = min(n, max(256, int(round(DGC_SAMPLE_FRACTION * n))))
     if sample_size >= n:
         # full sample: threshold estimation degenerates to exact selection
-        return _exact_topk(mag, k)
+        return _exact_topk(v, k, signed=True)
     if rng is None:
         raise ValueError("dgc compression requires an rng for threshold sampling")
     sample_pos = rng.generator.choice(n, size=sample_size, replace=False)
-    sampled = np.sort(mag[sample_pos])[::-1]
+    sample_mag = np.abs(v[sample_pos])
+    sampled = np.sort(sample_mag)[::-1]
     rank = min(sample_size, max(1, int(round(k * sample_size / n))))
     threshold = sampled[rank - 1]
 
-    chosen = np.flatnonzero(mag >= threshold)
+    chosen = np.flatnonzero(_reaches(v, threshold))
     if chosen.size >= k:
-        return chosen[_exact_topk(mag[chosen], k)]  # ascending already
+        sub = v[chosen]
+        return chosen[_exact_topk(np.abs(sub, out=sub), k)]  # ascending already
     # threshold overshot: pad from the sampled pool below the threshold
     # (largest first), then fall back to a global top-up
     short = k - chosen.size
-    below = np.sort(sample_pos[mag[sample_pos] < threshold])
+    below = np.sort(sample_pos[sample_mag < threshold])
     if below.size and short > 0:
-        order = np.argsort(-mag[below], kind="stable")
+        order = np.argsort(-np.abs(v[below]), kind="stable")
         take = below[order[:short]]
         chosen = np.concatenate([chosen, take])
         short = k - chosen.size
     if short > 0:
-        chosen = np.concatenate([chosen, _global_topup(mag, chosen, short)])
+        chosen = np.concatenate([chosen, _global_topup(v, chosen, short)])
     return np.sort(chosen)
 
 
@@ -249,12 +257,12 @@ def _select(kind: CompressorKind, values: np.ndarray, k: int, rng: SeededRng | N
             raise ValueError("randomk compression requires an rng")
         picked = np.sort(rng.generator.choice(n, size=k, replace=False))
     else:
-        picked = _dgc_pick(np.abs(own), k, rng)
+        picked = _dgc_pick(own, k, rng)
     kept = own[picked]
     if kind.name != REDSYNC:
         return picked, kept, None
     mean_mag = np.float32(np.abs(kept).astype(np.float64).mean())
-    return picked, (np.sign(kept) * mean_mag).astype(np.float32), kept
+    return picked, np.sign(kept) * mean_mag, kept  # float32 times float32
 
 
 def compress(kind: CompressorKind, g: GradientVector, cf: float,
@@ -311,8 +319,7 @@ def _blocked_mean(m: int, n_parts: int, add_parts) -> GradientVector:
     for start in range(0, m, REDUCE_BLOCK):
         acc = np.zeros(min(REDUCE_BLOCK, m - start), dtype=np.float64)
         add_parts(acc, start)
-        acc /= n_parts
-        out[start:start + acc.size] = acc
+        np.divide(acc, n_parts, out=out[start:start + acc.size], casting="same_kind")
     return GradientVector(out)
 
 

@@ -207,7 +207,7 @@ def send(gradients, parts, residuals, t_compress: float, cost: CostModelParams, 
     t_sync = allreduce_time(words, cost)
     t_iter = cost.t_compute + t_compress + t_sync
     if not (0.0 < t_iter < math.inf):
-        raise ValueError(f"iteration time must be positive, got {t_iter}")
+        raise ValueError(f"iteration time must be positive and finite, got {t_iter}")
     gain = {CANDIDATE: gain_c, DENSE: 1.0}.get(choice, gain_min)
     if not (0.0 <= gain <= 1.0):
         raise ValueError(f"gain must be in [0, 1], got {gain}")

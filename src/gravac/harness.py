@@ -96,8 +96,10 @@ class RunConfig:
         return CostModelParams(**self._section("cost_", CostModelParams))
 
     def build_optimizer(self, task) -> OptimizerState:
-        return OptimizerState(weights=np.zeros(task.parameter_count),
-                              **self._section("opt_", OptimizerState))
+        # settings only, so ``task`` is not read: run_training trains its own
+        # copy of the task's initial weights, and length-M zero weights (and
+        # momentum buffer) here would stay allocated, unused, through the run
+        return OptimizerState(weights=np.zeros(0), **self._section("opt_", OptimizerState))
 
 
 # ---- flat keys, derived from the RunConfig fields ------------------------
@@ -191,6 +193,8 @@ def validate_config(cfg: RunConfig) -> None:
     tasks = {kind: _checked("task", cls, **cfg._section("task_", cls))
              for kind, cls in TASK_CLASSES.items()}
     _checked("opt", cfg.build_optimizer, tasks[cfg.task_kind])
+    # weights too large to allocate are refused before the run, by an array freed at once
+    _checked("opt", np.empty, tasks[cfg.task_kind].parameter_count)
     _checked("compressor", cfg.build_compressor)
     _checked("controller", cfg.build_controller)
     _checked("cost", cfg.build_cost)

@@ -19,7 +19,8 @@ from .controller import (DENSE, STATIC_CHOICE, ControllerConfig, ControllerState
                          IterationRecord, compress_workers, run_iteration, send)
 from .costmodel import CostModelParams
 from .feedback import apply_feedback, zero_residual
-from .gradcore import GradientVector, SeededRng, ewma_lambda_from_workers, squared_l2_norm
+from .gradcore import (REDUCE_BLOCK, GradientVector, SeededRng, ewma_lambda_from_workers,
+                       squared_l2_norm)
 from .metrics import GainTracker, mean_gain
 
 GRAVAC = "gravac"
@@ -72,17 +73,30 @@ class OptimizerState:
 
 
 def sgd_update(opt: OptimizerState, grad: GradientVector) -> OptimizerState:
-    """Apply one momentum-SGD step with the aggregated gradient."""
-    if grad.length != opt.weights.size:
-        raise ValueError(f"gradient length {grad.length} != weights {opt.weights.size}")
-    g = grad.values.astype(np.float64)
-    if opt.momentum:
-        opt.buffer *= opt.momentum
-        opt.buffer += g
-        np.multiply(opt.buffer, opt.lr, out=g)  # g is spent: it holds the step
-    else:
-        g *= opt.lr
-    opt.weights -= g
+    """Apply one momentum-SGD step with the aggregated gradient.
+
+    The float32 update is cast into one float64 scratch of
+    ``gradcore.REDUCE_BLOCK`` entries, a block at a time, so the step makes
+    no length-M temporary. Each block runs the whole-vector formula's
+    operations in its order: ``buffer *= m; buffer += g; g = buffer * lr``
+    with momentum, else ``g *= lr``; then ``weights -= g``.
+    """
+    m = grad.length
+    if m != opt.weights.size:
+        raise ValueError(f"gradient length {m} != weights {opt.weights.size}")
+    scratch = np.empty(min(REDUCE_BLOCK, m))
+    for start in range(0, m, REDUCE_BLOCK):
+        block = slice(start, start + REDUCE_BLOCK)
+        g = scratch[:min(REDUCE_BLOCK, m - start)]
+        g[...] = grad.values[block]
+        if opt.momentum:
+            buffer = opt.buffer[block]
+            buffer *= opt.momentum
+            buffer += g
+            np.multiply(buffer, opt.lr, out=g)
+        else:
+            g *= opt.lr
+        opt.weights[block] -= g
     return opt
 
 

@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gravac.compressors import (TOPK_BOUND_MIN, TOPK_BOUND_STRIDE, CompressorKind,
                                 SparseGradient, _dgc_pick, _exact_topk, _global_topup,
-                                _sample_bound, _select, aggregate, aggregate_dense, compress,
-                                compress_further, decompress, keep_count, latency_seconds)
+                                _reaches, _sample_bound, _select, aggregate, aggregate_dense,
+                                compress, compress_further, decompress, keep_count,
+                                latency_seconds)
 from gravac.feedback import apply_feedback, update_residual
 from gravac.gradcore import REDUCE_BLOCK, GradientVector, SeededRng, squared_l2_norm
 from gravac.metrics import compression_gain
@@ -407,6 +408,20 @@ def tied_normal(seed, n, levels):
     return np.round(v * levels) / levels if levels else v
 
 
+# sizes around the REDUCE_BLOCK edges of the blocked passes, and the least
+# float32 subnormal
+BLOCK_SIZES = (1, REDUCE_BLOCK - 1, REDUCE_BLOCK, REDUCE_BLOCK + 1, 3 * REDUCE_BLOCK + 5)
+SUBNORMAL = np.float32(2.0 ** -149)
+
+
+def edge_normal(n, levels):
+    """``tied_normal`` in float32 (rounding makes -0.0 too) with a subnormal
+    of either sign at every 97th entry."""
+    v = tied_normal(n, n, levels).astype(np.float32)
+    v[::97] = np.resize([SUBNORMAL, -SUBNORMAL], v[::97].size)
+    return v
+
+
 _GRADIENTS = st.one_of(
     st.lists(_FINITE32, min_size=1, max_size=48),
     # above 256 entries DGC estimates its threshold from a sample
@@ -436,17 +451,38 @@ class TestDgcPositions:
 
     @settings(max_examples=200, deadline=None)
     @given(gradient=_GRADIENTS, cf=st.floats(1.0, 50.0), seed=st.integers(0, 2**32 - 1))
+    @example(gradient=edge_normal(BLOCK_SIZES[0], 1), cf=1.0, seed=0)
+    @example(gradient=edge_normal(BLOCK_SIZES[1], 1), cf=10.0, seed=1)
+    @example(gradient=edge_normal(BLOCK_SIZES[2], 0), cf=50.0, seed=2)
+    @example(gradient=edge_normal(BLOCK_SIZES[3], 1), cf=50.0, seed=3)
+    @example(gradient=edge_normal(BLOCK_SIZES[4], 4), cf=10.0, seed=4)
+    @example(gradient=edge_normal(BLOCK_SIZES[4], 0), cf=37.0, seed=5)
     def test_positions_ascend_and_are_the_sorted_picks(self, gradient, cf, seed):
         # only the pad and global top-up paths sort their picks: the main
         # path cuts an ascending threshold set to its ascending top k. Above
         # 256 entries and at these CFs the sampled threshold overshoots, so
-        # the pad path runs, in about half the draws
+        # the pad path runs, in about half the draws. _select passes the
+        # signed values, so the picks of their magnitudes are also the
+        # oracle for the blocked threshold mask; the examples, at sizes
+        # around the block edges, put tied entries exactly at the threshold,
+        # -0.0 and subnormals
         values = np.asarray(gradient, dtype=np.float32)
         n, k = values.size, keep_count(values.size, cf)
         positions = _select(DGC, values, k, SeededRng(seed))[0]
         picks = _dgc_pick(np.abs(values), k, SeededRng(seed)) if k < n else np.arange(n)
         assert positions.size == k and np.all(np.diff(positions.astype(np.int64)) > 0)
         assert np.array_equal(positions, np.sort(picks))
+
+
+class TestReaches:
+    @pytest.mark.parametrize("m", BLOCK_SIZES)
+    @pytest.mark.parametrize("lo", [0.5, SUBNORMAL, 0.0])
+    def test_equals_the_whole_vector_mask(self, m, lo):
+        lo = np.float32(lo)
+        v = np.random.default_rng(m).standard_normal(m).astype(np.float32)
+        v[::3] = np.resize(np.array([lo, -lo, 0.0, -0.0, SUBNORMAL, -SUBNORMAL],
+                                    dtype=np.float32), v[::3].size)
+        assert np.array_equal(_reaches(v, lo), np.abs(v) >= lo)
 
 
 class TestStageProperties:

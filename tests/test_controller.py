@@ -392,8 +392,15 @@ class TestSend:
         assert r.tsys == 1024.0
 
     def test_invalid_inputs_rejected(self):
-        with pytest.raises(ValueError, match="iteration time must be positive, got 0.0"):
+        bad_time = "iteration time must be positive and finite, got "
+        with pytest.raises(ValueError, match=bad_time + "0.0"):
             sparse_send(1.0, t_compute=0.0)
+        # 2 * 8 words * 1e308 s/word overflows the modeled sync time
+        g = GradientVector(np.ones(8, dtype=np.float32))
+        with pytest.raises(ValueError, match=bad_time + "inf"):
+            send([g, g], None, [zero_residual(8)] * 2, 0.0, CostModelParams(beta=1e308, workers=2),
+                 1, iter=1, loss=0.0, choice=DENSE, cf=1.0, gain_min=1.0, gain_c=1.0,
+                 theta_min=1.0)
         for gain in (-0.1, 1.5, math.nan):
             with pytest.raises(ValueError, match=r"gain must be in \[0, 1\]"):
                 sparse_send(gain)

@@ -449,6 +449,15 @@ class TestRunExperiment:
             tracemalloc.stop()
         assert peak <= 8 * 2**20
 
+    def test_optimizer_settings_hold_no_weights(self):
+        # the run trains its own copy of the task's initial weights; the
+        # settings' length-M zero weights and momentum buffer stayed
+        # allocated through every run
+        cfg = quad_config(mode="dense", **{"task.size": 4096, "opt.momentum": 0.9})
+        opt = cfg.build_optimizer(cfg.build_task())
+        assert opt.weights.nbytes + opt.buffer.nbytes == 0
+        assert (opt.lr, opt.momentum) == (cfg.opt_lr, 0.9)
+
     def test_missing_out_dir_rejected(self):
         with pytest.raises(ConfigError, match="out"):
             run_experiment(quad_config(mode="dense"))
@@ -604,15 +613,19 @@ class TestCli:
         assert os.listdir(tmp_path) == ["file"]
 
     def test_zero_modeled_time_exits_two(self, tmp_path, capsys):
-        code = main(["run", "--mode", "dense", "--set", "task.kind=quadratic",
-                     "--set", "task.size=8", "--set", "cost.workers=1",
-                     "--set", "cost.t_compute=0", "--iters", "3",
-                     "--out", str(tmp_path / "run")])
-        assert code == 2
-        captured = capsys.readouterr()
-        assert captured.err == "error: iteration time must be positive, got 0.0\n"
-        assert captured.out == ""
-        assert os.listdir(tmp_path) == []
+        # a zero time, and one that overflows: 8 words at 1e308 s/word
+        for overrides, got in ((["cost.workers=1", "cost.t_compute=0"], "0.0"),
+                               (["cost.beta=1e308"], "inf")):
+            sets = [arg for key in overrides for arg in ("--set", key)]
+            code = main(["run", "--mode", "dense", "--set", "task.kind=quadratic",
+                         "--set", "task.size=8", *sets, "--iters", "3",
+                         "--out", str(tmp_path / "run")])
+            assert code == 2, overrides
+            captured = capsys.readouterr()
+            assert captured.err == ("error: iteration time must be positive and finite, "
+                                    f"got {got}\n")
+            assert captured.out == ""
+            assert os.listdir(tmp_path) == []
 
     def test_env_seed_is_ignored(self, tmp_path, capsys, monkeypatch):
         # GRAVAC_SEED used to override --seed

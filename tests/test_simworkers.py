@@ -54,6 +54,46 @@ class TestSgdUpdate:
         sgd_update(opt, GradientVector(np.ones(weights.size)))
         assert (opt.weights == -0.5).all() and not opt.buffer.any()
 
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_step_allocates_one_block_of_scratch(self, momentum):
+        # the step once cast the whole update to float64: 8 * M bytes
+        m = 1 << 18
+        opt = OptimizerState(weights=np.zeros(m), lr=0.1, momentum=momentum)
+        grad = GradientVector(np.ones(m, dtype=np.float32))
+        tracemalloc.start()
+        try:
+            sgd_update(opt, grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 8 * REDUCE_BLOCK + 4096
+
+    @pytest.mark.parametrize("m", [1, REDUCE_BLOCK - 1, REDUCE_BLOCK, REDUCE_BLOCK + 1,
+                                   3 * REDUCE_BLOCK + 5])
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    def test_blocks_give_the_bits_of_the_whole_vector_step(self, m, momentum):
+        rng = np.random.default_rng(m)
+        weights = rng.standard_normal(m)
+        weights[::7] = -0.0
+        opt = OptimizerState(weights=weights.copy(), lr=0.05, momentum=momentum)
+        w, buffer = weights, np.zeros(m)
+        for _ in range(3):
+            update = rng.standard_normal(m).astype(np.float32)
+            update[::5] = 0.0
+            update[1::5] = -0.0
+            sgd_update(opt, GradientVector(update))
+            g = update.astype(np.float64)
+            if momentum:
+                buffer *= momentum
+                buffer += g
+                np.multiply(buffer, 0.05, out=g)
+            else:
+                g *= 0.05
+            w -= g
+            assert opt.weights.tobytes() == w.tobytes()
+            if momentum:
+                assert opt.buffer.tobytes() == buffer.tobytes()
+
     def test_length_mismatch_rejected(self):
         opt = OptimizerState(weights=np.zeros(3), lr=0.1)
         with pytest.raises(ValueError):
