@@ -13,6 +13,8 @@ import math
 
 import numpy as np
 
+from .gradcore import REDUCE_BLOCK
+
 KDE_BANDWIDTH = 0.1
 
 
@@ -20,14 +22,22 @@ def gaussian_kde(samples, grid) -> np.ndarray:
     """Gaussian KDE at bandwidth h = ``KDE_BANDWIDTH`` evaluated on ``grid``.
 
     f(x) = (1 / (n*h*sqrt(2*pi))) * sum_i exp(-(x - s_i)^2 / (2*h^2))
+
+    The sum runs over the distinct samples, each kernel weighted by its
+    count, about ``gradcore.REDUCE_BLOCK`` kernel entries at a time, so
+    memory does not grow with the trace length.
     """
     samples = np.asarray(samples, dtype=np.float64)
     if samples.size == 0:
         raise ValueError("KDE needs at least one sample")
     grid = np.asarray(grid, dtype=np.float64)
-    z = (grid[:, None] - samples[None, :]) / KDE_BANDWIDTH
-    kernel = np.exp(-0.5 * z * z)
-    return kernel.sum(axis=1) / (samples.size * KDE_BANDWIDTH * math.sqrt(2.0 * math.pi))
+    values, counts = np.unique(samples, return_counts=True)
+    step = max(1, REDUCE_BLOCK // max(1, grid.size))
+    density = np.zeros(grid.shape)
+    for start in range(0, values.size, step):
+        z = np.subtract.outer(grid, values[start:start + step]) / KDE_BANDWIDTH
+        density += (np.exp(-0.5 * z * z) * counts[start:start + step]).sum(axis=1)
+    return density / (samples.size * KDE_BANDWIDTH * math.sqrt(2.0 * math.pi))
 
 
 def default_grid(samples) -> np.ndarray:

@@ -257,16 +257,14 @@ def run_training(task, optimizer: OptimizerState, cost: CostModelParams,
                     raise DivergenceError(
                         f"iteration {i}: a worker's gradient has non-finite entries")
 
-                # the update stays live until the next step replaces it: freed
-                # earlier, it let the allocator hand the gradients' heap back
-                # to the OS and fault it in again on every quad_1m iteration
                 update, row = step(grads, i, loss)
                 grads = None  # a dense send's gradients are spent
                 trace.append(row)
                 sgd_update(opt, update)
+                update = None  # applied: dead before the next iteration's draws
 
             # the last iteration's arrays are dead; free them before the evaluation
-            update = losses = None
+            losses = None
             residuals.clear()
             stage = "evaluation"
             metrics = task.evaluate(opt.weights, root.split(_RNG_EVAL), EVAL_SAMPLES)

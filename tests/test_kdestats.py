@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -51,6 +52,29 @@ class TestGaussianKde:
     def test_empty_samples_rejected(self):
         with pytest.raises(ValueError):
             gaussian_kde([], [0.0])
+
+    def test_matches_per_sample_formula(self):
+        samples = np.random.default_rng(3).uniform(0, 3, size=500)
+        assert np.unique(samples).size == 500
+        grid = default_grid(samples)
+        z = (grid[:, None] - samples[None, :]) / KDE_BANDWIDTH
+        direct = np.exp(-0.5 * z * z).sum(axis=1) / (
+            samples.size * KDE_BANDWIDTH * math.sqrt(2 * math.pi))
+        np.testing.assert_allclose(gaussian_kde(samples, grid), direct, rtol=1e-12, atol=0)
+
+    def test_memory_does_not_grow_with_the_trace(self):
+        # a long run of three CFs; a (512, n) float64 kernel would take
+        # 78 MiB per array at n = 20,000
+        samples = np.log10(np.random.default_rng(4).choice([10.0, 20.0, 40.0], size=20_000))
+        grid = default_grid(samples)
+        tracemalloc.start()
+        try:
+            density = gaussian_kde(samples, grid)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 << 20, peak
+        assert np.trapezoid(density, grid) == pytest.approx(1.0, abs=1e-3)
 
 
 class TestCfUsage:
